@@ -36,7 +36,7 @@ def main() -> None:
             "s" if profile.smooth else "-",
             "p" if profile.spatial else "-",
         ))
-        estimate = L.n ** len(L.join_irreducibles)
+        estimate = latq.homset_estimate(L, L)
         if estimate > args.max_homset:
             print(f"{L.name:<10}{L.n:>3}  {flags:<7}"
                   f"{'(> cap)':>7}{'':>8}{'':>9}{'':>11}")

@@ -70,7 +70,6 @@ from .maps import (
     is_join_continuous,
     is_meet_continuous,
     is_monotone,
-    latmap,
     left_adjoint,
     monotone_maps_array,
     pointwise_join,
@@ -93,6 +92,7 @@ from .quantale import (
     dual_tensor,
     dualizing_elements,
     enumerate_homset,
+    homset_estimate,
     homset_lattice,
     is_codualizing,
     is_cyclic,
@@ -127,14 +127,15 @@ __all__ = [
     "downset_lattice", "dual", "generate", "is_chain", "is_smooth",
     "LatMap", "MapClass", "all_maps_array", "big_meet", "classify",
     "compose", "identity", "interior", "is_join_continuous",
-    "is_meet_continuous", "is_monotone", "latmap", "left_adjoint",
+    "is_meet_continuous", "is_monotone", "left_adjoint",
     "monotone_maps_array", "pointwise_join", "pointwise_meet",
     "raney_join", "raney_meet", "right_adjoint", "sample_monotone_maps",
     "special",
     "DEFAULT_CAP", "HomsetEnumeration", "UnitPair", "central_elements",
     "check_involutive_axioms", "codualizing_elements",
     "cyclic_dualizing_elements", "cyclic_elements", "dual_tensor",
-    "dualizing_elements", "enumerate_homset", "homset_lattice",
+    "dualizing_elements", "enumerate_homset", "homset_estimate",
+    "homset_lattice",
     "is_codualizing", "is_cyclic", "is_dualizing", "residual_left",
     "residual_right", "star", "units",
     "CHECK_IDS", "REGISTRY", "SuiteReport", "TheoremCheck",

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -22,18 +22,32 @@ from .lattice import (
     completely_join_primes,
     distributivity_witness,
     is_chain,
-    is_smooth,
 )
 
 
 @dataclass
 class CheckResult:
-    """Verdict of one named check, with a replayable witness on failure."""
+    """Verdict of one named check, with a replayable witness on failure.
+
+    `info` holds work counters; `substantive` is False for a conditional
+    check whose premise failed.  A suite cell that did not run carries the
+    skip `reason`, and `expected` is False when a cap tripped mid-run.
+    """
 
     name: str
     holds: bool
     witness: Any = None
     elapsed: float = 0.0
+    info: dict[str, Any] = field(default_factory=dict)
+    substantive: bool | None = None
+    reason: str | None = None
+    expected: bool = True
+
+    @property
+    def status(self) -> str:
+        if self.reason is not None:
+            return "skip"
+        return "pass" if self.holds else "fail"
 
     def as_doc(self, timing: bool = False) -> dict:
         doc: dict[str, Any] = {
@@ -45,38 +59,56 @@ class CheckResult:
             doc["elapsed_ms"] = round(self.elapsed * 1000.0, 3)
         return doc
 
+    def cell_doc(self, timing: bool = False) -> dict:
+        """The verdict as one cell of a suite report."""
+        doc: dict[str, Any] = {"status": self.status}
+        if self.witness is not None:
+            doc["witness"] = self.witness
+        if self.reason is not None:
+            doc["reason"] = self.reason
+            doc["expected"] = self.expected
+        if self.substantive is not None:
+            doc["substantive"] = self.substantive
+        if timing:
+            doc["elapsed_ms"] = round(self.elapsed * 1000.0, 3)
+        return doc
+
+
+def timed(check: Callable[..., CheckResult], *args) -> CheckResult:
+    """Run a check; a fresh copy of its verdict carries the wall time."""
+    t0 = time.perf_counter()
+    res = check(*args)
+    return replace(res, elapsed=time.perf_counter() - t0)
+
+
+def row_witness(ok: np.ndarray, rows: dict[str, np.ndarray]) -> dict | None:
+    """At the first False in ok, that row of each named array; else None."""
+    bad = np.flatnonzero(~ok)
+    if not len(bad):
+        return None
+    k = int(bad[0])
+    return {key: a[k].tolist() for key, a in rows.items()}
+
 
 def raney_join_criterion(L: Lattice) -> CheckResult:
     """Every x equals the join over t not above x of omega(t)."""
-    t0 = time.perf_counter()
     om = maps.special(L, "omega").values
     got = maps._batch_raney_join(L, L, om[None, :])[0]
-    bad = np.flatnonzero(got != np.arange(L.n))
-    witness = None
-    if len(bad):
-        x = int(bad[0])
-        witness = {"x": x, "computed": int(got[x])}
-    return CheckResult("raney_join_criterion", not len(bad), witness,
-                       time.perf_counter() - t0)
+    x = np.arange(L.n)
+    w = row_witness(got == x, {"x": x, "computed": got})
+    return CheckResult("raney_join_criterion", w is None, w)
 
 
 def raney_meet_criterion(L: Lattice) -> CheckResult:
     """Every y equals the meet over t not below y of o(t)."""
-    t0 = time.perf_counter()
-    o = maps.special(L, "o").values
-    got = maps._batch_raney_meet(L, L, o[None, :])[0]
-    bad = np.flatnonzero(got != np.arange(L.n))
-    witness = None
-    if len(bad):
-        y = int(bad[0])
-        witness = {"y": y, "computed": int(got[y])}
-    return CheckResult("raney_meet_criterion", not len(bad), witness,
-                       time.perf_counter() - t0)
+    res = raney_join_criterion(L.op)
+    w = res.witness and {"y": res.witness["x"],
+                         "computed": res.witness["computed"]}
+    return CheckResult("raney_meet_criterion", res.holds, w)
 
 
 def distributive_oracle(L: Lattice) -> CheckResult:
     """Triple scan x ^ (y v z) == (x ^ y) v (x ^ z); no transform code."""
-    t0 = time.perf_counter()
     w = distributivity_witness(L)
     witness = None
     if w is not None:
@@ -86,8 +118,7 @@ def distributive_oracle(L: Lattice) -> CheckResult:
             "lhs": int(L.meet[x, L.join[y, z]]),
             "rhs": int(L.join[L.meet[x, y], L.meet[x, z]]),
         }
-    return CheckResult("distributive_oracle", w is None, witness,
-                       time.perf_counter() - t0)
+    return CheckResult("distributive_oracle", w is None, witness)
 
 
 def criteria_agree(L: Lattice) -> bool:
@@ -107,7 +138,6 @@ def bounded_family_cd_check(L: Lattice, max_i: int = 2, max_j: int = 2,
     side (its extra choice terms are absorbed by the join), so smaller
     shapes are covered.
     """
-    t0 = time.perf_counter()
     n = L.n
     if n ** (max_i * max_j) > work_cap:
         raise CapExceeded(
@@ -129,15 +159,16 @@ def bounded_family_cd_check(L: Lattice, max_i: int = 2, max_j: int = 2,
                 "lhs": lhs,
                 "rhs": rhs,
             }
-            return CheckResult("bounded_family_cd_check", False, witness,
-                               time.perf_counter() - t0)
-    return CheckResult("bounded_family_cd_check", True, None,
-                       time.perf_counter() - t0)
+            return CheckResult("bounded_family_cd_check", False, witness)
+    return CheckResult("bounded_family_cd_check", True)
 
 
 def is_spatial(L: Lattice) -> bool:
     """Every element is the join of the completely join-primes below it."""
-    primes = sorted(completely_join_primes(L))
+    return _spatial(L, sorted(completely_join_primes(L)))
+
+
+def _spatial(L: Lattice, primes: list[int]) -> bool:
     return all(
         L.sup(p for p in primes if L.leq[p, x]) == x
         for x in range(L.n)
@@ -170,13 +201,14 @@ class LatticeProfile:
 
 def classify_lattice(L: Lattice) -> LatticeProfile:
     """Structure profile; complete distributivity via the join criterion."""
+    primes = sorted(completely_join_primes(L))
     return LatticeProfile(
         name=L.name,
         n=L.n,
         chain=is_chain(L),
         distributive=L.is_distributive,
         completely_distributive=raney_join_criterion(L).holds,
-        smooth=is_smooth(L),
-        spatial=is_spatial(L),
-        join_primes=sorted(completely_join_primes(L)),
+        smooth=not primes,
+        spatial=_spatial(L, primes),
+        join_primes=primes,
     )

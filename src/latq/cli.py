@@ -15,7 +15,7 @@ import traceback
 
 from . import cd, docio, maps, quantale, suite
 from .errors import LatqError, NotContinuous
-from .lattice import GeneratorSpec, build_poset, downset_lattice, generate
+from .lattice import GeneratorSpec, downset_lattice, generate
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -48,27 +48,15 @@ def _emit_map(f, dom_abs: str, cod_abs: str, out: str | None) -> None:
 # ------------------------------------------------------------- subcommands
 
 def _cmd_gen(args) -> int:
-    if args.shape == "chain":
-        L = generate(GeneratorSpec("chain", n=args.size))
-    elif args.shape == "boolean":
-        L = generate(GeneratorSpec("boolean", k=args.exponent))
-    elif args.shape == "m3":
-        L = generate(GeneratorSpec("m3"))
-    elif args.shape == "n5":
-        L = generate(GeneratorSpec("n5"))
-    elif args.shape == "product":
-        L = generate(GeneratorSpec("product", a=args.a, b=args.b))
-    elif args.shape == "random":
-        L = generate(GeneratorSpec("random", seed=args.seed, n=args.size))
-    else:  # downsets
-        doc = docio._load_json(args.posetfile)
-        if not isinstance(doc, dict) or not isinstance(doc.get("name"), str) \
-                or not isinstance(doc.get("n"), int) \
-                or not isinstance(doc.get("covers"), list):
-            raise docio.ParseError(
-                "poset document needs name, n, and covers")
-        p = build_poset(doc["n"], [tuple(c) for c in doc["covers"]])
-        L = downset_lattice(p, name=f"downsets_{doc['name']}")
+    if args.shape == "downsets":
+        name, p = docio.poset_from_doc(docio._load_json(args.posetfile),
+                                       "poset document")
+        L = downset_lattice(p, name=f"downsets_{name}")
+    else:
+        # the shape's arguments are parsed into GeneratorSpec field names
+        fields = {k: v for k, v in vars(args).items()
+                  if k in ("n", "k", "a", "b", "seed")}
+        L = generate(GeneratorSpec(args.shape, **fields))
     _emit(docio.dumps(docio.lattice_to_doc(L)), args.output)
     return 0
 
@@ -77,9 +65,10 @@ def _cmd_check(args) -> int:
     L = docio.load_lattice(args.lattice)
     profile = cd.classify_lattice(L)
     checks = [
-        cd.raney_join_criterion(L),
-        cd.raney_meet_criterion(L),
-        cd.distributive_oracle(L),
+        cd.timed(check, L) for check in (
+            cd.raney_join_criterion,
+            cd.raney_meet_criterion,
+            cd.distributive_oracle)
     ]
     agree = len({c.holds for c in checks}) == 1
     if args.json:
@@ -206,9 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a lattice file")
     gsub = gen.add_subparsers(dest="shape", required=True)
     g_chain = gsub.add_parser("chain")
-    g_chain.add_argument("size", type=int)
+    g_chain.add_argument("n", metavar="size", type=int)
     g_bool = gsub.add_parser("boolean")
-    g_bool.add_argument("exponent", type=int)
+    g_bool.add_argument("k", metavar="exponent", type=int)
     gsub.add_parser("m3")
     gsub.add_parser("n5")
     g_prod = gsub.add_parser("product")
@@ -216,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_prod.add_argument("b", type=int)
     g_rand = gsub.add_parser("random")
     g_rand.add_argument("--seed", type=int, default=0)
-    g_rand.add_argument("--size", type=int, default=8)
+    g_rand.add_argument("--size", dest="n", metavar="SIZE", type=int, default=8)
     g_down = gsub.add_parser("downsets")
     g_down.add_argument("posetfile")
     for p in (g_chain, g_bool, gsub.choices["m3"], gsub.choices["n5"],

@@ -12,8 +12,8 @@ import json
 import os
 
 from .errors import ParseError
-from .lattice import Lattice, build_lattice, build_poset
-from .maps import LatMap, latmap
+from .lattice import Lattice, Poset, build_lattice, build_poset
+from .maps import LatMap
 
 
 def dumps(doc: dict) -> str:
@@ -30,28 +30,38 @@ def lattice_to_doc(L: Lattice) -> dict:
     }
 
 
-def _expect(doc: dict, field: str, kinds, where: str):
+def _is(value, kind: type) -> bool:
+    """Exact JSON type: unlike isinstance, true and false are no integers."""
+    return type(value) is kind
+
+
+def _expect(doc: dict, field: str, kind: type, where: str):
     if field not in doc:
         raise ParseError(f"{where} is missing field {field!r}")
     value = doc[field]
-    if not isinstance(value, kinds):
+    if not _is(value, kind):
         raise ParseError(f"{where} field {field!r} has the wrong type")
     return value
 
 
-def lattice_from_doc(doc) -> Lattice:
+def poset_from_doc(doc, where: str) -> tuple[str, Poset]:
+    """Name and poset of a {"name", "n", "covers"} document."""
     if not isinstance(doc, dict):
-        raise ParseError("lattice document must be a JSON object")
-    name = _expect(doc, "name", str, "lattice document")
-    n = _expect(doc, "n", int, "lattice document")
-    covers = _expect(doc, "covers", list, "lattice document")
+        raise ParseError(f"{where} must be a JSON object")
+    name = _expect(doc, "name", str, where)
+    n = _expect(doc, "n", int, where)
     pairs = []
-    for item in covers:
-        if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(v, int) for v in item)):
+    for item in _expect(doc, "covers", list, where):
+        if (not _is(item, list) or len(item) != 2
+                or not all(_is(v, int) for v in item)):
             raise ParseError("covers entries must be pairs of integers")
         pairs.append((item[0], item[1]))
-    return build_lattice(build_poset(n, pairs), name=name)
+    return name, build_poset(n, pairs)
+
+
+def lattice_from_doc(doc) -> Lattice:
+    name, p = poset_from_doc(doc, "lattice document")
+    return build_lattice(p, name=name)
 
 
 def map_to_doc(f: LatMap, dom_ref: str, cod_ref: str) -> dict:
@@ -85,7 +95,7 @@ def map_from_doc(doc, base_dir: str = ".") -> LatMap:
     dom_ref = _expect(doc, "dom", str, "map document")
     cod_ref = _expect(doc, "cod", str, "map document")
     values = _expect(doc, "values", list, "map document")
-    if not all(isinstance(v, int) for v in values):
+    if not all(_is(v, int) for v in values):
         raise ParseError("map values must be integers")
     dom = load_lattice(_resolve(dom_ref, base_dir))
     if os.path.abspath(_resolve(cod_ref, base_dir)) == \
@@ -93,7 +103,7 @@ def map_from_doc(doc, base_dir: str = ".") -> LatMap:
         cod = dom
     else:
         cod = load_lattice(_resolve(cod_ref, base_dir))
-    return latmap(dom, cod, values)
+    return LatMap(dom, cod, values)
 
 
 def load_map(path: str) -> LatMap:

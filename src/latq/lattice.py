@@ -5,7 +5,8 @@ Elements are integers 0..n-1.  The order lives in a boolean matrix
 integer tables.  Construction through `build_poset` relabels elements
 along a stable topological order, so freshly built lattices satisfy
 ``leq[i, j] implies i <= j``.  Nothing downstream may rely on that:
-`dual` transposes the matrix in place and breaks it on purpose.
+`dual` transposes the matrix in place and breaks it on purpose.  The
+meet side of `maps` and `cd` is the join side run on the dual.
 """
 
 from __future__ import annotations
@@ -136,8 +137,9 @@ class Lattice:
         name: str | None = None,
     ):
         self.poset = poset
-        self.join = _frozen(np.array(join, dtype=np.int32))
-        self.meet = _frozen(np.array(meet, dtype=np.int32))
+        # no copy of int32 tables, so a dual or a renamed lattice shares them
+        self.join = _frozen(np.asarray(join, dtype=np.int32))
+        self.meet = _frozen(np.asarray(meet, dtype=np.int32))
         self.bottom = int(bottom)
         self.top = int(top)
         self.name = name
@@ -145,6 +147,17 @@ class Lattice:
     @property
     def n(self) -> int:
         return self.poset.n
+
+    @cached_property
+    def op(self) -> "Lattice":
+        """Order dual, built once; its own dual is this object."""
+        # transposing keeps the order axioms, so the poset is not revalidated
+        p = Poset.__new__(Poset)
+        p.n, p.leq = self.n, self.leq.T
+        name = f"{self.name}_dual" if self.name else None
+        D = Lattice(p, self.meet, self.join, self.top, self.bottom, name)
+        D.__dict__["op"] = self
+        return D
 
     @property
     def leq(self) -> np.ndarray:
@@ -159,10 +172,7 @@ class Lattice:
 
     def inf(self, xs: Iterable[int]) -> int:
         """Meet of any finite family; the empty meet is the top."""
-        out = self.top
-        for x in xs:
-            out = int(self.meet[out, x])
-        return out
+        return self.op.sup(xs)
 
     @cached_property
     def join_irreducibles(self) -> tuple[int, ...]:
@@ -176,6 +186,18 @@ class Lattice:
     @cached_property
     def is_distributive(self) -> bool:
         return distributivity_witness(self) is None
+
+    @cached_property
+    def interior_constraints(self) -> tuple[np.ndarray, ...]:
+        """Cover edges (upper element first) and incomparable pairs with
+        their joins, as index arrays (xs, ys, ix, iy, ij) for `interior`."""
+        pos = {x: k for k, x in enumerate(self.poset.toposort)}
+        edges = sorted(self.poset.covers, key=lambda e: -pos[e[0]])
+        xs = np.asarray([e[0] for e in edges], dtype=np.int64)
+        ys = np.asarray([e[1] for e in edges], dtype=np.int64)
+        inc = np.argwhere(~(self.leq | self.leq.T))
+        ix, iy = inc[inc[:, 0] < inc[:, 1]].T
+        return xs, ys, ix, iy, self.join[ix, iy].astype(np.int64)
 
     def rename(self, name: str) -> "Lattice":
         """Same lattice object shape under a new name (shared arrays)."""
@@ -199,35 +221,33 @@ def build_lattice(p: Poset, name: str | None = None) -> Lattice:
     bounds equals the principal up-set of one element, so a profile lookup
     finds each table entry or proves it missing.
     """
-    n = p.n
-    if n == 0:
+    if p.n == 0:
         raise NotALattice("empty carrier has no bottom")
-    leq = p.leq
-    up_profile = {leq[i].tobytes(): i for i in range(n)}
-    down_profile = {leq[:, i].tobytes(): i for i in range(n)}
-    join = np.zeros((n, n), dtype=np.int32)
-    meet = np.zeros((n, n), dtype=np.int32)
-    for i in range(n):
-        for j in range(i, n):
-            k = up_profile.get((leq[i] & leq[j]).tobytes())
-            if k is None:
-                raise NotALattice(f"elements {i} and {j} have no join")
-            join[i, j] = join[j, i] = k
-            k = down_profile.get((leq[:, i] & leq[:, j]).tobytes())
-            if k is None:
-                raise NotALattice(f"elements {i} and {j} have no meet")
-            meet[i, j] = meet[j, i] = k
-    bottom = np.flatnonzero(leq.all(axis=1))
-    top = np.flatnonzero(leq.all(axis=0))
+    join = _join_table(p.leq, "join")
+    meet = _join_table(p.leq.T, "meet")     # joins of the dual order
+    bottom = np.flatnonzero(p.leq.all(axis=1))
+    top = np.flatnonzero(p.leq.all(axis=0))
     if len(bottom) != 1 or len(top) != 1:
         raise NotALattice("carrier lacks a bottom or a top")
     return Lattice(p, join, meet, int(bottom[0]), int(top[0]), name)
 
 
+def _join_table(leq: np.ndarray, what: str) -> np.ndarray:
+    n = leq.shape[0]
+    up_profile = {leq[i].tobytes(): i for i in range(n)}
+    out = np.zeros((n, n), dtype=np.int32)
+    for i in range(n):
+        for j in range(i, n):
+            k = up_profile.get((leq[i] & leq[j]).tobytes())
+            if k is None:
+                raise NotALattice(f"elements {i} and {j} have no {what}")
+            out[i, j] = out[j, i] = k
+    return out
+
+
 def dual(L: Lattice) -> Lattice:
     """Order-dual lattice: transposed order, join and meet swapped."""
-    name = f"{L.name}_dual" if L.name else None
-    return Lattice(Poset(L.leq.T), L.meet, L.join, L.top, L.bottom, name)
+    return L.op
 
 
 def distributivity_witness(L: Lattice) -> tuple[int, int, int] | None:

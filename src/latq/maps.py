@@ -3,13 +3,14 @@
 A `LatMap` stores one value index per domain element.  The module keeps
 one implementation of each nontrivial algorithm as a batch kernel over a
 (B, n) value matrix; single-map operations wrap the kernels with B = 1,
-and the bulk detectors in `quantale` reuse them directly.
+and the bulk detectors in `quantale` reuse them directly.  Each meet-side
+operation is its join-side twin run between the order duals (`_op`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -79,11 +80,6 @@ class LatMap:
         return f"LatMap({self.values.tolist()})"
 
 
-def latmap(dom: Lattice, cod: Lattice, values) -> LatMap:
-    """Validating constructor."""
-    return LatMap(dom, cod, values)
-
-
 def identity(L: Lattice) -> LatMap:
     f = LatMap(L, L, np.arange(L.n, dtype=np.int32))
     f._mono = f._jc = f._mc = True
@@ -112,16 +108,19 @@ def is_join_continuous(f: LatMap) -> bool:
 def is_meet_continuous(f: LatMap) -> bool:
     """Preserves the empty meet and all binary meets."""
     if f._mc is None:
-        v = f.values
-        f._mc = bool(
-            v[f.dom.top] == f.cod.top
-            and (v[f.dom.meet] == f.cod.meet[v[:, None], v[None, :]]).all()
-        )
+        f._mc = is_join_continuous(_op(f))
     return f._mc
 
 
 def classify(f: LatMap) -> MapClass:
     return MapClass(is_monotone(f), is_join_continuous(f), is_meet_continuous(f))
+
+
+def _op(f: LatMap) -> LatMap:
+    """The same values between the order duals; joins and meets swap roles."""
+    g = LatMap(f.dom.op, f.cod.op, f.values)
+    g._mono, g._jc, g._mc = f._mono, f._mc, f._jc
+    return g
 
 
 def compose(g: LatMap, f: LatMap) -> LatMap:
@@ -159,40 +158,11 @@ def pointwise_meet(fs: Sequence[LatMap],
                    dom: Lattice | None = None,
                    cod: Lattice | None = None) -> LatMap:
     """Pointwise meet; the empty family needs explicit endpoints."""
-    fs = list(fs)
-    if not fs:
-        if dom is None or cod is None:
-            raise DomainMismatch("empty family needs dom and cod")
-        return LatMap(dom, cod, np.full(dom.n, cod.top, dtype=np.int32))
-    dom, cod = _common_hom(fs)
-    acc = fs[0].values
-    for f in fs[1:]:
-        acc = cod.meet[acc, f.values]
-    return LatMap(dom, cod, acc)
+    fs_op = [_op(f) for f in fs]
+    return _op(pointwise_join(fs_op, dom and dom.op, cod and cod.op))
 
 
 # ---------------------------------------------------------------- kernels
-
-_constraints_memo: dict[Lattice, tuple[np.ndarray, ...]] = {}
-
-
-def _interior_constraints(L: Lattice):
-    got = _constraints_memo.get(L)
-    if got is not None:
-        return got
-    pos = {x: k for k, x in enumerate(L.poset.toposort)}
-    edges = sorted(L.poset.covers, key=lambda e: -pos[e[0]])
-    xs = np.asarray([e[0] for e in edges], dtype=np.int64)
-    ys = np.asarray([e[1] for e in edges], dtype=np.int64)
-    comp = L.leq | L.leq.T
-    inc = np.argwhere(~comp)
-    inc = inc[inc[:, 0] < inc[:, 1]]
-    ix = inc[:, 0]
-    iy = inc[:, 1]
-    ij = L.join[ix, iy].astype(np.int64)
-    got = (xs, ys, ix, iy, ij)
-    _constraints_memo[L] = got
-    return got
 
 
 def _batch_interior(dom: Lattice, cod: Lattice, H: np.ndarray) -> np.ndarray:
@@ -205,7 +175,7 @@ def _batch_interior(dom: Lattice, cod: Lattice, H: np.ndarray) -> np.ndarray:
     join-continuous maps below the start row, so the limit is the greatest.
     """
     H = np.array(H, dtype=np.int32)
-    xs, ys, ix, iy, ij = _interior_constraints(dom)
+    xs, ys, ix, iy, ij = dom.interior_constraints
     meet, join = cod.meet, cod.join
     H[:, dom.bottom] = cod.bottom
     while True:
@@ -228,10 +198,7 @@ def _batch_right_adjoint(dom: Lattice, cod: Lattice, F: np.ndarray) -> np.ndarra
 
 def _batch_left_adjoint(dom: Lattice, cod: Lattice, G: np.ndarray) -> np.ndarray:
     """Rowwise y -> meet of {x : y <= G[k, x]}; callers ensure rows are mc."""
-    out = np.full((G.shape[0], cod.n), dom.top, dtype=np.int32)
-    for x in range(dom.n):
-        out = np.where(cod.leq.T[G[:, x]], dom.meet[out, x], out)
-    return out
+    return _batch_right_adjoint(dom.op, cod.op, G)
 
 
 def _batch_raney_join(dom: Lattice, cod: Lattice, F: np.ndarray) -> np.ndarray:
@@ -245,11 +212,7 @@ def _batch_raney_join(dom: Lattice, cod: Lattice, F: np.ndarray) -> np.ndarray:
 
 def _batch_raney_meet(dom: Lattice, cod: Lattice, F: np.ndarray) -> np.ndarray:
     """Rowwise x -> meet of F[k, t] over t with t not<= x."""
-    out = np.full(F.shape, cod.top, dtype=np.int32)
-    for t in range(dom.n):
-        mask = ~dom.leq[t]
-        out = np.where(mask[None, :], cod.meet[out, F[:, t][:, None]], out)
-    return out
+    return _batch_raney_join(dom.op, cod.op, F)
 
 
 # ------------------------------------------------------------- operations
@@ -267,9 +230,7 @@ def left_adjoint(g: LatMap) -> LatMap:
     """The map f with f(x) <= y iff x <= g(y); needs g meet-continuous."""
     if not is_meet_continuous(g):
         raise NotContinuous("left adjoint needs a meet-continuous map")
-    f = LatMap(g.cod, g.dom, _batch_left_adjoint(g.dom, g.cod, g.values[None, :])[0])
-    f._mono = f._jc = True
-    return f
+    return _op(right_adjoint(_op(g)))
 
 
 def interior(f: LatMap) -> LatMap:
@@ -288,15 +249,7 @@ def raney_join(f: LatMap) -> LatMap:
 
 def raney_meet(f: LatMap) -> LatMap:
     """x -> meet of f(t) over t with t not<= x; always meet-continuous."""
-    out = LatMap(f.dom, f.cod, _batch_raney_meet(f.dom, f.cod, f.values[None, :])[0])
-    out._mono = out._mc = True
-    return out
-
-
-_SPECIAL_ALIASES = {
-    "const_c": "c",
-    "annihilator_a": "a",
-}
+    return _op(raney_join(_op(f)))
 
 
 def special(L: Lattice, kind: str, x: int | None = None) -> LatMap:
@@ -309,13 +262,14 @@ def special(L: Lattice, kind: str, x: int | None = None) -> LatMap:
     omega: t -> meet of elements not below t.
     nu(x): bottom on elements below x, identity elsewhere.
     """
-    kind = _SPECIAL_ALIASES.get(kind, kind)
     n = L.n
     if kind in ("c", "a", "alpha", "nu"):
         if x is None:
             raise ValueError(f"special {kind!r} needs an element")
         if not 0 <= x < n:
             raise IndexOutOfRange(f"{x} outside range({n})")
+    if kind in ("alpha", "omega"):
+        return _op(special(L.op, "a" if kind == "alpha" else "o", x))
     if kind == "c":
         vals = np.full(n, x, dtype=np.int32)
         vals[L.bottom] = L.bottom
@@ -326,19 +280,10 @@ def special(L: Lattice, kind: str, x: int | None = None) -> LatMap:
         f = LatMap(L, L, np.where(L.leq[:, x], L.bottom, L.top))
         f._mono = f._jc = True
         return f
-    if kind == "alpha":
-        f = LatMap(L, L, np.where(L.leq[x], L.top, L.bottom))
-        f._mono = f._mc = True
-        return f
     if kind == "o":
         vals = [L.sup(t for t in range(n) if not L.leq[u, t]) for u in range(n)]
         f = LatMap(L, L, vals)
         f._mono = f._jc = True
-        return f
-    if kind == "omega":
-        vals = [L.inf(t for t in range(n) if not L.leq[t, u]) for u in range(n)]
-        f = LatMap(L, L, vals)
-        f._mono = f._mc = True
         return f
     if kind == "nu":
         vals = np.where(L.leq[:, x], L.bottom, np.arange(n, dtype=np.int32))

@@ -9,14 +9,14 @@ as failures on the built-in corpus.
 
 from __future__ import annotations
 
-import time
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import cd, maps, quantale
+from .cd import CheckResult, row_witness
 from .errors import CapExceeded
 from .lattice import (
     GeneratorSpec,
@@ -54,8 +54,6 @@ def builtin_corpus() -> list[Lattice]:
     for seed in range(50):
         L = generate(GeneratorSpec("random", seed=seed, n=3 + seed % 5))
         out.append(L.rename(f"r{seed:02d}"))
-    names = [L.name for L in out]
-    assert len(set(names)) == len(names)
     return out
 
 
@@ -66,26 +64,20 @@ class SuiteContext:
         self.seed = seed
         self.cap = cap
         self._profiles: dict[Lattice, cd.LatticeProfile] = {}
-        self._homsets: dict[Lattice, quantale.HomsetEnumeration | None] = {}
-        self._axioms: dict[Lattice, cd.CheckResult] = {}
+        self._homsets: dict[Lattice, quantale.HomsetEnumeration] = {}
+        self._axioms: dict[Lattice, CheckResult] = {}
 
     def profile(self, L: Lattice) -> cd.LatticeProfile:
         if L not in self._profiles:
             self._profiles[L] = cd.classify_lattice(L)
         return self._profiles[L]
 
-    def estimate(self, L: Lattice) -> int:
-        return L.n ** len(L.join_irreducibles)
-
-    def homset(self, L: Lattice) -> quantale.HomsetEnumeration | None:
+    def homset(self, L: Lattice) -> quantale.HomsetEnumeration:
         if L not in self._homsets:
-            if self.estimate(L) > self.cap:
-                self._homsets[L] = None
-            else:
-                self._homsets[L] = quantale.enumerate_homset(L, L, self.cap)
+            self._homsets[L] = quantale.enumerate_homset(L, L, self.cap)
         return self._homsets[L]
 
-    def axioms(self, L: Lattice) -> cd.CheckResult:
+    def axioms(self, L: Lattice) -> CheckResult:
         if L not in self._axioms:
             self._axioms[L] = quantale.check_involutive_axioms(L, L, self.cap)
         return self._axioms[L]
@@ -102,7 +94,7 @@ class TheoremCheck:
     id: str
     statement: str
     applies: Callable[[SuiteContext, Lattice], str | None]
-    run: Callable[[SuiteContext, Lattice], cd.CheckResult]
+    run: Callable[[SuiteContext, Lattice], CheckResult]
 
 
 def _always(ctx: SuiteContext, L: Lattice) -> str | None:
@@ -143,10 +135,10 @@ def _size_cap(k: int):
 
 def _homset_cap(k: int):
     def gate(ctx, L):
-        if ctx.estimate(L) > ctx.cap:
-            return f"homset estimate {ctx.estimate(L)} beyond enumeration cap"
-        Q = ctx.homset(L)
-        if Q is None or len(Q) > k:
+        est = quantale.homset_estimate(L, L)
+        if est > ctx.cap:
+            return f"homset estimate {est} beyond enumeration cap"
+        if len(ctx.homset(L)) > k:
             return f"homset too large (|Q| > {k})"
         return None
     return gate
@@ -166,14 +158,9 @@ def _monotone_matrix(ctx: SuiteContext, L: Lattice, check_id: str) -> np.ndarray
     return maps.sample_monotone_maps(L, L, SAMPLE_COUNT, ctx.rng(L, check_id))
 
 
-def _timed(name: str, t0: float, holds: bool, witness=None) -> cd.CheckResult:
-    return cd.CheckResult(name, holds, witness, time.perf_counter() - t0)
-
-
 # ------------------------------------------------------------- the checks
 
-def _t1(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
-    t0 = time.perf_counter()
+def _t1(ctx: SuiteContext, L: Lattice) -> CheckResult:
     o = maps.special(L, "o")
     parts = [
         maps.compose(maps.special(L, "c", t), maps.special(L, "a", t))
@@ -183,79 +170,65 @@ def _t1(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
     witness = None
     if got != o:
         witness = {"computed": got.values.tolist(), "o": o.values.tolist()}
-    return _timed("T1", t0, got == o, witness)
+    return CheckResult("T1", got == o, witness)
 
 
-def _t2(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
-    t0 = time.perf_counter()
+def _t2(ctx: SuiteContext, L: Lattice) -> CheckResult:
     o = maps.special(L, "o").values
     alphas = np.where(L.leq, L.top, L.bottom).astype(np.int32)
     got = maps._batch_interior(L, L, alphas)
     expect = np.where(L.leq[:, o].T, L.bottom, L.top).astype(np.int32)
-    bad = np.flatnonzero((got != expect).any(axis=1))
-    witness = None
-    if len(bad):
-        x = int(bad[0])
-        witness = {"x": x, "interior": got[x].tolist(),
-                   "annihilator_at_o(x)": expect[x].tolist()}
-    return _timed("T2", t0, not len(bad), witness)
+    w = row_witness((got == expect).all(axis=1), {
+        "x": np.arange(L.n), "interior": got, "annihilator_at_o(x)": expect})
+    return CheckResult("T2", w is None, w)
 
 
-def _t3(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
-    t0 = time.perf_counter()
+def _t3(ctx: SuiteContext, L: Lattice) -> CheckResult:
     Q = ctx.homset(L)
     allowed = {maps.special(L, "c", L.top).key, maps.special(L, "o").key}
     extras = [f for f in quantale.cyclic_elements(Q) if f.key not in allowed]
     witness = None
     if extras:
         witness = {"cyclic_but_unexpected": extras[0].values.tolist()}
-    return _timed("T3", t0, not extras, witness)
+    return CheckResult("T3", not extras, witness)
 
 
-def _t4(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
-    t0 = time.perf_counter()
+def _t4(ctx: SuiteContext, L: Lattice) -> CheckResult:
     Q = ctx.homset(L)
     res = quantale.is_dualizing(maps.special(L, "c", L.top), Q)
     witness = {"constant_top_dualizing": True} if res.holds else None
-    return _timed("T4", t0, not res.holds, witness)
+    return CheckResult("T4", not res.holds, witness)
 
 
-def _t5(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
-    t0 = time.perf_counter()
+def _t5(ctx: SuiteContext, L: Lattice) -> CheckResult:
     Q = ctx.homset(L)
     o = maps.special(L, "o")
     c_top = maps.special(L, "c", L.top)
     premise = o != c_top and quantale.is_cyclic(o, Q).holds
-    if premise:
-        meets = cd.raney_meet_criterion(L)
-        conclusion = meets.holds and L.is_distributive
-        witness = None if conclusion else {
-            "premise": "o cyclic and distinct from constant-top",
-            "meet_criterion": meets.holds,
-            "distributive": L.is_distributive,
-        }
-        res = _timed("T5", t0, conclusion, witness)
-    else:
-        res = _timed("T5", t0, True)
-    res.substantive = premise  # type: ignore[attr-defined]
-    return res
+    if not premise:
+        return CheckResult("T5", True, substantive=False)
+    meets = cd.raney_meet_criterion(L)
+    conclusion = meets.holds and L.is_distributive
+    witness = None if conclusion else {
+        "premise": "o cyclic and distinct from constant-top",
+        "meet_criterion": meets.holds,
+        "distributive": L.is_distributive,
+    }
+    return CheckResult("T5", conclusion, witness, substantive=True)
 
 
-def _t6(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
-    t0 = time.perf_counter()
+def _t6(ctx: SuiteContext, L: Lattice) -> CheckResult:
     res = ctx.axioms(L)
-    return _timed("T6", t0, res.holds, res.witness)
+    return CheckResult("T6", res.holds, res.witness)
 
 
-def _t6n(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
-    t0 = time.perf_counter()
+def _t6n(ctx: SuiteContext, L: Lattice) -> CheckResult:
     res = ctx.axioms(L)
     witness = None if not res.holds else {"axioms_hold_on_non_cd": True}
-    return _timed("T6n", t0, not res.holds, witness)
+    return CheckResult("T6n", not res.holds, witness)
 
 
-def _t7(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
-    t0 = time.perf_counter()
+def _t7(ctx: SuiteContext, L: Lattice) -> CheckResult:
     Q = ctx.homset(L)
     expect = {maps.identity(L).key, maps.special(L, "c", L.bottom).key}
     got = {f.key for f in quantale.central_elements(Q)}
@@ -263,31 +236,24 @@ def _t7(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
     if got != expect:
         sample = next(iter(got.symmetric_difference(expect)))
         witness = {"difference_member": list(np.frombuffer(sample, dtype=np.int32).tolist())}
-    return _timed("T7", t0, got == expect, witness)
+    return CheckResult("T7", got == expect, witness)
 
 
-def _t8(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
-    t0 = time.perf_counter()
+def _t8(ctx: SuiteContext, L: Lattice) -> CheckResult:
     F = _jc_matrix(ctx, L, "T8")
     back = maps._batch_raney_join(L, L, maps._batch_raney_meet(L, L, F))
-    bad = np.flatnonzero((back != F).any(axis=1))
-    witness = None
-    if len(bad):
-        k = int(bad[0])
-        witness = {"f": F[k].tolist(), "roundtrip": back[k].tolist()}
-    return _timed("T8", t0, not len(bad), witness)
+    w = row_witness((back == F).all(axis=1), {"f": F, "roundtrip": back})
+    return CheckResult("T8", w is None, w)
 
 
-def _t8n(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
-    t0 = time.perf_counter()
+def _t8n(ctx: SuiteContext, L: Lattice) -> CheckResult:
     ident = maps.identity(L)
     back = maps.raney_join(maps.raney_meet(ident))
     witness = None if back != ident else {"roundtrip_fixed_identity": True}
-    return _timed("T8n", t0, back != ident, witness)
+    return CheckResult("T8n", back != ident, witness)
 
 
-def _t9(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
-    t0 = time.perf_counter()
+def _t9(ctx: SuiteContext, L: Lattice) -> CheckResult:
     F = _monotone_matrix(ctx, L, "T9")
     o = maps.special(L, "o").values
     om = maps.special(L, "omega").values
@@ -295,33 +261,26 @@ def _t9(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
     via_omega = maps._batch_raney_join(L, L, F[:, om])
     joins = maps._batch_raney_join(L, L, F)
     via_o = maps._batch_interior(L, L, F[:, o])
-    bad = np.flatnonzero(
-        ((ints != via_omega) | (joins != via_o)).any(axis=1))
-    witness = None
-    if len(bad):
-        k = int(bad[0])
-        witness = {
-            "f": F[k].tolist(),
-            "interior": ints[k].tolist(),
-            "join_transform_after_omega": via_omega[k].tolist(),
-            "join_transform": joins[k].tolist(),
-            "interior_after_o": via_o[k].tolist(),
-        }
-    return _timed("T9", t0, not len(bad), witness)
+    w = row_witness(((ints == via_omega) & (joins == via_o)).all(axis=1), {
+        "f": F,
+        "interior": ints,
+        "join_transform_after_omega": via_omega,
+        "join_transform": joins,
+        "interior_after_o": via_o,
+    })
+    return CheckResult("T9", w is None, w)
 
 
-def _t9n(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
-    t0 = time.perf_counter()
+def _t9n(ctx: SuiteContext, L: Lattice) -> CheckResult:
     ident = maps.identity(L)
     om = maps.special(L, "omega")
     via = maps.raney_join(maps.compose(ident, om))
     holds = via != maps.interior(ident)
     witness = None if holds else {"interior_formula_held_on_non_cd": True}
-    return _timed("T9n", t0, holds, witness)
+    return CheckResult("T9n", holds, witness)
 
 
-def _t10(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
-    t0 = time.perf_counter()
+def _t10(ctx: SuiteContext, L: Lattice) -> CheckResult:
     if L.n <= EXHAUSTIVE_N:
         A = maps.all_maps_array(L, L)
         Mo = maps.monotone_maps_array(L, L)
@@ -342,7 +301,7 @@ def _t10(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
     LE_T = quantale._pointwise_leq(L, RA, RA)
     if (LE & ~LE_T).any():
         i, j = map(int, np.argwhere(LE & ~LE_T)[0])
-        return _timed("T10", t0, False, {
+        return CheckResult("T10", False, {
             "law": "transform_monotone",
             "f": A[i].tolist(), "g": A[j].tolist()})
     # lax composition law: transform(m . g) <= m . transform(g), m monotone
@@ -353,7 +312,7 @@ def _t10(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
     ok = L.leq[lhs, rhs].all(axis=-1)
     if not ok.all():
         m, g = map(int, np.argwhere(~ok)[0])
-        return _timed("T10", t0, False, {
+        return CheckResult("T10", False, {
             "law": "lax_composition",
             "monotone": Mo[m].tolist(), "g": A[g].tolist()})
     # exact composition law for join-continuous left factors
@@ -362,25 +321,21 @@ def _t10(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
     rhsj = J[:, RA]
     if (lhsj != rhsj).any():
         f, g = map(int, np.argwhere((lhsj != rhsj).any(axis=-1))[0])
-        return _timed("T10", t0, False, {
+        return CheckResult("T10", False, {
             "law": "exact_composition",
             "jc": J[f].tolist(), "g": A[g].tolist()})
     # left adjoint of meet transform == join transform of right adjoint
     rm = maps._batch_raney_meet(L, L, J)
     lhs4 = maps._batch_left_adjoint(L, L, rm)
     rhs4 = maps._batch_raney_join(L, L, maps._batch_right_adjoint(L, L, J))
-    if (lhs4 != rhs4).any():
-        k = int(np.argwhere((lhs4 != rhs4).any(axis=1))[0][0])
-        return _timed("T10", t0, False, {
-            "law": "adjoint_bridge",
-            "f": J[k].tolist(),
-            "left_adjoint_of_meet_transform": lhs4[k].tolist(),
-            "join_transform_of_right_adjoint": rhs4[k].tolist()})
-    return _timed("T10", t0, True)
+    w = row_witness((lhs4 == rhs4).all(axis=1), {
+        "f": J,
+        "left_adjoint_of_meet_transform": lhs4,
+        "join_transform_of_right_adjoint": rhs4})
+    return CheckResult("T10", w is None, w and {"law": "adjoint_bridge", **w})
 
 
-def _t11(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
-    t0 = time.perf_counter()
+def _t11(ctx: SuiteContext, L: Lattice) -> CheckResult:
     o = maps.special(L, "o").values
     idx = np.arange(L.n)
     mix = bool(L.leq[o, idx].all())
@@ -392,11 +347,10 @@ def _t11(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
     if not holds:
         witness = {"o_below_id": mix, "chain": chain,
                    "id_below_o": comix, "smooth": smooth}
-    return _timed("T11", t0, holds, witness)
+    return CheckResult("T11", holds, witness)
 
 
-def _t12(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
-    t0 = time.perf_counter()
+def _t12(ctx: SuiteContext, L: Lattice) -> CheckResult:
     Q = ctx.homset(L)
     F = Q.matrix
     LE = quantale._pointwise_leq(L, F, F)
@@ -412,26 +366,24 @@ def _t12(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
                 inf_vals = L.join[inf_vals, F[k]]
             if not (got == via_interior
                     and np.array_equal(got.values, inf_vals)):
-                return _timed("T12", t0, False, {
+                return CheckResult("T12", False, {
                     "f": F[i].tolist(), "g": F[j].tolist(),
                     "big_meet": got.values.tolist(),
                     "interior_of_meet": via_interior.values.tolist(),
                     "enumerated_infimum": inf_vals.tolist()})
-    return _timed("T12", t0, True)
+    return CheckResult("T12", True)
 
 
-def _t12n(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
-    t0 = time.perf_counter()
+def _t12n(ctx: SuiteContext, L: Lattice) -> CheckResult:
     ident = maps.identity(L)
     got = maps.big_meet([ident, ident])
     via = maps.interior(maps.pointwise_meet([ident, ident]))
     holds = got != via
     witness = None if holds else {"big_meet_matched_on_non_cd": True}
-    return _timed("T12n", t0, holds, witness)
+    return CheckResult("T12n", holds, witness)
 
 
-def _t13(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
-    t0 = time.perf_counter()
+def _t13(ctx: SuiteContext, L: Lattice) -> CheckResult:
     Q = ctx.homset(L)
     oracle = L.is_distributive
     axioms = ctx.axioms(L).holds
@@ -442,17 +394,16 @@ def _t13(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
         witness = {"distributive_oracle": oracle,
                    "involutive_axioms": axioms,
                    "cyclic_dualizing_found": [f.values.tolist() for f in found]}
-    return _timed("T13", t0, holds, witness)
+    return CheckResult("T13", holds, witness)
 
 
-def _t14(ctx: SuiteContext, L: Lattice) -> cd.CheckResult:
-    t0 = time.perf_counter()
+def _t14(ctx: SuiteContext, L: Lattice) -> CheckResult:
     res = ctx.axioms(L)
-    rotation = bool(getattr(res, "info", {}).get("rotation_checked"))
+    rotation = bool(res.info.get("rotation_checked"))
     holds = res.holds and rotation
     witness = res.witness if not res.holds else (
         None if rotation else {"rotation_not_covered": True})
-    return _timed("T14", t0, holds, witness)
+    return CheckResult("T14", holds, witness)
 
 
 REGISTRY: tuple[TheoremCheck, ...] = (
@@ -549,34 +500,10 @@ CHECK_IDS = tuple(c.id for c in REGISTRY)
 
 
 @dataclass
-class Cell:
-    status: str
-    witness: Any = None
-    reason: str | None = None
-    expected: bool = True
-    substantive: bool | None = None
-    elapsed: float = 0.0
-
-    def as_doc(self, timing: bool = False) -> dict:
-        doc: dict[str, Any] = {"status": self.status}
-        if self.witness is not None:
-            doc["witness"] = self.witness
-        if self.reason is not None:
-            doc["reason"] = self.reason
-        if self.status == "skip":
-            doc["expected"] = self.expected
-        if self.substantive is not None:
-            doc["substantive"] = self.substantive
-        if timing:
-            doc["elapsed_ms"] = round(self.elapsed * 1000.0, 3)
-        return doc
-
-
-@dataclass
 class SuiteReport:
     corpus: list[str]
     checks: list[str]
-    results: dict[str, dict[str, Cell]]
+    results: dict[str, dict[str, CheckResult]]
     seed: int
     version: str = VERSION
 
@@ -604,7 +531,7 @@ class SuiteReport:
             "corpus": self.corpus,
             "checks": self.checks,
             "results": {
-                check: {name: cell.as_doc(timing) for name, cell in row.items()}
+                check: {name: cell.cell_doc(timing) for name, cell in row.items()}
                 for check, row in self.results.items()
             },
             "summary": self.summary,
@@ -659,25 +586,19 @@ def run_suite(corpus: list[Lattice] | None = None,
             raise ValueError(f"unknown check ids: {sorted(unknown)}")
         registry = [c for c in registry if c.id in set(checks)]
     ctx = SuiteContext(seed=seed, cap=cap)
-    results: dict[str, dict[str, Cell]] = {}
+    results: dict[str, dict[str, CheckResult]] = {}
     for chk in registry:
-        row: dict[str, Cell] = {}
+        row: dict[str, CheckResult] = {}
         for L in corpus:
             reason = chk.applies(ctx, L)
             if reason is not None:
-                row[L.name] = Cell("skip", reason=reason)
+                row[L.name] = CheckResult(chk.id, False, reason=reason)
                 continue
             try:
-                res = chk.run(ctx, L)
+                row[L.name] = cd.timed(chk.run, ctx, L)
             except CapExceeded as e:
-                row[L.name] = Cell("skip", reason=str(e), expected=False)
-                continue
-            row[L.name] = Cell(
-                "pass" if res.holds else "fail",
-                witness=res.witness,
-                substantive=getattr(res, "substantive", None),
-                elapsed=res.elapsed,
-            )
+                row[L.name] = CheckResult(chk.id, False, reason=str(e),
+                                          expected=False)
         results[chk.id] = row
     return SuiteReport(
         corpus=[L.name for L in corpus],

@@ -5,7 +5,8 @@ import pytest
 import latq
 import latq.suite
 from latq import cli, docio
-from latq.suite import Cell, SuiteReport
+from latq.cd import CheckResult
+from latq.suite import SuiteReport
 
 
 def run(capsys, *argv):
@@ -131,6 +132,26 @@ def test_check_bad_inputs(capsys, tmp_path):
         "covers": [[0, 2], [1, 2], [0, 3], [1, 3], [2, 4], [3, 4]]}))
     code, _, err = run(capsys, "check", str(bowtie))
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["check"], {"name": "x", "n": True, "covers": []},
+     "lattice document field 'n' has the wrong type"),
+    (["check"], {"name": "c2", "n": 2, "covers": [[False, True]]},
+     "covers entries must be pairs of integers"),
+    (["gen", "downsets"], {"name": "c2", "n": 2, "covers": [[False, True]]},
+     "covers entries must be pairs of integers"),
+    (["map", "interior"], {"dom": "c3.json", "cod": "c3.json",
+                           "values": [False, True, True]},
+     "map values must be integers"),
+])
+def test_json_booleans_are_not_integers(capsys, tmp_path, c3_file,
+                                        argv, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(docio.dumps(doc))
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert f"error: {message}" in err
 
 
 # ------------------------------------------------------------------- map
@@ -284,7 +305,7 @@ def test_verify_unknown_check(capsys):
 def test_verify_exit_one_on_failing_report(capsys, monkeypatch):
     report = SuiteReport(
         corpus=["x"], checks=["T1"],
-        results={"T1": {"x": Cell("fail", witness={"y": 0})}},
+        results={"T1": {"x": CheckResult("T1", False, witness={"y": 0})}},
         seed=0)
     monkeypatch.setattr(latq.suite, "run_suite",
                         lambda **kw: report)

@@ -67,7 +67,7 @@ def test_map_round_trip_with_relative_refs(tmp_path, zoo):
     sub.mkdir()
     docio.save_lattice(zoo["c3"], str(sub / "dom.json"))
     docio.save_lattice(zoo["b2"], str(sub / "cod.json"))
-    f = latq.latmap(zoo["c3"], zoo["b2"], [0, 1, 3])
+    f = latq.LatMap(zoo["c3"], zoo["b2"], [0, 1, 3])
     map_path = sub / "f.json"
     docio.save_map(f, "dom.json", "cod.json", str(map_path))
     doc = json.loads(map_path.read_text())

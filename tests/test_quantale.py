@@ -86,7 +86,7 @@ def test_residual_fixtures(zoo):
     assert latq.residual_left(c_top, o) == latq.special(c3, "c", c3.bottom)
     assert latq.residual_right(o, c_top) == latq.special(c3, "c", c3.bottom)
     ident = latq.identity(c3)
-    f = latq.latmap(c3, c3, [0, 0, 2])
+    f = latq.LatMap(c3, c3, [0, 0, 2])
     assert latq.residual_left(ident, f) == f
     assert latq.residual_right(f, ident) == f
     assert latq.residual_left(f, c_top) == c_top
@@ -182,8 +182,8 @@ def test_dual_tensor_fixtures_and_unit(zoo):
 
 
 def test_dual_tensor_both_routes_checked_internally(zoo):
-    # the implementation asserts star-route == raney-route; drive it over
-    # a cross homset to exercise the assertion
+    # the star route dual_tensor computes equals the join transform of the
+    # meet-transform composite, over the same 144 cross-homset pairs
     b2, c3 = zoo["b2"], zoo["c3"]
     Qf = latq.enumerate_homset(c3, b2)
     Qg = latq.enumerate_homset(b2, c3)
@@ -191,6 +191,9 @@ def test_dual_tensor_both_routes_checked_internally(zoo):
         for g in Qg.maps[:12]:
             gf = latq.dual_tensor(g, f)
             assert gf.dom == c3 and gf.cod == c3
+            via_raney = latq.raney_join(
+                latq.compose(latq.raney_meet(g), latq.raney_meet(f)))
+            assert gf == via_raney
 
 
 # ---------------------------------------------------------------- detectors
@@ -254,7 +257,7 @@ def test_cyclic_witness_replays(zoo):
     res = latq.is_cyclic(o, Q)
     assert not res.holds
     w = res.witness
-    f = latq.latmap(n5, n5, w["f"])
+    f = latq.LatMap(n5, n5, w["f"])
     assert latq.residual_left(f, o).values.tolist() == w["left_residual"]
     assert latq.residual_right(o, f).values.tolist() == w["right_residual"]
     assert w["left_residual"] != w["right_residual"]
@@ -281,7 +284,7 @@ def test_codualizing_fixtures(zoo):
     nu1 = latq.special(c3, "nu", 1)
     res = latq.is_codualizing(nu1, Q)
     assert not res.holds
-    x = latq.latmap(c3, c3, res.witness["x"])
+    x = latq.LatMap(c3, c3, res.witness["x"])
     back = latq.residual_left(nu1, latq.compose(nu1, x))
     assert back.values.tolist() == res.witness["recovered"]
     assert back != x
@@ -344,7 +347,7 @@ def test_involutive_axioms_fail_off_cd(zoo):
         assert res.witness["law"] == "double_transform"
         # the identity map is the canonical failure
         L = zoo[name]
-        f = latq.latmap(L, L, res.witness["f"])
+        f = latq.LatMap(L, L, res.witness["f"])
         back = latq.star(latq.star(f))
         assert back.values.tolist() == res.witness["twice"]
         assert back != f

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 import latq
-from latq.suite import Cell, SuiteReport
+from latq import docio
+from latq.cd import CheckResult
+from latq.suite import SuiteReport
 
 
 MINI = ("c1", "c3", "b2", "m3", "n5")
@@ -106,10 +109,11 @@ def test_declared_skip_when_cap_is_tiny(zoo):
 
 
 def test_cell_as_doc():
-    assert Cell("pass").as_doc() == {"status": "pass"}
-    doc = Cell("skip", reason="why", expected=False).as_doc()
+    assert CheckResult("T1", True).cell_doc() == {"status": "pass"}
+    doc = CheckResult("T1", False, reason="why", expected=False).cell_doc()
     assert doc == {"status": "skip", "reason": "why", "expected": False}
-    doc = Cell("pass", substantive=False, elapsed=0.0125).as_doc(timing=True)
+    doc = CheckResult("T1", True, substantive=False,
+                      elapsed=0.0125).cell_doc(timing=True)
     assert doc["substantive"] is False
     assert doc["elapsed_ms"] == 12.5
 
@@ -131,10 +135,11 @@ def test_render_text_symbols_and_detail_lines():
         corpus=["aa", "bb"],
         checks=["T1", "T5"],
         results={
-            "T1": {"aa": Cell("pass"),
-                   "bb": Cell("fail", witness={"x": 1})},
-            "T5": {"aa": Cell("pass", substantive=False),
-                   "bb": Cell("skip", reason="cap hit", expected=False)},
+            "T1": {"aa": CheckResult("T1", True),
+                   "bb": CheckResult("T1", False, witness={"x": 1})},
+            "T5": {"aa": CheckResult("T5", True, substantive=False),
+                   "bb": CheckResult("T5", False, reason="cap hit",
+                                     expected=False)},
         },
         seed=0,
     )
@@ -158,3 +163,23 @@ def test_render_text_green(mini_report):
     assert all("F" not in line and "!" not in line for line in body)
     assert "cells 90: 67 pass (3 vacuous), 0 fail, 23 skip (0 unexpected)" \
         in text
+
+
+GUARD = ("c1", "c3", "b2", "m3", "n5", "d3_2", "r03")
+VERIFY_REF = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / \
+    "verify_builtin.json"
+
+
+def test_cells_match_committed_verify_reference(corpus):
+    # every cell renders to the same bytes as in the reference document
+    # of `latq verify --json` on the built-in corpus
+    ref = json.loads(VERIFY_REF.read_text())["results"]
+    report = latq.run_suite(corpus=[L for L in corpus if L.name in GUARD],
+                            seed=0)
+    cells = 0
+    for check, row in report.results.items():
+        for name, cell in row.items():
+            assert docio.dumps(cell.cell_doc()) == \
+                docio.dumps(ref[check][name]), (check, name)
+            cells += 1
+    assert cells == 126
