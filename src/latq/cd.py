@@ -199,15 +199,20 @@ class LatticeProfile:
         }
 
 
-def classify_lattice(L: Lattice) -> LatticeProfile:
-    """Structure profile; complete distributivity via the join criterion."""
+def classify_lattice(L: Lattice,
+                     join_criterion: CheckResult | None = None
+                     ) -> LatticeProfile:
+    """Structure profile; complete distributivity via the join criterion,
+    computed here unless its verdict on L is passed in."""
+    if join_criterion is None:
+        join_criterion = raney_join_criterion(L)
     primes = sorted(completely_join_primes(L))
     return LatticeProfile(
         name=L.name,
         n=L.n,
         chain=is_chain(L),
         distributive=L.is_distributive,
-        completely_distributive=raney_join_criterion(L).holds,
+        completely_distributive=join_criterion.holds,
         smooth=not primes,
         spatial=_spatial(L, primes),
         join_primes=primes,

@@ -63,13 +63,13 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     L = docio.load_lattice(args.lattice)
-    profile = cd.classify_lattice(L)
     checks = [
         cd.timed(check, L) for check in (
             cd.raney_join_criterion,
             cd.raney_meet_criterion,
             cd.distributive_oracle)
     ]
+    profile = cd.classify_lattice(L, checks[0])
     agree = len({c.holds for c in checks}) == 1
     if args.json:
         doc = {

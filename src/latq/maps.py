@@ -5,12 +5,21 @@ one implementation of each nontrivial algorithm as a batch kernel over a
 (B, n) value matrix; single-map operations wrap the kernels with B = 1,
 and the bulk detectors in `quantale` reuse them directly.  Each meet-side
 operation is its join-side twin run between the order duals (`_op`).
+
+Every kernel computes each row from that row alone, and the matrices the
+detectors and sweeps pass in repeat rows heavily: their rows are maps in
+a homset of at most cod.n ** n members.  So the kernels run once per
+distinct row and copy the results back out (`_once_per_distinct_row`).
+They run on every row, as given, when a matrix has fewer than two rows
+or when a row does not fit a 62-bit code (n * log2(cod.n) >= 62).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -165,6 +174,50 @@ def pointwise_meet(fs: Sequence[LatMap],
 # ---------------------------------------------------------------- kernels
 
 
+def _distinct_codes(columns, base: int):
+    """The distinct values of sum of columns[x] * base ** x, sorted, and for
+    each entry its position among them, shaped as the columns; callers keep
+    the sum below 2 ** 62."""
+    codes = 0
+    for x, column in enumerate(columns):
+        codes = codes + column.astype(np.int64) * base ** x
+    distinct, inverse = np.unique(codes.ravel(), return_inverse=True)
+    return distinct, inverse.reshape(codes.shape)
+
+
+def _distinct_rows(F: np.ndarray, base: int):
+    """The distinct rows of a (B, n) matrix of entries below base, and for
+    each row the position of its copy among them; None when a row does not
+    fit a 62-bit code (n * log2(base) >= 62).
+
+    Row k is coded as sum of F[k, x] * base ** x, and the distinct rows
+    are decoded from the sorted distinct codes.
+    """
+    rows, width = F.shape
+    if width * math.log2(base) >= 62:
+        return None
+    distinct, inverse = _distinct_codes((F[:, x] for x in range(width)), base)
+    powers = base ** np.arange(width, dtype=np.int64)
+    return (distinct[:, None] // powers % base).astype(F.dtype), inverse
+
+
+def _once_per_distinct_row(kernel: Callable[..., np.ndarray]):
+    """Run a rowwise kernel over (B, n) values in cod on distinct rows only,
+    and index its result by the inverse to put every row back."""
+
+    @functools.wraps(kernel)
+    def run(dom: Lattice, cod: Lattice, F: np.ndarray) -> np.ndarray:
+        F = np.asarray(F)
+        once = _distinct_rows(F, cod.n) if len(F) >= 2 else None
+        if once is None:
+            return kernel(dom, cod, F)
+        rows, inverse = once
+        return kernel(dom, cod, rows)[inverse]
+
+    return run
+
+
+@_once_per_distinct_row
 def _batch_interior(dom: Lattice, cod: Lattice, H: np.ndarray) -> np.ndarray:
     """Greatest pointwise-below join-continuous maps, rowwise.
 
@@ -188,6 +241,7 @@ def _batch_interior(dom: Lattice, cod: Lattice, H: np.ndarray) -> np.ndarray:
             return H
 
 
+@_once_per_distinct_row
 def _batch_right_adjoint(dom: Lattice, cod: Lattice, F: np.ndarray) -> np.ndarray:
     """Rowwise y -> join of {x : F[k, x] <= y}; callers ensure rows are jc."""
     R = np.full((F.shape[0], cod.n), dom.bottom, dtype=np.int32)
@@ -201,6 +255,7 @@ def _batch_left_adjoint(dom: Lattice, cod: Lattice, G: np.ndarray) -> np.ndarray
     return _batch_right_adjoint(dom.op, cod.op, G)
 
 
+@_once_per_distinct_row
 def _batch_raney_join(dom: Lattice, cod: Lattice, F: np.ndarray) -> np.ndarray:
     """Rowwise x -> join of F[k, t] over t with x not<= t."""
     out = np.full(F.shape, cod.bottom, dtype=np.int32)

@@ -4,11 +4,14 @@ Homsets are enumerated by backtracking over join-irreducible generators;
 the detectors (cyclic, central, dualizing, codualizing, involutive
 axioms) run on the stacked value matrix through the batch kernels in
 `maps`, with the single-map operations as their spot-checkable face.
+The cyclic and dualizing searches take the candidates in chunks, each
+chunk's residuals against every member in one kernel call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +23,7 @@ from .maps import (
     _batch_interior,
     _batch_raney_join,
     _batch_right_adjoint,
+    _distinct_codes,
     compose,
     identity,
     interior,
@@ -31,6 +35,7 @@ from .maps import (
 
 DEFAULT_CAP = 1 << 20
 ROTATION_CAP = 1 << 20    # triples checked by the triangle rotation
+_CHUNK_BYTES = 1 << 23    # one residual array of a detector chunk, in bytes
 
 
 class HomsetEnumeration:
@@ -64,6 +69,11 @@ class HomsetEnumeration:
 
     def __iter__(self):
         return iter(self.maps)
+
+    @cached_property
+    def index_sets(self):
+        """`_index_sets` of the members: {x : y <= f(x)} for each f, y."""
+        return _index_sets(self.cod, self.matrix)
 
     @property
     def rho(self) -> np.ndarray:
@@ -179,16 +189,46 @@ def residual_right(h: LatMap, f: LatMap) -> LatMap:
 
 
 def _residual_envelope(M: Lattice, N: Lattice, H: np.ndarray,
-                       F: np.ndarray) -> np.ndarray:
+                       F: np.ndarray, sets=None) -> np.ndarray:
     """y -> meet of H[..., x] over x with y <= F[..., x], for maps h, f out
     of one domain into N and M.  The leading axes of H and F broadcast
-    against each other; neither is tiled to the broadcast shape."""
+    against each other; neither is tiled to the broadcast shape.
+
+    The meets are taken once per row of H and distinct index set
+    {x : y <= f(x)} of F (`_index_sets`, which a caller may pass in), and
+    gathered back.  When an axis pairs several rows of H with several
+    rows of F, or a set does not fit a code, one mask per x is used instead.
+    """
     lead = np.broadcast_shapes(H.shape[:-1], F.shape[:-1])
-    acc = np.full(lead + (M.n,), N.top, dtype=np.int32)
+    h_lead = (1,) * (len(lead) + 1 - H.ndim) + H.shape[:-1]
+    f_lead = (1,) * (len(lead) + 1 - F.ndim) + F.shape[:-1]
+    if sets is None and not any(
+            h > 1 and f > 1 for h, f in zip(h_lead, f_lead)):
+        sets = _index_sets(M, F)
+    if sets is None:
+        acc = np.full(lead + (M.n,), N.top, dtype=np.int32)
+        for x in range(H.shape[-1]):
+            cond = M.leq.T[F[..., x]]                  # [..., y] = y <= f(x)
+            acc = np.where(cond, N.meet[acc, H[..., x, None]], acc)
+        return acc
+    members, inverse = sets
+    G = np.full(h_lead + (len(members),), N.top, dtype=np.int32)
     for x in range(H.shape[-1]):
-        cond = M.leq.T[F[..., x]]                      # [..., y] = y <= f(x)
-        acc = np.where(cond, N.meet[acc, H[..., x, None]], acc)
-    return acc
+        G = np.where(members[:, x], N.meet[G, H[..., x, None]], G)
+    return np.take_along_axis(G, inverse.reshape(f_lead + (M.n,)), axis=-1)
+
+
+def _index_sets(M: Lattice, F: np.ndarray):
+    """The sets {x : y <= F[..., x]} for each row of F and y in M, as the
+    distinct sets (a (D, width) mask) and each (row, y)'s position among
+    them; None when a set does not fit a 62-bit code (width >= 62).  For
+    monotone rows they are up-sets of the domain, which bounds D."""
+    width = F.shape[-1]
+    if width >= 62:
+        return None
+    codes, inverse = _distinct_codes(
+        (M.leq.T[F[..., x]] for x in range(width)), 2)
+    return (codes[:, None] >> np.arange(width) & 1).astype(bool), inverse
 
 
 def star(f: LatMap) -> LatMap:
@@ -217,41 +257,68 @@ def _require_endo(Q: HomsetEnumeration) -> Lattice:
     return Q.dom
 
 
-def _left_residuals_into(alpha: np.ndarray, Q: HomsetEnumeration) -> np.ndarray:
-    """Rows k -> values of (f_k \\ alpha)."""
+def _residual_rows(Q: HomsetEnumeration, A: np.ndarray):
+    """For rows alpha_j of A, (f_k \\ alpha_j, alpha_j / f_k) over the
+    members f_k of Q, each as a (len(A), len(Q), n) array."""
+    L = _require_endo(Q)
+    F = Q.matrix
+    shape = (len(A), len(F), L.n)
+    into = _batch_interior(L, L, Q.rho[:, A].swapaxes(0, 1).reshape(-1, L.n))
+    over = _batch_interior(L, L, _residual_envelope(
+        L, L, A[:, None], F[None], Q.index_sets).reshape(-1, L.n))
+    return into.reshape(shape), over.reshape(shape)
+
+
+def _residuals_twice(Q: HomsetEnumeration, A: np.ndarray):
+    """For rows alpha_j of A, ((alpha_j / f_k) \\ alpha_j, alpha_j /
+    (f_k \\ alpha_j)) over the members f_k of Q, shaped as in
+    `_residual_rows`."""
     L = Q.dom
-    return _batch_interior(L, L, Q.rho[:, alpha])
+    into, over = _residual_rows(Q, A)
+    # (alpha_j / f_k) \ alpha_j is the interior of rho(alpha_j / f_k) . alpha_j
+    rho = _batch_right_adjoint(L, L, over.reshape(-1, L.n)).reshape(over.shape)
+    j = np.arange(len(A))[:, None, None]
+    k = np.arange(len(Q))[None, :, None]
+    back1 = _batch_interior(L, L, rho[j, k, A[:, None, :]].reshape(-1, L.n))
+    back2 = _batch_interior(L, L, _residual_envelope(
+        L, L, A[:, None], into).reshape(-1, L.n))
+    return back1.reshape(over.shape), back2.reshape(over.shape)
 
 
-def _right_residuals_over(alpha: np.ndarray, F: np.ndarray,
-                          L: Lattice) -> np.ndarray:
-    """Rows k -> values of (alpha / f_k) for rows f_k of F."""
-    return _batch_interior(L, L, _residual_envelope(L, L, alpha, F))
+def _members_where(Q: HomsetEnumeration, verdicts) -> list[LatMap]:
+    """The members alpha of Q for which verdicts(Q, A) is True, with A the
+    members' rows in chunks of at most _CHUNK_BYTES of residual rows."""
+    F = Q.matrix
+    step = max(1, _CHUNK_BYTES // max(1, F.nbytes))
+    keep = [verdicts(Q, F[s:s + step]) for s in range(0, len(F), step)]
+    return [Q.maps[k] for k in np.flatnonzero(np.concatenate(keep))]
+
+
+def _cyclic(Q: HomsetEnumeration, A: np.ndarray) -> np.ndarray:
+    into, over = _residual_rows(Q, A)
+    return (into == over).all(axis=(1, 2))
+
+
+def _dualizing(Q: HomsetEnumeration, A: np.ndarray) -> np.ndarray:
+    back1, back2 = _residuals_twice(Q, A)
+    F = Q.matrix[None]
+    return ((back1 == F) & (back2 == F)).all(axis=(1, 2))
 
 
 def is_cyclic(alpha: LatMap, Q: HomsetEnumeration) -> CheckResult:
     """Left and right residuals into alpha agree for every member."""
-    L = _require_endo(Q)
-    a = alpha.values
-    left = _left_residuals_into(a, Q)
-    right = _right_residuals_over(a, Q.matrix, L)
-    w = row_witness((left == right).all(axis=1), {
-        "f": Q.matrix, "left_residual": left, "right_residual": right})
+    into, over = _residual_rows(Q, alpha.values[None])
+    w = row_witness((into[0] == over[0]).all(axis=1), {
+        "f": Q.matrix, "left_residual": into[0], "right_residual": over[0]})
     return CheckResult("cyclic", w is None, w)
 
 
 def is_dualizing(alpha: LatMap, Q: HomsetEnumeration) -> CheckResult:
     """Residuating into alpha twice returns every member unchanged."""
-    L = _require_endo(Q)
-    a = alpha.values
+    back1, back2 = _residuals_twice(Q, alpha.values[None])
     F = Q.matrix
-    over = _right_residuals_over(a, F, L)          # alpha / f
-    into = _left_residuals_into(a, Q)              # f \ alpha
-    back1 = _batch_interior(
-        L, L, _batch_right_adjoint(L, L, over)[:, a])  # (alpha/f) \ alpha
-    back2 = _right_residuals_over(a, into, L)          # alpha / (f \ alpha)
-    w = row_witness(((back1 == F) & (back2 == F)).all(axis=1), {
-        "f": F, "left_then_right": back1, "right_then_left": back2})
+    w = row_witness(((back1[0] == F) & (back2[0] == F)).all(axis=1), {
+        "f": F, "left_then_right": back1[0], "right_then_left": back2[0]})
     return CheckResult("dualizing", w is None, w)
 
 
@@ -269,8 +336,7 @@ def is_codualizing(beta: LatMap, Q: HomsetEnumeration) -> CheckResult:
 
 
 def cyclic_elements(Q: HomsetEnumeration) -> list[LatMap]:
-    _require_endo(Q)
-    return [f for f in Q.maps if is_cyclic(f, Q).holds]
+    return _members_where(Q, _cyclic)
 
 
 def central_elements(Q: HomsetEnumeration) -> list[LatMap]:
@@ -286,8 +352,7 @@ def central_elements(Q: HomsetEnumeration) -> list[LatMap]:
 
 
 def dualizing_elements(Q: HomsetEnumeration) -> list[LatMap]:
-    _require_endo(Q)
-    return [f for f in Q.maps if is_dualizing(f, Q).holds]
+    return _members_where(Q, _dualizing)
 
 
 def codualizing_elements(Q: HomsetEnumeration) -> list[LatMap]:

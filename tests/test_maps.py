@@ -6,6 +6,7 @@ from hypothesis import assume, given, strategies as st
 
 import latq
 import oracles
+from latq import maps
 
 
 @st.composite
@@ -422,3 +423,109 @@ def test_meet_side_matches_loop_oracles(corpus):
             assert latq.left_adjoint(rm).values.tolist() == \
                 list(oracles.left_adjoint(L, L, rm.values.tolist()))
         assert latq.raney_meet_criterion(L).holds == L.is_distributive
+
+
+# ------------------------------------------------- one run per distinct row
+
+KERNEL_ORACLES = (
+    (maps._batch_raney_join, oracles.raney_join),
+    (maps._batch_raney_meet, oracles.raney_meet),
+    (maps._batch_right_adjoint, oracles.right_adjoint),
+    (maps._batch_left_adjoint, oracles.left_adjoint),
+    (maps._batch_interior, oracles.greatest_jc_below),
+)
+
+
+def _kernels_match_oracles(dom, cod, F, kernels=KERNEL_ORACLES):
+    """Each kernel on the whole matrix F against its oracle, row by row."""
+    for kernel, oracle in kernels:
+        got = kernel(dom, cod, F)
+        assert got.ndim == 2 and len(got) == len(F), kernel.__name__
+        want: dict[tuple, list] = {}
+        for row, out in zip(map(tuple, F.tolist()), got.tolist()):
+            if row not in want:
+                want[row] = list(oracle(dom, cod, row))
+            assert out == want[row], (kernel.__name__, row)
+
+
+@st.composite
+def lattice_and_repeated_rows(draw, max_lat=4):
+    """A random lattice and a value matrix whose rows come from a pool of at
+    most four rows, with the first row repeated at the end."""
+    L, _ = draw(lattice_and_endomap(max_lat))
+    row = st.lists(st.integers(0, L.n - 1), min_size=L.n, max_size=L.n)
+    pool = draw(st.lists(row, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                          min_size=1, max_size=12))
+    return L, np.array([pool[i] for i in picks + picks[:1]], dtype=np.int32)
+
+
+@given(lattice_and_repeated_rows())
+def test_deduplicated_kernels_match_loop_oracles(LF):
+    L, F = LF
+    _kernels_match_oracles(L, L, F)
+
+
+def test_distinct_rows_code_each_row_once():
+    rng = np.random.RandomState(4)
+    for base, width, rows in ((3, 4, 100), (3, 6, 100), (2, 8, 50)):
+        pool = rng.randint(0, base, size=(7, width))
+        F = pool[rng.randint(0, 7, size=rows)].astype(np.int32)
+        if base == 2:
+            F = F.astype(bool)
+        distinct, inverse = maps._distinct_rows(F, base)
+        assert distinct.dtype == F.dtype
+        assert len({tuple(r) for r in distinct.tolist()}) == len(distinct)
+        assert len(distinct) == len({tuple(r) for r in F.tolist()})
+        assert (distinct[inverse] == F).all()
+    # 62 bits or more per row: not coded
+    assert maps._distinct_rows(np.zeros((3, 31), dtype=np.int32), 4) is None
+    assert maps._distinct_rows(np.zeros((3, 30), dtype=np.int32), 4) is not None
+
+
+def test_kernels_deduplicate_from_two_rows_up(zoo, monkeypatch):
+    coded = []
+    distinct_rows = maps._distinct_rows
+
+    def spy(F, base):
+        coded.append(len(F))
+        return distinct_rows(F, base)
+
+    monkeypatch.setattr(maps, "_distinct_rows", spy)
+    c1, c3, b2 = zoo["c1"], zoo["c3"], zoo["b2"]
+    for L in (c3, b2):
+        _kernels_match_oracles(L, L, np.zeros((0, L.n), dtype=np.int32))
+        one = np.full((1, L.n), L.top, dtype=np.int32)
+        _kernels_match_oracles(L, L, one)
+    assert coded == []
+    # over a one-element codomain every row has the code 0
+    for dom in (c1, c3, b2):
+        _kernels_match_oracles(dom, c1, np.zeros((5, dom.n), dtype=np.int32))
+    assert coded == [5] * 15
+    # every map c3 -> c3, twice over
+    A = maps.all_maps_array(c3, c3)
+    _kernels_match_oracles(c3, c3, np.concatenate([A, A[::-1]]))
+
+
+def test_kernels_bypass_dedup_when_a_row_needs_62_bits(monkeypatch):
+    c20 = latq.generate(latq.GeneratorSpec("chain", n=20))  # 20 log2 20 > 62
+    coded = []
+    distinct_rows = maps._distinct_rows
+
+    def spy(F, base):
+        coded.append(distinct_rows(F, base))
+        return coded[-1]
+
+    monkeypatch.setattr(maps, "_distinct_rows", spy)
+    rng = np.random.RandomState(5)
+    F = rng.randint(0, c20.n, size=(6, c20.n)).astype(np.int32)
+    F = np.concatenate([F, F[::2]])
+    _kernels_match_oracles(c20, c20, F, KERNEL_ORACLES[:4])
+    # on a chain the greatest jc map below h is x -> meet of h above x,
+    # with bottom to bottom
+    for row, out in zip(F.tolist(), maps._batch_interior(c20, c20, F).tolist()):
+        want = [oracles.inf(c20, [row[y] for y in range(c20.n)
+                                  if c20.leq[x, y]]) for x in range(c20.n)]
+        want[c20.bottom] = c20.bottom
+        assert out == want
+    assert len(coded) == 5 and all(c is None for c in coded)

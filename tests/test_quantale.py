@@ -5,6 +5,7 @@ import pytest
 
 import latq
 import oracles
+from latq.lattice import Poset, build_lattice
 
 
 # ------------------------------------------------------------- enumeration
@@ -198,6 +199,29 @@ def test_dual_tensor_both_routes_checked_internally(zoo):
 
 # ---------------------------------------------------------------- detectors
 
+def _envelope_by_definition(M, N, h, f):
+    return [oracles.inf(N, [h[x] for x in range(len(f)) if M.leq[y, f[x]]])
+            for y in range(M.n)]
+
+
+def test_residual_envelope_matches_definition(zoo):
+    # leading axes broadcast; the paired shapes, and every shape on the
+    # 64-chain, whose index sets are too wide to code, take one mask per x
+    c64 = build_lattice(Poset(np.triu(np.ones((64, 64), dtype=bool))))
+    rng = np.random.RandomState(3)
+    for L in (zoo["n5"], zoo["b3"], c64):
+        for h_lead, f_lead in (((), ()), ((3, 1), (1, 4)), ((2, 1), (2, 3))):
+            H = rng.randint(0, L.n, size=h_lead + (L.n,))
+            F = rng.randint(0, L.n, size=f_lead + (L.n,))
+            got = latq.quantale._residual_envelope(L, L, H, F)
+            lead = np.broadcast_shapes(h_lead, f_lead)
+            assert got.shape == lead + (L.n,)
+            for i in np.ndindex(lead):
+                h = np.broadcast_to(H, lead + (L.n,))[i]
+                f = np.broadcast_to(F, lead + (L.n,))[i]
+                assert got[i].tolist() == _envelope_by_definition(L, L, h, f)
+
+
 def _def_cyclic(L, Q, alpha):
     return all(
         latq.residual_left(f, alpha) == latq.residual_right(alpha, f)
@@ -231,6 +255,81 @@ def test_detectors_match_definition_oracles(zoo):
                 _def_dualizing(L, Q, alpha), (name, alpha.values)
             assert latq.is_codualizing(alpha, Q).holds == \
                 _def_codualizing(L, Q, alpha), (name, alpha.values)
+
+
+def test_batched_detectors_match_definitions(zoo):
+    # the zoo members whose definition loops run in about a second
+    for name in ("c1", "c2", "c3", "c4", "b2", "m3", "n5"):
+        L = zoo[name]
+        Q = latq.enumerate_homset(L, L)
+        assert [f.key for f in latq.cyclic_elements(Q)] == \
+            [f.key for f in Q.maps if _def_cyclic(L, Q, f)], name
+        assert [f.key for f in latq.dualizing_elements(Q)] == \
+            [f.key for f in Q.maps if _def_dualizing(L, Q, f)], name
+
+
+def test_batched_detectors_match_per_member_loop(corpus):
+    # every built-in carrier with |Q| <= 128, and d4_7, whose 746 members
+    # take more than one chunk
+    checked = []
+    for L in corpus:
+        if latq.quantale.homset_estimate(L, L) > 1 << 14:
+            continue
+        Q = latq.enumerate_homset(L, L)
+        if len(Q) > 128 and L.name != "d4_7":
+            continue
+        if L.name == "d4_7":
+            assert len(Q) * Q.matrix.nbytes > latq.quantale._CHUNK_BYTES
+        assert latq.cyclic_elements(Q) == \
+            [f for f in Q.maps if latq.is_cyclic(f, Q).holds], L.name
+        assert latq.dualizing_elements(Q) == \
+            [f for f in Q.maps if latq.is_dualizing(f, Q).holds], L.name
+        checked.append(L.name)
+    assert len(checked) == 35 and "d4_7" in checked
+
+
+def _join_rows(L, C):
+    """Pointwise join of the rows of C: at each x, the element whose up-set
+    is the intersection of the values' up-sets."""
+    upper = L.leq[C].all(axis=0)                       # [x, z]
+    return (L.leq[None, :, :] == upper[:, None, :]).all(axis=-1).argmax(axis=1)
+
+
+def _residuals_by_search(L, Q, a, f):
+    """(f \\ a, a / f) as the greatest members k with f . k <= a and
+    k . f <= a, each the join of the members that qualify."""
+    F = Q.matrix
+    left = _join_rows(L, F[L.leq[f[F], a].all(axis=1)])
+    right = _join_rows(L, F[L.leq[F[:, f], a].all(axis=1)])
+    return left, right
+
+
+def test_batched_detectors_match_search_on_chunks(corpus):
+    # d4_7's 746 members take three chunks; members from each chunk,
+    # both sides of each boundary, and every member the pass keeps are
+    # checked against residuals found by filtering the homset
+    L = next(c for c in corpus if c.name == "d4_7")
+    Q = latq.enumerate_homset(L, L)
+    step = latq.quantale._CHUNK_BYTES // Q.matrix.nbytes
+    assert len(Q) > 2 * step
+    cyclic = {Q.position(f) for f in latq.cyclic_elements(Q)}
+    dualizing = {Q.position(f) for f in latq.dualizing_elements(Q)}
+    assert cyclic and dualizing
+    edges = {0, step - 1, step, 2 * step - 1, 2 * step, len(Q) - 1}
+    for j in sorted(edges | set(range(0, len(Q), 97)) | cyclic | dualizing):
+        a = Q.matrix[j]
+        is_cyclic = is_dualizing = True
+        for f in Q.matrix:
+            left, right = _residuals_by_search(L, Q, a, f)
+            is_cyclic &= bool((left == right).all())
+            if is_dualizing:
+                back1 = _residuals_by_search(L, Q, a, right)[0]
+                back2 = _residuals_by_search(L, Q, a, left)[1]
+                is_dualizing = bool((back1 == f).all() and (back2 == f).all())
+            if not (is_cyclic or is_dualizing):
+                break
+        assert (j in cyclic) == is_cyclic, j
+        assert (j in dualizing) == is_dualizing, j
 
 
 def test_cyclic_fixtures(zoo):

@@ -165,7 +165,7 @@ def test_render_text_green(mini_report):
         in text
 
 
-GUARD = ("c1", "c3", "b2", "m3", "n5", "d3_2", "r03")
+GUARD = ("c1", "c3", "b2", "b3", "m3", "n5", "d3_2", "r03")
 VERIFY_REF = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / \
     "verify_builtin.json"
 
@@ -182,4 +182,4 @@ def test_cells_match_committed_verify_reference(corpus):
             assert docio.dumps(cell.cell_doc()) == \
                 docio.dumps(ref[check][name]), (check, name)
             cells += 1
-    assert cells == 126
+    assert cells == 144
