@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -82,12 +82,16 @@ def timed(check: Callable[..., CheckResult], *args) -> CheckResult:
 
 
 def row_witness(ok: np.ndarray, rows: dict[str, np.ndarray]) -> dict | None:
-    """At the first False in ok, that row of each named array; else None."""
+    """At the first False in ok, in row-major order, that entry of each
+    named array; else None.  An array's leading axes broadcast against the
+    shape of ok, so F[:, None] and F[None] give a pair's first and second
+    member without tiling F."""
     bad = np.flatnonzero(~ok)
     if not len(bad):
         return None
-    k = int(bad[0])
-    return {key: a[k].tolist() for key, a in rows.items()}
+    at = np.unravel_index(int(bad[0]), ok.shape)
+    return {key: a[tuple(i if d > 1 else 0 for i, d in zip(at, a.shape))]
+            .tolist() for key, a in rows.items()}
 
 
 def raney_join_criterion(L: Lattice) -> CheckResult:
@@ -187,16 +191,7 @@ class LatticeProfile:
     join_primes: list[int]
 
     def as_doc(self) -> dict:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "chain": self.chain,
-            "distributive": self.distributive,
-            "completely_distributive": self.completely_distributive,
-            "smooth": self.smooth,
-            "spatial": self.spatial,
-            "join_primes": self.join_primes,
-        }
+        return asdict(self)
 
 
 def classify_lattice(L: Lattice,

@@ -336,24 +336,24 @@ class GeneratorSpec:
     poset: Poset | None = None
 
 
-def _chain(n: int, name: str | None = None) -> Lattice:
+def _chain(n: int) -> Lattice:
     if n < 1:
         raise ValueError("chain needs at least one element")
     if n > 20:
         raise TooLarge(f"chain cap is 20 elements, got {n}")
     p = build_poset(n, [(i, i + 1) for i in range(n - 1)])
-    return build_lattice(p, name or f"c{n}")
+    return build_lattice(p, f"c{n}")
 
 
-def _boolean(k: int, name: str | None = None) -> Lattice:
+def _boolean(k: int) -> Lattice:
     if k < 0:
         raise ValueError("boolean needs a nonnegative exponent")
     if k > 4:
         raise TooLarge(f"boolean cap is exponent 4, got {k}")
-    return _inclusion_lattice(list(range(1 << k)), name or f"b{k}")
+    return _inclusion_lattice(list(range(1 << k)), f"b{k}")
 
 
-def _product_of_chains(a: int, b: int, name: str | None = None) -> Lattice:
+def _product_of_chains(a: int, b: int) -> Lattice:
     if a < 1 or b < 1:
         raise ValueError("product needs chains with at least one element")
     if a > 20 or b > 20:
@@ -368,18 +368,18 @@ def _product_of_chains(a: int, b: int, name: str | None = None) -> Lattice:
         if j + 1 < b:
             covers.append((t, idx[(i, j + 1)]))
     p = build_poset(a * b, covers)
-    return build_lattice(p, name or f"c{a}xc{b}")
+    return build_lattice(p, f"c{a}xc{b}")
 
 
-def _m3(name: str | None = None) -> Lattice:
+def _m3() -> Lattice:
     p = build_poset(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
-    return build_lattice(p, name or "m3")
+    return build_lattice(p, "m3")
 
 
-def _n5(name: str | None = None) -> Lattice:
+def _n5() -> Lattice:
     # 0 < 1 < 3 < 4 on one side, 0 < 2 < 4 on the other
     p = build_poset(5, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)])
-    return build_lattice(p, name or "n5")
+    return build_lattice(p, "n5")
 
 
 def _closure_system(masks: Iterable[int], n: int) -> list[int]:
@@ -396,7 +396,7 @@ def _closure_system(masks: Iterable[int], n: int) -> list[int]:
     return sorted(fam)
 
 
-def _random_closure_lattice(seed: int, n: int, name: str | None = None) -> Lattice:
+def _random_closure_lattice(seed: int, n: int) -> Lattice:
     if n < 1:
         raise ValueError("random lattice needs a nonempty ground set")
     if n > 12:
@@ -404,7 +404,7 @@ def _random_closure_lattice(seed: int, n: int, name: str | None = None) -> Latti
     rng = np.random.RandomState(seed)
     gens = [int(v) for v in rng.randint(0, 1 << n, size=n)]
     masks = _closure_system(gens, n)
-    return _inclusion_lattice(masks, name or f"r{seed}_{n}")
+    return _inclusion_lattice(masks, f"r{seed}_{n}")
 
 
 def generate(spec: GeneratorSpec) -> Lattice:

@@ -363,9 +363,16 @@ def big_meet(fs: Sequence[LatMap]) -> LatMap:
     for f in fs:
         if not is_join_continuous(f):
             raise NotContinuous("big_meet needs join-continuous maps")
-    om = special(dom, "omega")
-    core = pointwise_meet([compose(f, om) for f in fs])
-    return raney_join(core)
+    out = LatMap(dom, cod, _batch_big_meet(
+        dom, cod, pointwise_meet(fs).values[None, :])[0])
+    out._mono = out._jc = True
+    return out
+
+
+def _batch_big_meet(dom: Lattice, cod: Lattice, M: np.ndarray) -> np.ndarray:
+    """Rowwise big_meet of a family given by its pointwise meet M[k]: x ->
+    join of M[k, omega(t)] over t with x not<= t."""
+    return _batch_raney_join(dom, cod, M[:, special(dom, "omega").values])
 
 
 # -------------------------------------------------------------- sampling

@@ -50,22 +50,18 @@ class HomsetEnumeration:
         self.index: dict[bytes, int] = {
             matrix[k].tobytes(): k for k in range(len(matrix))
         }
-        self._maps: list[LatMap] | None = None
-        self._rho: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.matrix)
 
-    @property
+    @cached_property
     def maps(self) -> list[LatMap]:
-        if self._maps is None:
-            out = []
-            for row in self.matrix:
-                f = LatMap(self.dom, self.cod, row)
-                f._mono = f._jc = True
-                out.append(f)
-            self._maps = out
-        return self._maps
+        out = []
+        for row in self.matrix:
+            f = LatMap(self.dom, self.cod, row)
+            f._mono = f._jc = True
+            out.append(f)
+        return out
 
     def __iter__(self):
         return iter(self.maps)
@@ -75,12 +71,10 @@ class HomsetEnumeration:
         """`_index_sets` of the members: {x : y <= f(x)} for each f, y."""
         return _index_sets(self.cod, self.matrix)
 
-    @property
+    @cached_property
     def rho(self) -> np.ndarray:
         """Right adjoints of all members, stacked (B, cod.n)."""
-        if self._rho is None:
-            self._rho = _batch_right_adjoint(self.dom, self.cod, self.matrix)
-        return self._rho
+        return _batch_right_adjoint(self.dom, self.cod, self.matrix)
 
     def position(self, f: LatMap) -> int:
         if f.dom != self.dom or f.cod != self.cod:
@@ -343,12 +337,11 @@ def central_elements(Q: HomsetEnumeration) -> list[LatMap]:
     """Members commuting with every member under composition."""
     _require_endo(Q)
     F = Q.matrix
-    out = []
-    for k in range(len(F)):
-        b = F[k]
-        if (b[F] == F[:, b]).all():
-            out.append(Q.maps[k])
-    return out
+    keep = np.arange(len(F))
+    for f in F:
+        C = F[keep]
+        keep = keep[(C[:, f] == f[C]).all(axis=1)]
+    return [Q.maps[k] for k in keep]
 
 
 def dualizing_elements(Q: HomsetEnumeration) -> list[LatMap]:
@@ -402,32 +395,23 @@ def check_involutive_axioms(L: Lattice, M: Lattice,
     C1 = M.leq[T, oM[None, None, :]].all(axis=-1)     # f_i . s_j <= zero_M
     U = SA[:, FA]                                     # [j, i, x] = (s_j . f_i)(x)
     C2 = L.leq[U, oL[None, None, :]].all(axis=-1).T   # s_j . f_i <= zero_L
-    if not ((LE == C1) & (LE == C2)).all():
-        i, j = map(int, np.argwhere((LE != C1) | (LE != C2))[0])
-        return done(False, {
-            "law": "order_reversal",
-            "f": FA[i].tolist(), "g": FA[j].tolist(),
-            "leq": bool(LE[i, j]),
-            "right_compose_below_zero": bool(C1[i, j]),
-            "left_compose_below_zero": bool(C2[i, j]),
-        })
+    w = row_witness((LE == C1) & (LE == C2), {
+        "f": FA[:, None], "g": FA[None], "leq": LE,
+        "right_compose_below_zero": C1, "left_compose_below_zero": C2})
+    if w:
+        return done(False, {"law": "order_reversal", **w})
 
     def formula_witness(law: str, names: tuple[str, str], K: Lattice,
                         ref: np.ndarray, X: np.ndarray) -> dict | None:
         """ref, over pairs (a, b) flattened, against the stars of the rows
         of X, flattened as (b, a); the first pair that differs."""
+        ref = ref.reshape(B, B, K.n)
         alt = _batch_raney_join(K, K, _batch_right_adjoint(K, K, X))
-        alt = alt.reshape(B, B, K.n).transpose(1, 0, 2).reshape(B * B, K.n)
-        if np.array_equal(ref, alt):
-            return None
-        flat = int(np.flatnonzero((ref != alt).any(axis=1))[0])
-        a, b = divmod(flat, B)
-        return {
-            "law": law,
-            names[0]: FA[a].tolist(), names[1]: FA[b].tolist(),
-            "residual": ref[flat].tolist(),
-            "via_transform": alt[flat].tolist(),
-        }
+        alt = alt.reshape(B, B, K.n).swapaxes(0, 1)
+        w = row_witness((ref == alt).all(axis=-1), {
+            names[0]: FA[:, None], names[1]: FA[None],
+            "residual": ref, "via_transform": alt})
+        return w and {"law": law, **w}
 
     # g \ h == star(h* . g) over pairs g, h from Q(L, M); U is [h, g]
     w = formula_witness(
@@ -458,17 +442,11 @@ def check_involutive_axioms(L: Lattice, M: Lattice,
             P2 = L.leq[WV, SE[u][None, None, :]].all(axis=-1)
             UW = FE[u][SA]                            # [w, y] = (e_u . s_w)(y)
             P3 = L.leq[UW[None, :, :], SA[:, None, :]].all(axis=-1)
-            if not ((P1 == P2) & (P1 == P3)).all():
-                v, w = map(int, np.argwhere((P1 != P2) | (P1 != P3))[0])
-                return done(False, {
-                    "law": "triangle_rotation",
-                    "f": FE[u].tolist(),
-                    "g": FA[v].tolist(),
-                    "h": FA[w].tolist(),
-                    "compose_below": bool(P1[v, w]),
-                    "rotated_left": bool(P2[v, w]),
-                    "rotated_right": bool(P3[v, w]),
-                })
+            w = row_witness((P1 == P2) & (P1 == P3), {
+                "f": FE[u][None, None], "g": FA[:, None], "h": FA[None],
+                "compose_below": P1, "rotated_left": P2, "rotated_right": P3})
+            if w:
+                return done(False, {"law": "triangle_rotation", **w})
     return done(True)
 
 

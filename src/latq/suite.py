@@ -299,31 +299,25 @@ def _t10(ctx: SuiteContext, L: Lattice) -> CheckResult:
     RA = maps._batch_raney_join(L, L, A)
     LE = quantale._pointwise_leq(L, A, A)
     LE_T = quantale._pointwise_leq(L, RA, RA)
-    if (LE & ~LE_T).any():
-        i, j = map(int, np.argwhere(LE & ~LE_T)[0])
-        return CheckResult("T10", False, {
-            "law": "transform_monotone",
-            "f": A[i].tolist(), "g": A[j].tolist()})
+    w = row_witness(~LE | LE_T, {"f": A[:, None], "g": A[None]})
+    if w:
+        return CheckResult("T10", False, {"law": "transform_monotone", **w})
     # lax composition law: transform(m . g) <= m . transform(g), m monotone
     comp = Mo[:, A]                       # [m, g, x] = m(g(x))
     flat = comp.reshape(-1, L.n)
     lhs = maps._batch_raney_join(L, L, flat).reshape(comp.shape)
     rhs = Mo[:, RA]                       # [m, g, x] = m(transform(g)(x))
-    ok = L.leq[lhs, rhs].all(axis=-1)
-    if not ok.all():
-        m, g = map(int, np.argwhere(~ok)[0])
-        return CheckResult("T10", False, {
-            "law": "lax_composition",
-            "monotone": Mo[m].tolist(), "g": A[g].tolist()})
+    w = row_witness(L.leq[lhs, rhs].all(axis=-1),
+                    {"monotone": Mo[:, None], "g": A[None]})
+    if w:
+        return CheckResult("T10", False, {"law": "lax_composition", **w})
     # exact composition law for join-continuous left factors
     compj = J[:, A].reshape(-1, L.n)
     lhsj = maps._batch_raney_join(L, L, compj).reshape(len(J), len(A), L.n)
     rhsj = J[:, RA]
-    if (lhsj != rhsj).any():
-        f, g = map(int, np.argwhere((lhsj != rhsj).any(axis=-1))[0])
-        return CheckResult("T10", False, {
-            "law": "exact_composition",
-            "jc": J[f].tolist(), "g": A[g].tolist()})
+    w = row_witness((lhsj == rhsj).all(axis=-1), {"jc": J[:, None], "g": A[None]})
+    if w:
+        return CheckResult("T10", False, {"law": "exact_composition", **w})
     # left adjoint of meet transform == join transform of right adjoint
     rm = maps._batch_raney_meet(L, L, J)
     lhs4 = maps._batch_left_adjoint(L, L, rm)
@@ -351,27 +345,21 @@ def _t11(ctx: SuiteContext, L: Lattice) -> CheckResult:
 
 
 def _t12(ctx: SuiteContext, L: Lattice) -> CheckResult:
-    Q = ctx.homset(L)
-    F = Q.matrix
+    F = ctx.homset(L).matrix
+    meets = L.meet[F[:, None], F[None]]           # [i, j, x] = (f_i ^ f_j)(x)
+    flat = meets.reshape(-1, L.n)
+    got = maps._batch_big_meet(L, L, flat).reshape(meets.shape)
+    via_interior = maps._batch_interior(L, L, flat).reshape(meets.shape)
+    # join of the members below both f_i and f_j, one member at a time
     LE = quantale._pointwise_leq(L, F, F)
-    for i in range(len(F)):
-        fi = Q.maps[i]
-        for j in range(len(F)):
-            fj = Q.maps[j]
-            got = maps.big_meet([fi, fj])
-            via_interior = maps.interior(maps.pointwise_meet([fi, fj]))
-            mask = LE[:, i] & LE[:, j]
-            inf_vals = np.full(L.n, L.bottom, dtype=np.int32)
-            for k in np.flatnonzero(mask):
-                inf_vals = L.join[inf_vals, F[k]]
-            if not (got == via_interior
-                    and np.array_equal(got.values, inf_vals)):
-                return CheckResult("T12", False, {
-                    "f": F[i].tolist(), "g": F[j].tolist(),
-                    "big_meet": got.values.tolist(),
-                    "interior_of_meet": via_interior.values.tolist(),
-                    "enumerated_infimum": inf_vals.tolist()})
-    return CheckResult("T12", True)
+    inf = np.full(meets.shape, L.bottom, dtype=np.int32)
+    for k in range(len(F)):
+        below = (LE[k][:, None] & LE[k][None])[..., None]
+        inf = np.where(below, L.join[inf, F[k]], inf)
+    w = row_witness(((got == via_interior) & (got == inf)).all(axis=-1), {
+        "f": F[:, None], "g": F[None], "big_meet": got,
+        "interior_of_meet": via_interior, "enumerated_infimum": inf})
+    return CheckResult("T12", w is None, w)
 
 
 def _t12n(ctx: SuiteContext, L: Lattice) -> CheckResult:

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import latq
+from latq.cd import row_witness
 
 
 def closure_lattices():
@@ -42,6 +44,8 @@ def test_three_criteria_always_agree(L):
 
 @given(closure_lattices())
 def test_bounded_family_check_matches_criteria(L):
+    # larger carriers are refused by the work cap (test_bounded_family_cap)
+    assume(L.n ** 4 <= 1 << 20)
     fam = latq.bounded_family_cd_check(L)
     assert fam.holds == latq.raney_join_criterion(L).holds
 
@@ -95,6 +99,34 @@ def test_profile_fixtures(zoo):
     assert doc["completely_distributive"] is False
     assert doc["smooth"] is False
     assert doc["join_primes"] == [1, 2]
+
+
+def test_row_witness_one_dimensional():
+    ok = np.array([True, False, False])
+    rows = {"x": np.arange(3), "f": np.arange(6).reshape(3, 2)}
+    assert row_witness(ok, rows) == {"x": 1, "f": [2, 3]}
+    assert row_witness(np.ones(3, dtype=bool), rows) is None
+
+
+def test_row_witness_first_failure_in_row_major_order():
+    ok = np.ones((3, 4), dtype=bool)
+    ok[2, 0] = ok[1, 3] = False
+    F = np.arange(12).reshape(4, 3)
+    w = row_witness(ok, {"at": np.arange(12).reshape(3, 4),
+                         "left": np.arange(3)[:, None], "right": F[None]})
+    assert w == {"at": 7, "left": 1, "right": [9, 10, 11]}
+
+
+def test_row_witness_broadcasts_leading_axes_of_a_pair():
+    F = np.array([[0, 1], [1, 1], [0, 0]])
+    ok = np.ones((3, 3, 2), dtype=bool)
+    ok[2, 1, 0] = False
+    ok[2, 2, 1] = False
+    one = np.array([5, 6])[None, None, None]
+    w = row_witness(ok, {"f": F[:, None, None], "g": F[None, :, None],
+                         "fixed": one, "flag": ok})
+    assert w == {"f": [0, 0], "g": [1, 1], "fixed": [5, 6], "flag": False}
+    assert list(w) == ["f", "g", "fixed", "flag"]
 
 
 def test_check_result_doc_timing_flag():

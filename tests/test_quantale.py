@@ -374,6 +374,16 @@ def test_central_fixtures(zoo):
     assert len(latq.central_elements(Q1)) == 1
 
 
+def test_central_elements_match_definition(corpus):
+    # members commuting with every member, in homset order
+    carriers = {L.name: L for L in corpus}
+    for name in ("c3", "b2", "m3", "n5", "d4_7"):
+        Q = latq.enumerate_homset(carriers[name], carriers[name])
+        want = [f for f in Q.maps if all(
+            latq.compose(f, g) == latq.compose(g, f) for g in Q.maps)]
+        assert latq.central_elements(Q) == want, name
+
+
 def test_codualizing_fixtures(zoo):
     c3 = zoo["c3"]
     Q = latq.enumerate_homset(c3, c3)

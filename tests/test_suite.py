@@ -1,10 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import latq
-from latq import docio
+from latq import docio, suite
 from latq.cd import CheckResult
 from latq.suite import SuiteReport
 
@@ -183,3 +184,38 @@ def test_cells_match_committed_verify_reference(corpus):
                 docio.dumps(ref[check][name]), (check, name)
             cells += 1
     assert cells == 144
+
+
+def _t12_per_pair(L, Q):
+    """T12's verdict by a loop over member pairs and single-map operations."""
+    below = [{k for k, h in enumerate(Q.maps) if h <= f} for f in Q.maps]
+    for i, f in enumerate(Q.maps):
+        for j, g in enumerate(Q.maps):
+            got = latq.big_meet([f, g])
+            via_interior = latq.interior(latq.pointwise_meet([f, g]))
+            inf = np.full(L.n, L.bottom, dtype=np.int32)
+            for k in below[i] & below[j]:
+                inf = L.join[inf, Q.matrix[k]]
+            if not (got == via_interior
+                    and np.array_equal(got.values, inf)):
+                return False, {
+                    "f": f.values.tolist(), "g": g.values.tolist(),
+                    "big_meet": got.values.tolist(),
+                    "interior_of_meet": via_interior.values.tolist(),
+                    "enumerated_infimum": inf.tolist()}
+    return True, None
+
+
+def test_t12_batch_matches_per_pair_loop(corpus):
+    ctx = suite.SuiteContext()
+    failed = 0
+    for L in corpus:
+        if ctx.profile(L).completely_distributive or \
+                latq.homset_estimate(L, L) > ctx.cap or \
+                len(ctx.homset(L)) > 300:
+            continue
+        res = suite._t12(ctx, L)
+        assert (res.holds, res.witness) == _t12_per_pair(L, ctx.homset(L)), \
+            L.name
+        failed += not res.holds
+    assert failed == 8
