@@ -74,6 +74,10 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: not valid JSON ({e})") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e})") from e
+    except RecursionError as e:
+        raise ParseError(f"{path}: JSON nested too deeply to read") from e
 
 
 def load_lattice(path: str) -> Lattice:

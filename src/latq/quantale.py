@@ -359,8 +359,17 @@ def cyclic_dualizing_elements(Q: HomsetEnumeration) -> list[LatMap]:
 
 
 def _pointwise_leq(cod: Lattice, F: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """All-pairs pointwise order: out[i, j] iff row F_i <= row G_j."""
-    return cod.leq[F[:, None, :], G[None, :, :]].all(axis=-1)
+    """All-pairs pointwise order: out[i, j] iff row F_i <= row G_j.
+
+    One matrix product of one-hot codes instead of a (B, B, n) gather:
+    X[i, x*m + v] = [F_i(x) = v] and Z[j, x*m + v] = [v not <= G_j(x)],
+    so (X Z^T)[i, j] counts the x with F_i(x) not <= G_j(x).  The counts
+    are at most n, which float32 holds exactly.
+    """
+    width = F.shape[1] * cod.n
+    X = np.eye(cod.n, dtype=np.float32)[F].reshape(len(F), width)
+    Z = (~cod.leq.T[G]).astype(np.float32).reshape(len(G), width)
+    return (X @ Z.T) == 0
 
 
 def check_involutive_axioms(L: Lattice, M: Lattice,

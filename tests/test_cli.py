@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import latq
 import latq.suite
@@ -152,6 +155,22 @@ def test_json_booleans_are_not_integers(capsys, tmp_path, c3_file,
     code, _, err = run(capsys, *argv, str(path))
     assert code == 2
     assert f"error: {message}" in err
+
+
+DEEP = b"[" * 200_000 + b"]" * 200_000
+
+
+@pytest.mark.parametrize("payload, message", [
+    (DEEP, "JSON nested too deeply to read"),
+    (b'{"name": "c1", "n": 1, "covers": []}\xff', "not UTF-8 text"),
+], ids=["deep", "not_utf8"])
+def test_unreadable_json_names_the_file(capsys, tmp_path, payload, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(payload)
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert f"error: {path}: {message}" in err
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------------- map
@@ -330,3 +349,56 @@ def test_help_and_no_args(capsys):
     assert code == 0
     code, _, _ = run(capsys)
     assert code == 2  # subcommand required
+
+
+
+# ------------------------------------------------------------------ fuzz
+
+_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=8))
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+# lattice-shaped documents stay at a few elements: a valid n of thousands
+# builds for minutes, which a fuzz run cannot afford
+_small = st.integers(-2, 9)
+_lattice_docs = st.fixed_dictionaries({
+    "name": st.text(max_size=4) | _json,
+    "n": _small | _json,
+    "covers": st.lists(st.lists(_small, max_size=3) | _json, max_size=10)
+    | _json,
+})
+_documents = (_json | _lattice_docs).map(
+    lambda doc: json.dumps(doc).encode())
+
+
+@st.composite
+def _damaged(draw):
+    """A valid lattice file: whole, cut short, or with a byte that is not
+    UTF-8."""
+    spec = draw(st.sampled_from([
+        latq.GeneratorSpec("chain", n=3), latq.GeneratorSpec("boolean", k=2),
+        latq.GeneratorSpec("n5")]))
+    text = docio.dumps(docio.lattice_to_doc(latq.generate(spec))).encode()
+    at = draw(st.integers(0, len(text)))
+    how = draw(st.sampled_from(["whole", "cut", "byte"]))
+    if how == "whole":
+        return text
+    if how == "cut":
+        return text[:at]
+    return text[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) \
+        + text[at:]
+
+
+@given(payload=_documents | _damaged() | st.binary(max_size=64))
+@example(payload=DEEP)
+def test_check_fuzz_exits_cleanly(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_bytes(payload)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check", str(path)])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -5,6 +5,7 @@ import pytest
 
 import latq
 import oracles
+from latq import quantale
 from latq.lattice import Poset, build_lattice
 
 
@@ -488,3 +489,47 @@ def test_homset_lattice_is_distributive_for_tiny_carriers(zoo):
     b1 = latq.generate(latq.GeneratorSpec("boolean", k=1))
     QL = latq.homset_lattice(latq.enumerate_homset(b1, b1))
     assert QL.n == 2
+
+
+def test_homset_lattice_order_matches_the_pointwise_gather(zoo):
+    for name, L in zoo.items():
+        Q = latq.enumerate_homset(L, L)
+        F = Q.matrix
+        QL = latq.homset_lattice(Q)
+        assert np.array_equal(QL.leq, L.leq[F[:, None], F[None]].all(axis=-1)), \
+            name
+
+
+# ------------------------------------------------------- pointwise order
+
+def _pointwise_leq_loop(cod, F, G):
+    out = np.zeros((len(F), len(G)), dtype=bool)
+    for i, f in enumerate(F):
+        for j, g in enumerate(G):
+            out[i, j] = all(cod.leq[a, b] for a, b in zip(f, g))
+    return out
+
+
+@pytest.mark.parametrize("dom, cod, rows, cols", [
+    ("c3", "c3", 9, 5),
+    ("b2", "b3", 4, 11),
+    ("c3", "n5", 12, 7),
+    ("n5", "c1", 3, 6),
+    ("m3", "n5", 0, 6),
+    ("m3", "n5", 6, 0),
+    ("c1", "c1", 0, 0),
+])
+def test_pointwise_leq_matches_double_loop(zoo, dom, cod, rows, cols):
+    D, C = zoo[dom], zoo[cod]
+    rng = np.random.RandomState(rows * 31 + cols)
+    F = rng.randint(0, C.n, size=(rows, D.n))
+    G = rng.randint(0, C.n, size=(cols, D.n))
+    # half the columns lie above some row of F, so both verdicts occur
+    k = min(rows, cols // 2)
+    G[:k] = C.join[F[:k], G[:k]]
+    got = quantale._pointwise_leq(C, F, G)
+    want = _pointwise_leq_loop(C, F, G)
+    assert got.shape == (rows, cols) and got.dtype == bool
+    assert np.array_equal(got, want)
+    if k and C.n > 1:
+        assert want.any() and not want.all()

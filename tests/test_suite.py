@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import latq
-from latq import docio, suite
+from latq import docio, maps, suite
 from latq.cd import CheckResult
 from latq.suite import SuiteReport
 
@@ -219,3 +219,68 @@ def test_t12_batch_matches_per_pair_loop(corpus):
             L.name
         failed += not res.holds
     assert failed == 8
+
+
+def _t10_samples(monkeypatch, L):
+    """The rows g (A) and the monotone left factors (Mo) that _t10 samples
+    on L, read off the calls it makes."""
+    seen = {}
+    sample, join = maps.sample_monotone_maps, maps._batch_raney_join
+
+    def spy_sample(*args):
+        seen["Mo"] = sample(*args)
+        return seen["Mo"]
+
+    def spy_join(dom, cod, F):
+        seen.setdefault("A", np.array(F))
+        return join(dom, cod, F)
+
+    with monkeypatch.context() as m:
+        m.setattr(maps, "sample_monotone_maps", spy_sample)
+        m.setattr(maps, "_batch_raney_join", spy_join)
+        assert suite._t10(suite.SuiteContext(), L).holds
+    return seen["A"], seen["Mo"]
+
+
+@pytest.mark.parametrize("law", ["lax_composition", "exact_composition"])
+def test_t10_composition_witness_on_distinct_left_factors(monkeypatch, zoo,
+                                                          law):
+    L = zoo["n5"]                     # n > EXHAUSTIVE_N: sampled factors
+    A, Mo = _t10_samples(monkeypatch, L)
+    join = maps._batch_raney_join
+    RA = join(L, L, A)
+    lax = law == "lax_composition"
+    key, left = (("monotone", Mo) if lax
+                 else ("jc", maps._batch_interior(L, L, Mo)))
+    # the composite d . g of a repeated left factor d gets a transform that
+    # breaks the law: top breaks the lax bound, bottom breaks exactness
+    # while keeping the lax bound
+    rows, first, counts = np.unique(left, axis=0, return_index=True,
+                                    return_counts=True)
+    bad = L.top if lax else L.bottom
+    d, g = next((i, j) for i in sorted(first[counts > 1], reverse=True)
+                for j in range(len(A))
+                if (left[i][RA[j]] != bad).any()
+                and (lax or (join(L, L, left[i][A[j]][None])[0] != bad).any()))
+    target = left[d][A[g]]
+
+    def broken(dom, cod, F):
+        out = join(dom, cod, F)
+        if len(F) > len(A):           # a composition law's batch
+            out = np.where((F == target).all(axis=1)[:, None], bad, out)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(maps, "_batch_raney_join", broken)
+        got = suite._t10(suite.SuiteContext(), L)
+        # the full left-factor by g sweep, before deduplication
+        comp = left[:, A]
+        lhs = maps._batch_raney_join(L, L, comp.reshape(-1, L.n)).reshape(
+            comp.shape)
+        rhs = left[:, RA]
+    ok = L.leq[lhs, rhs].all(axis=-1) if lax else (lhs == rhs).all(axis=-1)
+    i, j = np.argwhere(~ok)[0]
+    assert got.witness == {"law": law, key: left[i].tolist(),
+                           "g": A[j].tolist()}
+    assert (left == left[i]).all(axis=1).sum() > 1
+    assert first[(rows == left[i]).all(axis=1)][0] == i
