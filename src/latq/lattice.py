@@ -60,7 +60,8 @@ class Poset:
             raise ValueError("leq must be reflexive")
         if (leq & leq.T & ~np.eye(n, dtype=bool)).any():
             raise ValueError("leq must be antisymmetric")
-        closed = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
+        # path counts are at most n; float32 holds them exactly below 2**24
+        closed = (leq.astype(np.float32) @ leq.astype(np.float32)) > 0
         if (closed & ~leq).any():
             raise ValueError("leq must be transitive")
         self.n = n
@@ -75,7 +76,7 @@ class Poset:
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Hasse edges (lower, upper) in ascending lexicographic order."""
         strict = self.leq & ~np.eye(self.n, dtype=bool)
-        via = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
+        via = (strict.astype(np.float32) @ strict.astype(np.float32)) > 0
         pairs = np.argwhere(strict & ~via).tolist()
         return tuple(sorted((int(i), int(j)) for i, j in pairs))
 
@@ -453,7 +454,7 @@ def all_posets(max_n: int) -> Iterator[Poset]:
                     leq[i, j] = True
                 elif c == 2:
                     leq[j, i] = True
-            closed = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
+            closed = (leq.astype(np.float32) @ leq.astype(np.float32)) > 0
             if (closed & ~leq).any():
                 continue
             canon = min(

@@ -1,7 +1,9 @@
 """The quantale of join-continuous endomaps and its quantaloid structure.
 
-Homsets are enumerated by backtracking over join-irreducible generators;
-the detectors (cyclic, central, dualizing, codualizing, involutive
+Homsets are enumerated as a breadth-first numpy frontier, one level per
+join-irreducible of the domain; off a distributive domain each pair's
+join is checked at the first level where its three values are final.
+The detectors (cyclic, central, dualizing, codualizing, involutive
 axioms) run on the stacked value matrix through the batch kernels in
 `maps`, with the single-map operations as their spot-checkable face.
 The cyclic and dualizing searches take the candidates in chunks, each
@@ -47,12 +49,14 @@ class HomsetEnumeration:
         matrix = np.array(matrix, dtype=np.int32)
         matrix.flags.writeable = False
         self.matrix = matrix
-        self.index: dict[bytes, int] = {
-            matrix[k].tobytes(): k for k in range(len(matrix))
-        }
 
     def __len__(self) -> int:
         return len(self.matrix)
+
+    @cached_property
+    def index(self) -> dict[bytes, int]:
+        """Position of each member by its value bytes."""
+        return {row.tobytes(): k for k, row in enumerate(self.matrix)}
 
     @cached_property
     def maps(self) -> list[LatMap]:
@@ -100,50 +104,37 @@ def enumerate_homset(dom: Lattice, cod: Lattice,
                      cap: int = DEFAULT_CAP) -> HomsetEnumeration:
     """Exactly the join-continuous maps dom -> cod.
 
-    Backtracks monotone assignments on the join-irreducibles of dom along
-    a linear extension, interpolates everywhere else by joins, and filters
-    by binary-join preservation unless dom is distributive (where
-    join-irreducibles are join-prime and interpolation is always sound).
+    A breadth-first frontier over the join-irreducibles j_0, j_1, ... of
+    dom in toposort order.  At level k every partial row takes, at once,
+    each value v at or above its current value at j_k (the join of the
+    values already given below j_k), and v is joined into the up-set of
+    j_k.  Parents stay in order and values ascend, so the rows come out in
+    lexicographic order of their values on J(dom).  Unless dom is
+    distributive (where join-irreducibles are join-prime and every
+    monotone assignment extends), each incomparable pair x, y is checked
+    for f(x v y) == f(x) v f(y) at the level of the last join-irreducible
+    below x v y, the first level at which all three values are final.
     """
     irr = dom.join_irreducibles
     if homset_estimate(dom, cod) > cap:
         raise CapExceeded(f"estimate {cod.n}^{len(irr)} exceeds cap {cap}")
-    k_irr = len(irr)
-    below_prev = [
-        [m for m in range(k) if dom.leq[irr[m], irr[k]]] for k in range(k_irr)
-    ]
-    ups = [np.flatnonzero(cod.leq[v]).tolist() for v in range(cod.n)]
-    assignment = np.zeros(max(k_irr, 1), dtype=np.int32)
-    rows: list[np.ndarray] = []
-
-    def rec(k: int) -> None:
-        if k == k_irr:
-            rows.append(assignment[:k_irr].copy())
-            return
-        lo = cod.bottom
-        for m in below_prev[k]:
-            lo = int(cod.join[lo, assignment[m]])
-        for v in ups[lo]:
-            assignment[k] = v
-            rec(k + 1)
-
-    rec(0)
-    # rec's closure refers to rec itself; emptying that cell frees rows on
-    # return instead of at the next cyclic garbage collection
-    del rec
-    A = np.asarray(rows, dtype=np.int32).reshape(len(rows), k_irr)
-    V = np.full((len(rows), dom.n), cod.bottom, dtype=np.int32)
-    for k in range(k_irr):
-        span = np.flatnonzero(dom.leq[irr[k]])
-        V[:, span] = cod.join[V[:, span], A[:, k][:, None]]
+    xs = ys = zs = level = np.empty(0, dtype=np.int64)
     if not dom.is_distributive:
-        keep = np.ones(len(V), dtype=bool)
-        for start in range(0, len(V), 4096):
-            W = V[start:start + 4096]
-            lhs = W[:, dom.join]
-            rhs = cod.join[W[:, :, None], W[:, None, :]]
-            keep[start:start + 4096] = (lhs == rhs).all(axis=(1, 2))
-        V = V[keep]
+        _, _, xs, ys, zs = dom.interior_constraints
+        ranks = np.arange(len(irr))[:, None]
+        level = np.where(dom.leq[list(irr)], ranks, -1).max(axis=0)[zs]
+    V = np.full((1, dom.n), cod.bottom, dtype=np.int32)
+    for k, j in enumerate(irr):
+        parent, v = np.nonzero(cod.leq[V[:, j]])
+        V = V[parent]
+        span = np.flatnonzero(dom.leq[j])
+        V[:, span] = cod.join[V[:, span], v[:, None]]
+        now = level == k
+        if now.any():
+            keep = np.ones(len(V), dtype=bool)
+            for x, y, z in zip(xs[now], ys[now], zs[now]):
+                keep &= cod.join[V[:, x], V[:, y]] == V[:, z]
+            V = V[keep]
     return HomsetEnumeration(dom, cod, V)
 
 
@@ -439,7 +430,7 @@ def check_involutive_axioms(L: Lattice, M: Lattice,
     if w:
         return done(False, w)
 
-    E = enumerate_homset(L, L, cap)
+    E = A if M == L else enumerate_homset(L, L, cap)
     if len(E) * B * B <= ROTATION_CAP:
         info["rotation_checked"] = True
         FE = E.matrix

@@ -287,12 +287,13 @@ def _t10(ctx: SuiteContext, L: Lattice) -> CheckResult:
         J = ctx.homset(L).matrix
     else:
         rng = ctx.rng(L, "T10")
-        down = [np.flatnonzero(L.leq[:, v]) for v in range(L.n)]
         G = np.stack([rng.randint(0, L.n, size=L.n).astype(np.int32)
                       for _ in range(SAMPLE_COUNT // 2)])
-        # partner maps pointwise below G, so law 1 has real pairs to see
-        Fb = np.stack([np.asarray([down[v][rng.randint(len(down[v]))] for v in row],
-                                  dtype=np.int32) for row in G])
+        # partner maps pointwise below G, so law 1 has real pairs to see;
+        # row v of `down` lists the elements below v first, ascending, and
+        # one array-bounded draw takes the same values as a draw per entry
+        down = np.argsort(~L.leq.T, axis=1, kind="stable").astype(np.int32)
+        Fb = down[G, rng.randint(0, L.leq.sum(axis=0)[G])]
         A = np.concatenate([G, Fb])
         Mo = maps.sample_monotone_maps(L, L, SAMPLE_COUNT // 2, rng)
         J = maps._batch_interior(L, L, Mo)

@@ -52,6 +52,22 @@ def test_covers_recover_the_input_edges():
     assert sorted(p.covers) == sorted(edges)
 
 
+def test_long_chain_has_only_its_own_covers():
+    # 256 paths run from 0 to 257 in a 300-chain; a product that counts
+    # them modulo 256 reads that as no path and finds a phantom cover
+    edges = [(i, i + 1) for i in range(299)]
+    L = latq.build_lattice(latq.build_poset(300, edges))
+    assert L.poset.covers == tuple(edges)
+    assert L.join_irreducibles == tuple(range(1, 300))
+
+
+def test_poset_validation_sees_a_gap_behind_256_paths():
+    leq = np.triu(np.ones((300, 300), dtype=bool))
+    leq[0, 257] = False  # yet 0 <= k <= 257 for each of k = 1..256
+    with pytest.raises(ValueError, match="transitive"):
+        latq.Poset(leq)
+
+
 # ---------------------------------------------------------- lattice layer
 
 def test_build_lattice_rejects_missing_joins():

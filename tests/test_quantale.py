@@ -20,22 +20,41 @@ def test_homset_counts(zoo):
     assert len(latq.enumerate_homset(zoo["b3"], zoo["b3"])) == 512
 
 
-def test_homset_is_exactly_the_jc_maps(zoo):
-    for name in ("c3", "b2", "m3", "n5"):
-        L = zoo[name]
-        got = {f.key for f in latq.enumerate_homset(L, L).maps}
-        want = {np.asarray(v, dtype=np.int32).tobytes()
-                for v in oracles.jc_maps(L, L)}
-        assert got == want, name
+def _jc_keys(dom, cod):
+    return {np.asarray(v, dtype=np.int32).tobytes()
+            for v in oracles.jc_maps(dom, cod)}
 
 
-def test_homset_cross_lattices(zoo):
-    for a, b in (("c2", "b2"), ("b2", "c3"), ("c4", "m3")):
-        dom, cod = zoo[a], zoo[b]
+def test_homset_is_exactly_the_jc_maps(corpus):
+    for L in corpus:
+        if L.n <= 5:
+            got = {f.key for f in latq.enumerate_homset(L, L).maps}
+            assert got == _jc_keys(L, L), L.name
+
+
+def test_homset_cross_lattices(zoo, corpus):
+    # distinct carriers up to 4 elements and their duals (whose labels run
+    # against the order) as codomains; as domains also the five-element
+    # non-distributive carriers and their duals, where the frontier prunes
+    small = list(dict.fromkeys(L for L in corpus if L.n <= 4))
+    small += [L.op for L in small]
+    doms = small + [K for L in corpus if L.n == 5 and not L.is_distributive
+                    for K in (L, L.op)]
+    named = [(zoo[a], zoo[b])
+             for a, b in (("c2", "b2"), ("b2", "c3"), ("c4", "m3"))]
+    for dom, cod in named + list(itertools.product(doms, small)):
         got = {f.key for f in latq.enumerate_homset(dom, cod).maps}
-        want = {np.asarray(v, dtype=np.int32).tobytes()
-                for v in oracles.jc_maps(dom, cod)}
-        assert got == want, (a, b)
+        assert got == _jc_keys(dom, cod), (dom, cod)
+
+
+def test_homset_rows_ascend_on_the_join_irreducibles(corpus):
+    # the order that `position` and first-failure witnesses depend on
+    for L in corpus:
+        if quantale.homset_estimate(L, L) > quantale.DEFAULT_CAP:
+            continue
+        Q = latq.enumerate_homset(L, L)
+        rows = Q.matrix[:, list(L.join_irreducibles)].tolist()
+        assert all(a < b for a, b in zip(rows, rows[1:])), L.name
 
 
 def test_homset_cap(zoo):
@@ -46,6 +65,7 @@ def test_homset_cap(zoo):
 def test_homset_membership_and_lattice_closure(zoo):
     L = zoo["b2"]
     Q = latq.enumerate_homset(L, L)
+    assert "index" not in vars(Q)   # built on the first membership query
     assert latq.special(L, "c", L.bottom) in Q
     assert latq.identity(L) in Q
     rng = np.random.RandomState(2)
@@ -436,12 +456,22 @@ def test_not_endo_homset_guard(zoo):
 
 # --------------------------------------------------------- involutive axioms
 
-def test_involutive_axioms_pass_on_cd(zoo):
+def test_involutive_axioms_pass_on_cd(zoo, monkeypatch):
+    calls = []
+    real = quantale.enumerate_homset
+
+    def counted(dom, cod, cap=quantale.DEFAULT_CAP):
+        calls.append((dom, cod))
+        return real(dom, cod, cap)
+
+    monkeypatch.setattr(quantale, "enumerate_homset", counted)
     for name in ("c1", "c2", "c3", "b2"):
         L = zoo[name]
         res = latq.check_involutive_axioms(L, L)
         assert res.holds, (name, res.witness)
         assert res.info["rotation_checked"]
+    # the rotation factor of an endo homset is the homset itself
+    assert len(calls) == 4
 
 
 def test_involutive_axioms_cross_homsets(zoo):

@@ -15,3 +15,24 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _is_matrix_product(node: ast.AST) -> bool:
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        return name in {"matmul", "dot", "einsum", "tensordot", "inner"}
+    return False
+
+
+def test_no_uint8_matrix_products_in_src():
+    # a uint8 product counts paths modulo 256, so 256 paths read as none
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if _is_matrix_product(node) and \
+                    "uint8" in ast.get_source_segment(text, node):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
