@@ -14,8 +14,10 @@ from .cd import (
     LatticeProfile,
     bounded_family_cd_check,
     classify_lattice,
+    completely_join_primes,
     criteria_agree,
     distributive_oracle,
+    is_smooth,
     is_spatial,
     raney_join_criterion,
     raney_meet_criterion,
@@ -50,13 +52,11 @@ from .lattice import (
     all_posets,
     build_lattice,
     build_poset,
-    completely_join_primes,
     distributivity_witness,
     downset_lattice,
     dual,
     generate,
     is_chain,
-    is_smooth,
 )
 from .maps import (
     LatMap,
@@ -115,16 +115,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckResult", "LatticeProfile", "bounded_family_cd_check",
-    "classify_lattice", "criteria_agree", "distributive_oracle",
-    "is_spatial", "raney_join_criterion", "raney_meet_criterion",
+    "classify_lattice", "completely_join_primes", "criteria_agree",
+    "distributive_oracle", "is_smooth", "is_spatial",
+    "raney_join_criterion", "raney_meet_criterion",
     "dumps", "lattice_from_doc", "lattice_to_doc", "load_lattice",
     "load_map", "map_from_doc", "map_to_doc", "save_lattice", "save_map",
     "CapExceeded", "CycleDetected", "DomainMismatch", "IndexOutOfRange",
     "LatqError", "NotALattice", "NotContinuous", "NotEndoHomset",
     "ParseError", "TooLarge",
     "GeneratorSpec", "Lattice", "Poset", "all_posets", "build_lattice",
-    "build_poset", "completely_join_primes", "distributivity_witness",
-    "downset_lattice", "dual", "generate", "is_chain", "is_smooth",
+    "build_poset", "distributivity_witness", "downset_lattice", "dual",
+    "generate", "is_chain",
     "LatMap", "MapClass", "all_maps_array", "big_meet", "classify",
     "compose", "identity", "interior", "is_join_continuous",
     "is_meet_continuous", "is_monotone", "left_adjoint",

@@ -17,12 +17,7 @@ import numpy as np
 
 from . import maps
 from .errors import CapExceeded
-from .lattice import (
-    Lattice,
-    completely_join_primes,
-    distributivity_witness,
-    is_chain,
-)
+from .lattice import Lattice, distributivity_witness, is_chain
 
 
 @dataclass
@@ -165,6 +160,21 @@ def bounded_family_cd_check(L: Lattice, max_i: int = 2, max_j: int = 2,
             }
             return CheckResult("bounded_family_cd_check", False, witness)
     return CheckResult("bounded_family_cd_check", True)
+
+
+def completely_join_primes(L: Lattice) -> frozenset[int]:
+    """Elements x not below o(x), the join of everything not above x.
+
+    Equivalent to the subset form: x is completely join-prime when every
+    subset whose join dominates x already contains a member above x.
+    """
+    o = maps.special(L, "o").values
+    return frozenset(np.flatnonzero(~L.leq[np.arange(L.n), o]).tolist())
+
+
+def is_smooth(L: Lattice) -> bool:
+    """True iff the lattice has no completely join-prime element."""
+    return not completely_join_primes(L)
 
 
 def is_spatial(L: Lattice) -> bool:

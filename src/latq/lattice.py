@@ -21,7 +21,10 @@ import numpy as np
 
 from .errors import CycleDetected, IndexOutOfRange, NotALattice, TooLarge
 
-MAX_ELEMENTS = 1 << 16
+# Largest carrier admitted; a larger one is refused before its order table
+# is allocated.  The budget is 5 s to build a chain with one BLAS thread:
+# chains of 512, 1,024 and 1,448 elements build in about 1 s, 4.5 s and 11 s.
+MAX_ELEMENTS = 1024
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -268,25 +271,6 @@ def is_chain(L: Lattice) -> bool:
     return bool((L.leq | L.leq.T).all())
 
 
-def completely_join_primes(L: Lattice) -> frozenset[int]:
-    """Elements not below the join of everything not above them.
-
-    Equivalent to the subset form: x is completely join-prime when every
-    subset whose join dominates x already contains a member above x.
-    """
-    out = []
-    for x in range(L.n):
-        others = L.sup(t for t in range(L.n) if not L.leq[x, t])
-        if not L.leq[x, others]:
-            out.append(x)
-    return frozenset(out)
-
-
-def is_smooth(L: Lattice) -> bool:
-    """True iff the lattice has no completely join-prime element."""
-    return not completely_join_primes(L)
-
-
 def downset_lattice(p: Poset, name: str | None = None) -> Lattice:
     """Lattice of down-closed subsets of p, ordered by inclusion.
 
@@ -308,13 +292,14 @@ def downset_lattice(p: Poset, name: str | None = None) -> Lattice:
             rest &= rest - 1
         if ok:
             masks.append(m)
-    if len(masks) > MAX_ELEMENTS:
-        raise TooLarge("downset family exceeds the element cap")
     return _inclusion_lattice(masks, name)
 
 
 def _inclusion_lattice(masks: list[int], name: str | None) -> Lattice:
     masks = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
+    if len(masks) > MAX_ELEMENTS:
+        raise TooLarge(
+            f"{len(masks)} elements exceeds the {MAX_ELEMENTS} cap")
     arr = np.asarray(masks, dtype=np.int64)
     leq = (arr[:, None] & ~arr[None, :]) == 0
     return build_lattice(Poset(leq), name)

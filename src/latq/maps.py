@@ -37,7 +37,7 @@ class MapClass:
 class LatMap:
     """Function between lattice carriers, as an int index array."""
 
-    __slots__ = ("dom", "cod", "values", "_mono", "_jc", "_mc", "_key")
+    __slots__ = ("dom", "cod", "values", "_key")
 
     def __init__(self, dom: Lattice, cod: Lattice, values):
         values = np.array(values, dtype=np.int32)
@@ -50,9 +50,6 @@ class LatMap:
         self.dom = dom
         self.cod = cod
         self.values = _frozen(values)
-        self._mono: bool | None = None
-        self._jc: bool | None = None
-        self._mc: bool | None = None
         self._key: bytes | None = None
 
     def __call__(self, x: int) -> int:
@@ -90,35 +87,26 @@ class LatMap:
 
 
 def identity(L: Lattice) -> LatMap:
-    f = LatMap(L, L, np.arange(L.n, dtype=np.int32))
-    f._mono = f._jc = f._mc = True
-    return f
+    return LatMap(L, L, np.arange(L.n, dtype=np.int32))
 
 
 def is_monotone(f: LatMap) -> bool:
-    if f._mono is None:
-        v = f.values
-        ok = ~f.dom.leq | f.cod.leq[v[:, None], v[None, :]]
-        f._mono = bool(ok.all())
-    return f._mono
+    v = f.values
+    return bool((~f.dom.leq | f.cod.leq[v[:, None], v[None, :]]).all())
 
 
 def is_join_continuous(f: LatMap) -> bool:
     """Preserves the empty join and all binary joins."""
-    if f._jc is None:
-        v = f.values
-        f._jc = bool(
-            v[f.dom.bottom] == f.cod.bottom
-            and (v[f.dom.join] == f.cod.join[v[:, None], v[None, :]]).all()
-        )
-    return f._jc
+    v = f.values
+    return bool(
+        v[f.dom.bottom] == f.cod.bottom
+        and (v[f.dom.join] == f.cod.join[v[:, None], v[None, :]]).all()
+    )
 
 
 def is_meet_continuous(f: LatMap) -> bool:
     """Preserves the empty meet and all binary meets."""
-    if f._mc is None:
-        f._mc = is_join_continuous(_op(f))
-    return f._mc
+    return is_join_continuous(_op(f))
 
 
 def classify(f: LatMap) -> MapClass:
@@ -127,9 +115,7 @@ def classify(f: LatMap) -> MapClass:
 
 def _op(f: LatMap) -> LatMap:
     """The same values between the order duals; joins and meets swap roles."""
-    g = LatMap(f.dom.op, f.cod.op, f.values)
-    g._mono, g._jc, g._mc = f._mono, f._mc, f._jc
-    return g
+    return LatMap(f.dom.op, f.cod.op, f.values)
 
 
 def compose(g: LatMap, f: LatMap) -> LatMap:
@@ -276,9 +262,8 @@ def right_adjoint(f: LatMap) -> LatMap:
     """The map g with f(x) <= y iff x <= g(y); needs f join-continuous."""
     if not is_join_continuous(f):
         raise NotContinuous("right adjoint needs a join-continuous map")
-    g = LatMap(f.cod, f.dom, _batch_right_adjoint(f.dom, f.cod, f.values[None, :])[0])
-    g._mono = g._mc = True
-    return g
+    return LatMap(f.cod, f.dom,
+                  _batch_right_adjoint(f.dom, f.cod, f.values[None, :])[0])
 
 
 def left_adjoint(g: LatMap) -> LatMap:
@@ -290,16 +275,14 @@ def left_adjoint(g: LatMap) -> LatMap:
 
 def interior(f: LatMap) -> LatMap:
     """Greatest join-continuous map pointwise below f (f arbitrary)."""
-    out = LatMap(f.dom, f.cod, _batch_interior(f.dom, f.cod, f.values[None, :])[0])
-    out._mono = out._jc = True
-    return out
+    return LatMap(f.dom, f.cod,
+                  _batch_interior(f.dom, f.cod, f.values[None, :])[0])
 
 
 def raney_join(f: LatMap) -> LatMap:
     """x -> join of f(t) over t with x not<= t; always join-continuous."""
-    out = LatMap(f.dom, f.cod, _batch_raney_join(f.dom, f.cod, f.values[None, :])[0])
-    out._mono = out._jc = True
-    return out
+    return LatMap(f.dom, f.cod,
+                  _batch_raney_join(f.dom, f.cod, f.values[None, :])[0])
 
 
 def raney_meet(f: LatMap) -> LatMap:
@@ -313,8 +296,10 @@ def special(L: Lattice, kind: str, x: int | None = None) -> LatMap:
     c(x): bottom to bottom, everything else to x.
     a(x): top on elements not below x, bottom elsewhere.
     alpha(x): top on elements above x, bottom elsewhere.
-    o: t -> join of elements not above t.
-    omega: t -> meet of elements not below t.
+    o: the join transform of the identity, t -> join of elements not
+       above t.
+    omega: the meet transform of the identity, t -> meet of elements not
+       below t.
     nu(x): bottom on elements below x, identity elsewhere.
     """
     n = L.n
@@ -328,23 +313,13 @@ def special(L: Lattice, kind: str, x: int | None = None) -> LatMap:
     if kind == "c":
         vals = np.full(n, x, dtype=np.int32)
         vals[L.bottom] = L.bottom
-        f = LatMap(L, L, vals)
-        f._mono = f._jc = True
-        return f
+        return LatMap(L, L, vals)
     if kind == "a":
-        f = LatMap(L, L, np.where(L.leq[:, x], L.bottom, L.top))
-        f._mono = f._jc = True
-        return f
+        return LatMap(L, L, np.where(L.leq[:, x], L.bottom, L.top))
     if kind == "o":
-        vals = [L.sup(t for t in range(n) if not L.leq[u, t]) for u in range(n)]
-        f = LatMap(L, L, vals)
-        f._mono = f._jc = True
-        return f
+        return raney_join(identity(L))
     if kind == "nu":
-        vals = np.where(L.leq[:, x], L.bottom, np.arange(n, dtype=np.int32))
-        f = LatMap(L, L, vals)
-        f._mono = True
-        return f
+        return LatMap(L, L, np.where(L.leq[:, x], L.bottom, np.arange(n)))
     raise ValueError(f"unknown special kind {kind!r}")
 
 
@@ -363,10 +338,8 @@ def big_meet(fs: Sequence[LatMap]) -> LatMap:
     for f in fs:
         if not is_join_continuous(f):
             raise NotContinuous("big_meet needs join-continuous maps")
-    out = LatMap(dom, cod, _batch_big_meet(
+    return LatMap(dom, cod, _batch_big_meet(
         dom, cod, pointwise_meet(fs).values[None, :])[0])
-    out._mono = out._jc = True
-    return out
 
 
 def _batch_big_meet(dom: Lattice, cod: Lattice, M: np.ndarray) -> np.ndarray:

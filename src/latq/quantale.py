@@ -60,12 +60,7 @@ class HomsetEnumeration:
 
     @cached_property
     def maps(self) -> list[LatMap]:
-        out = []
-        for row in self.matrix:
-            f = LatMap(self.dom, self.cod, row)
-            f._mono = f._jc = True
-            out.append(f)
-        return out
+        return [LatMap(self.dom, self.cod, row) for row in self.matrix]
 
     def __iter__(self):
         return iter(self.maps)

@@ -97,51 +97,32 @@ class TheoremCheck:
     run: Callable[[SuiteContext, Lattice], CheckResult]
 
 
-def _always(ctx: SuiteContext, L: Lattice) -> str | None:
-    return None
+_WORDS = "no one two three four five six seven eight nine".split()
 
 
-def _gate(*parts: Callable[[SuiteContext, Lattice], str | None]):
+def _gate(cd: bool | None = None, min_n: int = 1, max_n: int | None = None,
+          max_q: int | None = None):
+    """Applicability: at least min_n (below 10) elements, completely
+    distributive when cd is True and not when it is False, at most max_n
+    elements, and an endo homset whose estimate fits the enumeration cap
+    and which has at most max_q members.  They are tested in that order,
+    and the first that fails gives the skip reason."""
     def applies(ctx: SuiteContext, L: Lattice) -> str | None:
-        for p in parts:
-            reason = p(ctx, L)
-            if reason:
-                return reason
+        if L.n < min_n:
+            return f"needs at least {_WORDS[min_n]} elements"
+        if cd is not None and ctx.profile(L).completely_distributive != cd:
+            return ("needs a completely distributive carrier" if cd else
+                    "needs a non completely distributive carrier")
+        if max_n is not None and L.n > max_n:
+            return f"carrier too large (n={L.n} > {max_n})"
+        if max_q is not None:
+            est = quantale.homset_estimate(L, L)
+            if est > ctx.cap:
+                return f"homset estimate {est} beyond enumeration cap"
+            if len(ctx.homset(L)) > max_q:
+                return f"homset too large (|Q| > {max_q})"
         return None
     return applies
-
-
-def _need_cd(ctx, L):
-    if not ctx.profile(L).completely_distributive:
-        return "needs a completely distributive carrier"
-    return None
-
-
-def _need_non_cd(ctx, L):
-    if ctx.profile(L).completely_distributive:
-        return "needs a non completely distributive carrier"
-    return None
-
-
-def _need_nontrivial(ctx, L):
-    return None if L.n >= 2 else "needs at least two elements"
-
-
-def _size_cap(k: int):
-    def gate(ctx, L):
-        return None if L.n <= k else f"carrier too large (n={L.n} > {k})"
-    return gate
-
-
-def _homset_cap(k: int):
-    def gate(ctx, L):
-        est = quantale.homset_estimate(L, L)
-        if est > ctx.cap:
-            return f"homset estimate {est} beyond enumeration cap"
-        if len(ctx.homset(L)) > k:
-            return f"homset too large (|Q| > {k})"
-        return None
-    return gate
 
 
 def _jc_matrix(ctx: SuiteContext, L: Lattice, check_id: str) -> np.ndarray:
@@ -350,17 +331,15 @@ def _t11(ctx: SuiteContext, L: Lattice) -> CheckResult:
 
 
 def _t12(ctx: SuiteContext, L: Lattice) -> CheckResult:
-    F = ctx.homset(L).matrix
+    Q = ctx.homset(L)
+    F = Q.matrix
     meets = L.meet[F[:, None], F[None]]           # [i, j, x] = (f_i ^ f_j)(x)
     flat = meets.reshape(-1, L.n)
     got = maps._batch_big_meet(L, L, flat).reshape(meets.shape)
     via_interior = maps._batch_interior(L, L, flat).reshape(meets.shape)
-    # join of the members below both f_i and f_j, one member at a time
-    LE = quantale._pointwise_leq(L, F, F)
-    inf = np.full(meets.shape, L.bottom, dtype=np.int32)
-    for k in range(len(F)):
-        below = (LE[k][:, None] & LE[k][None])[..., None]
-        inf = np.where(below, L.join[inf, F[k]], inf)
+    # element k of the homset lattice is member k, so its meet table
+    # indexes the members
+    inf = F[quantale.homset_lattice(Q).meet]
     w = row_witness(((got == via_interior) & (got == inf)).all(axis=-1), {
         "f": F[:, None], "g": F[None], "big_meet": got,
         "interior_of_meet": via_interior, "enumerated_infimum": inf})
@@ -403,90 +382,87 @@ REGISTRY: tuple[TheoremCheck, ...] = (
     TheoremCheck(
         "T1",
         "special o equals the pointwise join over t of c(t) composed after a(t)",
-        _always, _t1),
+        _gate(), _t1),
     TheoremCheck(
         "T2",
         "interior of the upper indicator alpha(x) is the annihilator at o(x)",
-        _always, _t2),
+        _gate(), _t2),
     TheoremCheck(
         "T3",
         "cyclic members of the endo homset all equal constant-top or special o",
-        _gate(_size_cap(SAMPLED_N), _homset_cap(PAIR_HOMSET_CAP)), _t3),
+        _gate(max_n=SAMPLED_N, max_q=PAIR_HOMSET_CAP), _t3),
     TheoremCheck(
         "T4",
         "constant-top is never dualizing on carriers with two or more elements",
-        _gate(_need_nontrivial, _size_cap(SAMPLED_N),
-              _homset_cap(PAIR_HOMSET_CAP)), _t4),
+        _gate(min_n=2, max_n=SAMPLED_N, max_q=PAIR_HOMSET_CAP), _t4),
     TheoremCheck(
         "T5",
         "if special o is cyclic and differs from constant-top, the carrier "
         "meets the meet criterion and the distributivity oracle",
-        _gate(_size_cap(SAMPLED_N), _homset_cap(PAIR_HOMSET_CAP)), _t5),
+        _gate(max_n=SAMPLED_N, max_q=PAIR_HOMSET_CAP), _t5),
     TheoremCheck(
         "T6",
         "involutive-quantaloid axioms hold on completely distributive carriers",
-        _gate(_need_cd, _homset_cap(PAIR_HOMSET_CAP)), _t6),
+        _gate(cd=True, max_q=PAIR_HOMSET_CAP), _t6),
     TheoremCheck(
         "T6n",
         "involutive-quantaloid axioms fail on non completely distributive carriers",
-        _gate(_need_non_cd, _homset_cap(PAIR_HOMSET_CAP)), _t6n),
+        _gate(cd=False, max_q=PAIR_HOMSET_CAP), _t6n),
     TheoremCheck(
         "T7",
         "the composition center is exactly the identity and constant-bottom",
-        _gate(_homset_cap(CENTER_HOMSET_CAP)), _t7),
+        _gate(max_q=CENTER_HOMSET_CAP), _t7),
     TheoremCheck(
         "T8",
         "meet transform then join transform is the identity on jc maps over "
         "completely distributive carriers",
-        _gate(_need_cd, _size_cap(SAMPLED_N)), _t8),
+        _gate(cd=True, max_n=SAMPLED_N), _t8),
     TheoremCheck(
         "T8n",
         "meet transform then join transform moves the identity map on non "
         "completely distributive carriers",
-        _gate(_need_non_cd,), _t8n),
+        _gate(cd=False), _t8n),
     TheoremCheck(
         "T9",
         "interior equals join transform after omega, and join transform "
         "equals interior after o, for monotone maps over CD carriers",
-        _gate(_need_cd, _size_cap(SAMPLED_N)), _t9),
+        _gate(cd=True, max_n=SAMPLED_N), _t9),
     TheoremCheck(
         "T9n",
         "the interior-via-omega formula fails at the identity map on non "
         "completely distributive carriers",
-        _gate(_need_non_cd,), _t9n),
+        _gate(cd=False), _t9n),
     TheoremCheck(
         "T10",
         "join transform is order-preserving, lax over composition with a "
         "monotone left factor, exact for a jc left factor, and agrees with "
         "the left adjoint of the meet transform on jc maps",
-        _gate(_size_cap(SAMPLED_N)), _t10),
+        _gate(max_n=SAMPLED_N), _t10),
     TheoremCheck(
         "T11",
         "special o sits below the identity exactly on chains and above it "
         "exactly on smooth carriers",
-        _always, _t11),
+        _gate(), _t11),
     TheoremCheck(
         "T12",
         "big_meet of a pair is the interior of the pointwise meet and the "
         "enumerated homset infimum on CD carriers",
-        _gate(_need_cd, _size_cap(EXHAUSTIVE_N),
-              _homset_cap(PAIR_HOMSET_CAP)), _t12),
+        _gate(cd=True, max_n=EXHAUSTIVE_N, max_q=PAIR_HOMSET_CAP), _t12),
     TheoremCheck(
         "T12n",
         "big_meet differs from the interior of the pointwise meet at the "
         "identity pair on non CD carriers",
-        _gate(_need_non_cd,), _t12n),
+        _gate(cd=False), _t12n),
     TheoremCheck(
         "T13",
         "distributivity oracle, involutive axioms, and existence of a cyclic "
         "dualizing element agree",
-        _gate(_homset_cap(PAIR_HOMSET_CAP)), _t13),
+        _gate(max_q=PAIR_HOMSET_CAP), _t13),
     TheoremCheck(
         "T14",
         "residual-via-transform formulas plus full triangle rotation hold on "
         "small completely distributive carriers",
-        _gate(_need_cd, _size_cap(EXHAUSTIVE_N),
-              _homset_cap(PAIR_HOMSET_CAP)), _t14),
+        _gate(cd=True, max_n=EXHAUSTIVE_N, max_q=PAIR_HOMSET_CAP), _t14),
 )
 
 CHECK_IDS = tuple(c.id for c in REGISTRY)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -135,6 +136,22 @@ def test_check_bad_inputs(capsys, tmp_path):
         "covers": [[0, 2], [1, 2], [0, 3], [1, 3], [2, 4], [3, 4]]}))
     code, _, err = run(capsys, "check", str(bowtie))
     assert code == 2 and "error:" in err
+
+
+def test_check_refuses_too_many_elements_before_building(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(docio.dumps({"name": "big", "n": 1025, "covers": []}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(latq.TooLarge):
+            docio.load_lattice(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1025 * 1025 // 4          # no order table was allocated
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert "1025 elements exceeds the 1024 cap" in err
 
 
 @pytest.mark.parametrize("argv, doc, message", [
@@ -361,8 +378,8 @@ _json = st.recursive(
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=12)
-# lattice-shaped documents stay at a few elements: a valid n of thousands
-# builds for minutes, which a fuzz run cannot afford
+# lattice-shaped documents stay at a few elements: a valid n near the
+# element cap builds for seconds, which a fuzz run cannot afford
 _small = st.integers(-2, 9)
 _lattice_docs = st.fixed_dictionaries({
     "name": st.text(max_size=4) | _json,

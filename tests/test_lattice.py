@@ -194,6 +194,12 @@ def test_downset_lattice_shapes():
         latq.downset_lattice(latq.build_poset(13, []))
 
 
+def test_element_cap_covers_inclusion_lattices():
+    # an antichain of 11 has 2 ** 11 downsets, beyond the cap
+    with pytest.raises(latq.TooLarge):
+        latq.downset_lattice(latq.build_poset(11, []))
+
+
 def test_all_posets_counts_match_oeis_small_values():
     sizes = {}
     for p in latq.all_posets(4):

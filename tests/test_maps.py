@@ -119,6 +119,23 @@ def test_special_continuity_classes(zoo):
             assert latq.classify(latq.special(L, "alpha", x)).meet_continuous
         assert latq.classify(latq.special(L, "o")).join_continuous
         assert latq.classify(latq.special(L, "omega")).meet_continuous
+        # continuity is computed from the values, so the claims the
+        # operations make about their outputs are checked by the loops
+        for x in range(L.n):
+            assert oracles.monotone(L, L, latq.special(L, "nu", x).values)
+        rng = np.random.RandomState(L.n)
+        for _ in range(10):
+            f = latq.LatMap(L, L, rng.randint(0, L.n, size=L.n))
+            for g in (latq.interior(f), latq.raney_join(f)):
+                assert oracles.join_continuous(L, L, g.values), (L, f)
+        Q = latq.enumerate_homset(L, L)
+        members = Q.maps[::max(1, len(Q) // 10)]
+        for f, g in zip(members, members[1:] + members[:1]):
+            assert oracles.join_continuous(
+                L, L, latq.big_meet([f, g]).values), (L, f, g)
+            rho = latq.right_adjoint(f).values
+            assert oracles.monotone(L, L, rho), (L, f)
+            assert oracles.meet_continuous(L, L, rho), (L, f)
 
 
 def test_nu_join_continuous_on_chains_not_on_b2(zoo):
@@ -238,10 +255,16 @@ def test_raney_transforms_match_loop_oracle(Lv):
     assert latq.classify(rm).meet_continuous
 
 
-def test_raney_of_identity_is_o_and_omega(zoo):
+def test_raney_of_identity_is_o_and_omega(zoo, corpus):
     for L in zoo.values():
         assert latq.raney_join(latq.identity(L)) == latq.special(L, "o")
         assert latq.raney_meet(latq.identity(L)) == latq.special(L, "omega")
+    # o is built by the join transform, so it is also read off its
+    # definition by a plain loop
+    for L in corpus:
+        o = [oracles.sup(L, [t for t in range(L.n) if not L.leq[x, t]])
+             for x in range(L.n)]
+        assert latq.special(L, "o").values.tolist() == o, L.name
 
 
 def test_raney_roundtrip_fixture_on_c3(zoo):

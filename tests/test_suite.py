@@ -186,6 +186,20 @@ def test_cells_match_committed_verify_reference(corpus):
     assert cells == 144
 
 
+def test_every_gate_decision_matches_committed_verify_reference(corpus):
+    # each check's applicability on each built-in carrier gives the skip
+    # reason of the reference document, and None where the cell ran
+    ref = json.loads(VERIFY_REF.read_text())["results"]
+    ctx = suite.SuiteContext()
+    decisions = 0
+    for chk in suite.REGISTRY:
+        for L in corpus:
+            cell = ref[chk.id][L.name]
+            assert chk.applies(ctx, L) == cell.get("reason"), (chk.id, L.name)
+            decisions += 1
+    assert decisions == 18 * 86
+
+
 def _t12_per_pair(L, Q):
     """T12's verdict by a loop over member pairs and single-map operations."""
     below = [{k for k, h in enumerate(Q.maps) if h <= f} for f in Q.maps]
