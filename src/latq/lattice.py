@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import CycleDetected, IndexOutOfRange, NotALattice, TooLarge
 
-# Largest carrier admitted; a larger one is refused before its order table
-# is allocated.  The budget is 5 s to build a chain with one BLAS thread:
-# chains of 512, 1,024 and 1,448 elements build in about 1 s, 4.5 s and 11 s.
+# Largest carrier admitted; every `Poset` checks it, and `build_poset` and
+# `_inclusion_lattice` before they allocate an order table.  Budget: 5 s to
+# build a chain with one BLAS thread (512, 1,024, 1,448 elements: 1, 4.5, 11 s).
 MAX_ELEMENTS = 1024
 
 
@@ -59,6 +59,8 @@ class Poset:
         if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
             raise ValueError("leq must be square")
         n = leq.shape[0]
+        if n > MAX_ELEMENTS:
+            raise TooLarge(f"{n} elements exceeds the {MAX_ELEMENTS} cap")
         if not leq.diagonal().all():
             raise ValueError("leq must be reflexive")
         if (leq & leq.T & ~np.eye(n, dtype=bool)).any():
@@ -181,27 +183,31 @@ class Lattice:
     @cached_property
     def join_irreducibles(self) -> tuple[int, ...]:
         """Elements with exactly one lower cover, in toposort order."""
-        lower = [0] * self.n
-        for _, j in self.poset.covers:
-            lower[j] += 1
-        irr = {x for x in range(self.n) if lower[x] == 1}
-        return tuple(x for x in self.poset.toposort if x in irr)
+        lower = np.bincount([j for _, j in self.poset.covers], minlength=self.n)
+        return tuple(x for x in self.poset.toposort if lower[x] == 1)
 
     @cached_property
     def is_distributive(self) -> bool:
-        return distributivity_witness(self) is None
+        """No pair binds: every join-irreducible is join-prime."""
+        return not len(self.interior_constraints[0])
 
     @cached_property
     def interior_constraints(self) -> tuple[np.ndarray, ...]:
-        """Cover edges (upper element first) and incomparable pairs with
-        their joins, as index arrays (xs, ys, ix, iy, ij) for `interior`."""
-        pos = {x: k for k, x in enumerate(self.poset.toposort)}
-        edges = sorted(self.poset.covers, key=lambda e: -pos[e[0]])
-        xs = np.asarray([e[0] for e in edges], dtype=np.int64)
-        ys = np.asarray([e[1] for e in edges], dtype=np.int64)
+        """The binding pairs (ix, iy, ij = ix v iy), sorted by ij.
+
+        An incomparable pair x < y (as indices) binds when c[x v y] +
+        c[x ^ y] > c[x] + c[y], c counting the join-irreducibles below: some
+        join-irreducible below x v y is below neither.  A map x -> join of
+        its values on J below x preserves the join of every other pair, so
+        only these are checked.  Empty exactly on distributive lattices.
+        """
+        c = self.leq[list(self.join_irreducibles)].sum(axis=0)
         inc = np.argwhere(~(self.leq | self.leq.T))
         ix, iy = inc[inc[:, 0] < inc[:, 1]].T
-        return xs, ys, ix, iy, self.join[ix, iy].astype(np.int64)
+        ij = self.join[ix, iy].astype(np.int64)
+        binds = np.flatnonzero(c[ij] + c[self.meet[ix, iy]] > c[ix] + c[iy])
+        binds = binds[np.argsort(ij[binds], kind="stable")]
+        return ix[binds], iy[binds], ij[binds]
 
     def rename(self, name: str) -> "Lattice":
         """Same lattice object shape under a new name (shared arrays)."""
@@ -280,18 +286,8 @@ def downset_lattice(p: Poset, name: str | None = None) -> Lattice:
     if p.n > 12:
         raise TooLarge(f"poset has {p.n} > 12 elements")
     below = [sum(1 << j for j in range(p.n) if p.leq[j, i]) for i in range(p.n)]
-    masks = []
-    for m in range(1 << p.n):
-        rest = m
-        ok = True
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            if below[i] & ~m:
-                ok = False
-                break
-            rest &= rest - 1
-        if ok:
-            masks.append(m)
+    masks = [m for m in range(1 << p.n)
+             if all(below[i] & ~m == 0 for i in range(p.n) if m >> i & 1)]
     return _inclusion_lattice(masks, name)
 
 

@@ -143,10 +143,7 @@ def pointwise_join(fs: Sequence[LatMap],
             raise DomainMismatch("empty family needs dom and cod")
         return LatMap(dom, cod, np.full(dom.n, cod.bottom, dtype=np.int32))
     dom, cod = _common_hom(fs)
-    acc = fs[0].values
-    for f in fs[1:]:
-        acc = cod.join[acc, f.values]
-    return LatMap(dom, cod, acc)
+    return LatMap(dom, cod, _fold(cod.join, np.stack([f.values for f in fs], -1)))
 
 
 def pointwise_meet(fs: Sequence[LatMap],
@@ -207,24 +204,42 @@ def _once_per_distinct_row(kernel: Callable[..., np.ndarray]):
 def _batch_interior(dom: Lattice, cod: Lattice, H: np.ndarray) -> np.ndarray:
     """Greatest pointwise-below join-continuous maps, rowwise.
 
-    Decreasing chaotic iteration over three constraint families: bottom to
-    bottom, meets along cover edges (upper element first, which closes the
-    whole monotonicity order in one sweep), and value-at-join below
-    join-of-values for incomparable pairs.  Fixpoints are exactly the
-    join-continuous maps below the start row, so the limit is the greatest.
+    A jc map is fixed by its values on J(dom).  Each pass takes, for each
+    j in J(dom), the meet of the row over the up-set of j, and rebuilds the
+    row by joining it into that up-set, as `quantale.enumerate_homset`
+    builds rows; then it meets each binding pair's join value with the join
+    of its members' values (`Lattice.interior_constraints`).  Other pairs
+    hold on a rebuilt row, so passes stop once that step changes nothing,
+    after one on a distributive domain.  No step drops a jc map below the
+    start row, so the limit is the greatest.
     """
-    H = np.array(H, dtype=np.int32)
-    xs, ys, ix, iy, ij = dom.interior_constraints
-    meet, join = cod.meet, cod.join
-    H[:, dom.bottom] = cod.bottom
+    ups = [np.flatnonzero(dom.leq[j]) for j in dom.join_irreducibles]
+    ix, iy, ij = dom.interior_constraints
+    zs, first, runs = np.unique(ij, return_index=True, return_counts=True)
+    ends = np.repeat(first + runs, runs)
+    hops = 2 ** np.arange((int(runs.max(initial=1)) - 1).bit_length())
     while True:
-        before = H.copy()
-        for x, y in zip(xs, ys):
-            H[:, x] = meet[H[:, x], H[:, y]]
-        for x, y, j in zip(ix, iy, ij):
-            H[:, j] = meet[H[:, j], join[H[:, x], H[:, y]]]
-        if np.array_equal(H, before):
+        tops = [_fold(cod.meet, H[:, up]) for up in ups]
+        H = np.full(H.shape, cod.bottom, dtype=np.int32)
+        for up, t in zip(ups, tops):
+            H[:, up] = cod.join[H[:, up], t[:, None]]
+        K = cod.join[H[:, ix], H[:, iy]]
+        for hop in hops:           # K[:, first] becomes the meet of each run
+            at = np.flatnonzero(np.arange(len(ij)) + hop < ends)
+            K[:, at] = cod.meet[K[:, at], K[:, at + hop]]
+        K = cod.meet[H[:, zs], K[:, first]]
+        if np.array_equal(K, H[:, zs]):
             return H
+        H[:, zs] = K
+
+
+def _fold(table: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """A lattice operation table folded over the last, nonempty axis of A by
+    halves; idempotence makes an overlapping middle entry harmless."""
+    while A.shape[-1] > 1:
+        w = A.shape[-1]
+        A = table[A[..., :(w + 1) // 2], A[..., w // 2:]]
+    return A[..., 0]
 
 
 @_once_per_distinct_row
@@ -353,23 +368,14 @@ def _batch_big_meet(dom: Lattice, cod: Lattice, M: np.ndarray) -> np.ndarray:
 def all_maps_array(dom: Lattice, cod: Lattice) -> np.ndarray:
     """Every function dom -> cod as a (cod.n ** dom.n, dom.n) array."""
     n, m = dom.n, cod.n
-    count = m ** n
-    r = np.arange(count)
-    out = np.empty((count, n), dtype=np.int32)
-    for x in range(n):
-        out[:, x] = (r // (m ** (n - 1 - x))) % m
-    return out
+    digits = m ** np.arange(n - 1, -1, -1)
+    return (np.arange(m ** n)[:, None] // digits % m).astype(np.int32)
 
 
 def monotone_maps_array(dom: Lattice, cod: Lattice) -> np.ndarray:
     """Every monotone map dom -> cod, filtered from the full function space."""
     A = all_maps_array(dom, cod)
-    ok = np.ones(len(A), dtype=bool)
-    for x in range(dom.n):
-        for y in range(dom.n):
-            if dom.leq[x, y] and x != y:
-                ok &= cod.leq[A[:, x], A[:, y]]
-    return A[ok]
+    return A[(~dom.leq | cod.leq[A[:, :, None], A[:, None, :]]).all(axis=(1, 2))]
 
 
 def sample_monotone_maps(dom: Lattice, cod: Lattice, count: int,

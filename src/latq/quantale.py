@@ -1,8 +1,8 @@
 """The quantale of join-continuous endomaps and its quantaloid structure.
 
 Homsets are enumerated as a breadth-first numpy frontier, one level per
-join-irreducible of the domain; off a distributive domain each pair's
-join is checked at the first level where its three values are final.
+join-irreducible of the domain; each binding pair's join is checked at the
+first level where its three values are final.
 The detectors (cyclic, central, dualizing, codualizing, involutive
 axioms) run on the stacked value matrix through the batch kernels in
 `maps`, with the single-map operations as their spot-checkable face.
@@ -104,20 +104,18 @@ def enumerate_homset(dom: Lattice, cod: Lattice,
     each value v at or above its current value at j_k (the join of the
     values already given below j_k), and v is joined into the up-set of
     j_k.  Parents stay in order and values ascend, so the rows come out in
-    lexicographic order of their values on J(dom).  Unless dom is
-    distributive (where join-irreducibles are join-prime and every
-    monotone assignment extends), each incomparable pair x, y is checked
-    for f(x v y) == f(x) v f(y) at the level of the last join-irreducible
+    lexicographic order of their values on J(dom).  Every row so built has
+    f(x v y) == f(x) v f(y) except perhaps at a binding pair
+    (`Lattice.interior_constraints`, none when dom is distributive), and
+    each of those is checked at the level of the last join-irreducible
     below x v y, the first level at which all three values are final.
     """
     irr = dom.join_irreducibles
     if homset_estimate(dom, cod) > cap:
         raise CapExceeded(f"estimate {cod.n}^{len(irr)} exceeds cap {cap}")
-    xs = ys = zs = level = np.empty(0, dtype=np.int64)
-    if not dom.is_distributive:
-        _, _, xs, ys, zs = dom.interior_constraints
-        ranks = np.arange(len(irr))[:, None]
-        level = np.where(dom.leq[list(irr)], ranks, -1).max(axis=0)[zs]
+    xs, ys, zs = dom.interior_constraints
+    ranks = np.arange(len(irr))[:, None]
+    level = np.where(dom.leq[list(irr)], ranks, -1).max(axis=0, initial=-1)[zs]
     V = np.full((1, dom.n), cod.bottom, dtype=np.int32)
     for k, j in enumerate(irr):
         parent, v = np.nonzero(cod.leq[V[:, j]])

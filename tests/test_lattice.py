@@ -167,6 +167,57 @@ def test_distributivity_witness_replays(zoo):
     assert latq.distributivity_witness(zoo["b3"]) is None
 
 
+def test_binding_pairs_decide_distributivity(corpus):
+    # the built-ins, and c12xc12 with the twelve random closure lattices of
+    # perfbench's verify_large corpus, each with its dual
+    g = latq.GeneratorSpec
+    large = [latq.generate(g("product", a=12, b=12))] + [
+        latq.generate(g("random", seed=s, n=n))
+        for n in (10, 11, 12) for s in range(4)]
+    carriers = list(corpus) + large
+    verdicts = []
+    for L in carriers + [L.op for L in carriers]:
+        distributive = latq.distributivity_witness(L) is None
+        assert L.is_distributive == distributive, L.name
+        assert (len(L.interior_constraints[0]) == 0) == distributive, L.name
+        verdicts.append(distributive)
+    assert len(verdicts) == 2 * (86 + 13)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@given(closure_lattices())
+def test_binding_pairs_agree_with_the_triple_scan(L):
+    for K in (L, L.op):
+        assert K.is_distributive == (latq.distributivity_witness(K) is None)
+
+
+def test_binding_pairs_against_their_definition(corpus):
+    # x, y bind when a join-irreducible below x v y is below neither
+    for L in corpus:
+        if L.n > 16:
+            continue
+        J = L.join_irreducibles
+        want = {(x, y) for x in range(L.n) for y in range(x + 1, L.n)
+                if not L.leq[x, y] and not L.leq[y, x]
+                and any(L.leq[j, L.join[x, y]] and not L.leq[j, x]
+                        and not L.leq[j, y] for j in J)}
+        ix, iy, ij = L.interior_constraints
+        assert set(zip(ix.tolist(), iy.tolist())) == want, L.name
+        assert (ij == L.join[ix, iy]).all() and (np.diff(ij) >= 0).all()
+
+
+def test_is_distributive_does_not_run_the_triple_scan(monkeypatch):
+    def refuse(L):
+        raise AssertionError("distributivity_witness was called")
+
+    monkeypatch.setattr(latq.lattice, "distributivity_witness", refuse)
+    g = latq.GeneratorSpec
+    m3, n5 = latq.generate(g("m3")), latq.generate(g("n5"))
+    b3 = latq.generate(g("boolean", k=3))
+    assert not m3.is_distributive and not n5.op.is_distributive
+    assert b3.is_distributive and b3.op.is_distributive
+
+
 def test_completely_join_primes_against_subset_oracle(zoo):
     for name in ("c1", "c2", "c3", "b2", "m3", "n5", "p23"):
         L = zoo[name]
@@ -198,6 +249,11 @@ def test_element_cap_covers_inclusion_lattices():
     # an antichain of 11 has 2 ** 11 downsets, beyond the cap
     with pytest.raises(latq.TooLarge):
         latq.downset_lattice(latq.build_poset(11, []))
+
+
+def test_element_cap_covers_every_poset():
+    with pytest.raises(latq.TooLarge):
+        latq.Poset(np.eye(1025, dtype=bool))
 
 
 def test_all_posets_counts_match_oeis_small_values():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -318,6 +319,63 @@ def test_interior_oracle_on_random_lattices(Lv):
     f = latq.LatMap(L, L, values)
     assert latq.interior(f).values.tolist() == \
         list(oracles.greatest_jc_below(L, L, values))
+
+
+def test_interior_oracle_on_non_distributive_domains(corpus, monkeypatch):
+    # every lattice of at most four elements is distributive, so binding
+    # pairs first act at five; the oracle's jc maps are listed once per homset
+    monkeypatch.setattr(oracles, "jc_maps",
+                        functools.lru_cache(maxsize=None)(oracles.jc_maps))
+    named = {L.name: L for L in corpus}
+    pairs = [(L, L) for L in corpus if L.n <= 5] + [
+        (named[a], named[b])
+        for a, b in (("n5", "m3"), ("m3", "c3"), ("b2", "n5"))]
+    assert sum(not dom.is_distributive for dom, _ in pairs) == 7
+    rng = np.random.RandomState(8)
+    for dom, cod in pairs:
+        F = np.concatenate([rng.randint(0, cod.n, size=(12, dom.n)),
+                            maps.sample_monotone_maps(dom, cod, 12, rng)])
+        _kernels_match_oracles(dom, cod, F.astype(np.int32), (
+            (maps._batch_interior, oracles.greatest_jc_below),))
+
+
+def _chaotic_interior(dom, cod, H):
+    """The interior by a decreasing chaotic sweep: bottom to bottom, a meet
+    down every cover edge (upper end first), and each incomparable pair's
+    join value met with the join of the pair's values, until nothing
+    changes.  Fixpoints are the jc maps below the start row."""
+    H = np.array(H, dtype=np.int32)
+    rank = {x: k for k, x in enumerate(dom.poset.toposort)}
+    edges = sorted(dom.poset.covers, key=lambda e: -rank[e[0]])
+    apart = [(x, y) for x, y in itertools.combinations(range(dom.n), 2)
+             if not dom.leq[x, y] and not dom.leq[y, x]]
+    H[:, dom.bottom] = cod.bottom
+    while True:
+        before = H.copy()
+        for x, y in edges:
+            H[:, x] = cod.meet[H[:, x], H[:, y]]
+        for x, y in apart:
+            z = dom.join[x, y]
+            H[:, z] = cod.meet[H[:, z], cod.join[H[:, x], H[:, y]]]
+        if np.array_equal(H, before):
+            return H
+
+
+def test_interior_matches_chaotic_sweep_up_to_thirty_elements():
+    g = latq.GeneratorSpec
+    carriers = [latq.generate(g("random", seed=s, n=4 + s % 4))
+                for s in range(40)]
+    carriers = [L for L in carriers if L.n <= 30]
+    assert sum(latq.distributivity_witness(L) is not None
+               for L in carriers) >= 25
+    rng = np.random.RandomState(11)
+    for k, dom in enumerate(carriers):
+        for cod in (dom, carriers[(7 * k + 3) % len(carriers)]):
+            F = np.concatenate([rng.randint(0, cod.n, size=(16, dom.n)),
+                                maps.sample_monotone_maps(dom, cod, 16, rng)])
+            got = maps._batch_interior(dom, cod, F)
+            assert (got == _chaotic_interior(dom, cod, F)).all(), \
+                (dom.name, cod.name)
 
 
 @given(lattice_and_endomap())

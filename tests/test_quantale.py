@@ -521,6 +521,14 @@ def test_homset_lattice_is_distributive_for_tiny_carriers(zoo):
     assert QL.n == 2
 
 
+def test_homset_lattice_is_refused_above_the_element_cap(corpus):
+    r24 = next(L for L in corpus if L.name == "r24")
+    Q = latq.enumerate_homset(r24, r24)
+    assert len(Q) == 1153
+    with pytest.raises(latq.TooLarge):
+        latq.homset_lattice(Q)
+
+
 def test_homset_lattice_order_matches_the_pointwise_gather(zoo):
     for name, L in zoo.items():
         Q = latq.enumerate_homset(L, L)
