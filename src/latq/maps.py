@@ -157,17 +157,6 @@ def pointwise_meet(fs: Sequence[LatMap],
 # ---------------------------------------------------------------- kernels
 
 
-def _distinct_codes(columns, base: int):
-    """The distinct values of sum of columns[x] * base ** x, sorted, and for
-    each entry its position among them, shaped as the columns; callers keep
-    the sum below 2 ** 62."""
-    codes = 0
-    for x, column in enumerate(columns):
-        codes = codes + column.astype(np.int64) * base ** x
-    distinct, inverse = np.unique(codes.ravel(), return_inverse=True)
-    return distinct, inverse.reshape(codes.shape)
-
-
 def _distinct_rows(F: np.ndarray, base: int):
     """The distinct rows of a (B, n) matrix of entries below base, and for
     each row the position of its copy among them; None when a row does not
@@ -176,11 +165,11 @@ def _distinct_rows(F: np.ndarray, base: int):
     Row k is coded as sum of F[k, x] * base ** x, and the distinct rows
     are decoded from the sorted distinct codes.
     """
-    rows, width = F.shape
+    width = F.shape[1]
     if width * math.log2(base) >= 62:
         return None
-    distinct, inverse = _distinct_codes((F[:, x] for x in range(width)), base)
     powers = base ** np.arange(width, dtype=np.int64)
+    distinct, inverse = np.unique(F @ powers, return_inverse=True)
     return (distinct[:, None] // powers % base).astype(F.dtype), inverse
 
 

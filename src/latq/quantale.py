@@ -7,7 +7,10 @@ The detectors (cyclic, central, dualizing, codualizing, involutive
 axioms) run on the stacked value matrix through the batch kernels in
 `maps`, with the single-map operations as their spot-checkable face.
 The cyclic and dualizing searches take the candidates in chunks, each
-chunk's residuals against every member in one kernel call.
+chunk's residuals against every member in one kernel call.  A right
+residual is a left residual on the order duals: `rho` reverses
+composition and the order, so `rho(h / f)` is the least meet-continuous
+map above `f . rho(h)`.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from .lattice import Lattice, Poset, build_lattice
 from .maps import (
     LatMap,
     _batch_interior,
+    _batch_left_adjoint,
     _batch_raney_join,
     _batch_right_adjoint,
-    _distinct_codes,
+    _once_per_distinct_row,
     compose,
     identity,
     interior,
@@ -66,11 +70,6 @@ class HomsetEnumeration:
         return iter(self.maps)
 
     @cached_property
-    def index_sets(self):
-        """`_index_sets` of the members: {x : y <= f(x)} for each f, y."""
-        return _index_sets(self.cod, self.matrix)
-
-    @cached_property
     def rho(self) -> np.ndarray:
         """Right adjoints of all members, stacked (B, cod.n)."""
         return _batch_right_adjoint(self.dom, self.cod, self.matrix)
@@ -80,7 +79,7 @@ class HomsetEnumeration:
             raise DomainMismatch("map belongs to a different homset")
         k = self.index.get(f.key)
         if k is None:
-            raise ValueError("map is not join-continuous for this homset")
+            raise NotContinuous("map is not join-continuous for this homset")
         return k
 
     def __contains__(self, f: LatMap) -> bool:
@@ -155,58 +154,23 @@ def residual_left(g: LatMap, h: LatMap) -> LatMap:
 def residual_right(h: LatMap, f: LatMap) -> LatMap:
     """Greatest k with k . f <= h.
 
-    Interior of y -> meet of h(x) over x with y <= f(x); a jc map k
-    satisfies k . f <= h exactly when it sits below that envelope.
+    k . f <= h exactly when f . rho(h) <= rho(k), so rho(h / f) is the
+    least meet-continuous map above f . rho(h) (`_batch_residual_right`).
     """
     if h.dom != f.dom:
         raise DomainMismatch("residual_right needs h.dom == f.dom")
     if not (is_join_continuous(h) and is_join_continuous(f)):
         raise NotContinuous("residuals live among join-continuous maps")
-    env = _residual_envelope(f.cod, h.cod, h.values, f.values)
-    return interior(LatMap(f.cod, h.cod, env))
+    G = compose(f, right_adjoint(h)).values[None]
+    return LatMap(f.cod, h.cod, _batch_residual_right(h.cod, f.cod, G)[0])
 
 
-def _residual_envelope(M: Lattice, N: Lattice, H: np.ndarray,
-                       F: np.ndarray, sets=None) -> np.ndarray:
-    """y -> meet of H[..., x] over x with y <= F[..., x], for maps h, f out
-    of one domain into N and M.  The leading axes of H and F broadcast
-    against each other; neither is tiled to the broadcast shape.
-
-    The meets are taken once per row of H and distinct index set
-    {x : y <= f(x)} of F (`_index_sets`, which a caller may pass in), and
-    gathered back.  When an axis pairs several rows of H with several
-    rows of F, or a set does not fit a code, one mask per x is used instead.
-    """
-    lead = np.broadcast_shapes(H.shape[:-1], F.shape[:-1])
-    h_lead = (1,) * (len(lead) + 1 - H.ndim) + H.shape[:-1]
-    f_lead = (1,) * (len(lead) + 1 - F.ndim) + F.shape[:-1]
-    if sets is None and not any(
-            h > 1 and f > 1 for h, f in zip(h_lead, f_lead)):
-        sets = _index_sets(M, F)
-    if sets is None:
-        acc = np.full(lead + (M.n,), N.top, dtype=np.int32)
-        for x in range(H.shape[-1]):
-            cond = M.leq.T[F[..., x]]                  # [..., y] = y <= f(x)
-            acc = np.where(cond, N.meet[acc, H[..., x, None]], acc)
-        return acc
-    members, inverse = sets
-    G = np.full(h_lead + (len(members),), N.top, dtype=np.int32)
-    for x in range(H.shape[-1]):
-        G = np.where(members[:, x], N.meet[G, H[..., x, None]], G)
-    return np.take_along_axis(G, inverse.reshape(f_lead + (M.n,)), axis=-1)
-
-
-def _index_sets(M: Lattice, F: np.ndarray):
-    """The sets {x : y <= F[..., x]} for each row of F and y in M, as the
-    distinct sets (a (D, width) mask) and each (row, y)'s position among
-    them; None when a set does not fit a 62-bit code (width >= 62).  For
-    monotone rows they are up-sets of the domain, which bounds D."""
-    width = F.shape[-1]
-    if width >= 62:
-        return None
-    codes, inverse = _distinct_codes(
-        (M.leq.T[F[..., x]] for x in range(width)), 2)
-    return (codes[:, None] >> np.arange(width) & 1).astype(bool), inverse
+@_once_per_distinct_row
+def _batch_residual_right(N: Lattice, M: Lattice, G: np.ndarray) -> np.ndarray:
+    """Rowwise h / f, maps M -> N, from the rows of G = f . rho(h), maps
+    N -> M: the left adjoint of the interior of G between the order duals,
+    which is the least meet-continuous map above G."""
+    return _batch_left_adjoint(N, M, _batch_interior(N.op, M.op, G))
 
 
 def star(f: LatMap) -> LatMap:
@@ -237,14 +201,15 @@ def _require_endo(Q: HomsetEnumeration) -> Lattice:
 
 def _residual_rows(Q: HomsetEnumeration, A: np.ndarray):
     """For rows alpha_j of A, (f_k \\ alpha_j, alpha_j / f_k) over the
-    members f_k of Q, each as a (len(A), len(Q), n) array."""
+    members f_k of Q, each as a (len(A), len(Q), n) array, and the right
+    adjoints of the rows of A."""
     L = _require_endo(Q)
-    F = Q.matrix
-    shape = (len(A), len(F), L.n)
+    rho_A = _batch_right_adjoint(L, L, A)
+    shape = (len(A), len(Q), L.n)
     into = _batch_interior(L, L, Q.rho[:, A].swapaxes(0, 1).reshape(-1, L.n))
-    over = _batch_interior(L, L, _residual_envelope(
-        L, L, A[:, None], F[None], Q.index_sets).reshape(-1, L.n))
-    return into.reshape(shape), over.reshape(shape)
+    over = _batch_residual_right(
+        L, L, Q.matrix[:, rho_A].swapaxes(0, 1).reshape(-1, L.n))
+    return into.reshape(shape), over.reshape(shape), rho_A
 
 
 def _residuals_twice(Q: HomsetEnumeration, A: np.ndarray):
@@ -252,14 +217,14 @@ def _residuals_twice(Q: HomsetEnumeration, A: np.ndarray):
     (f_k \\ alpha_j)) over the members f_k of Q, shaped as in
     `_residual_rows`."""
     L = Q.dom
-    into, over = _residual_rows(Q, A)
+    into, over, rho_A = _residual_rows(Q, A)
     # (alpha_j / f_k) \ alpha_j is the interior of rho(alpha_j / f_k) . alpha_j
     rho = _batch_right_adjoint(L, L, over.reshape(-1, L.n)).reshape(over.shape)
     j = np.arange(len(A))[:, None, None]
     k = np.arange(len(Q))[None, :, None]
     back1 = _batch_interior(L, L, rho[j, k, A[:, None, :]].reshape(-1, L.n))
-    back2 = _batch_interior(L, L, _residual_envelope(
-        L, L, A[:, None], into).reshape(-1, L.n))
+    back2 = _batch_residual_right(
+        L, L, into[j, k, rho_A[:, None, :]].reshape(-1, L.n))
     return back1.reshape(over.shape), back2.reshape(over.shape)
 
 
@@ -273,7 +238,7 @@ def _members_where(Q: HomsetEnumeration, verdicts) -> list[LatMap]:
 
 
 def _cyclic(Q: HomsetEnumeration, A: np.ndarray) -> np.ndarray:
-    into, over = _residual_rows(Q, A)
+    into, over, _ = _residual_rows(Q, A)
     return (into == over).all(axis=(1, 2))
 
 
@@ -285,7 +250,8 @@ def _dualizing(Q: HomsetEnumeration, A: np.ndarray) -> np.ndarray:
 
 def is_cyclic(alpha: LatMap, Q: HomsetEnumeration) -> CheckResult:
     """Left and right residuals into alpha agree for every member."""
-    into, over = _residual_rows(Q, alpha.values[None])
+    Q.position(alpha)
+    into, over, _ = _residual_rows(Q, alpha.values[None])
     w = row_witness((into[0] == over[0]).all(axis=1), {
         "f": Q.matrix, "left_residual": into[0], "right_residual": over[0]})
     return CheckResult("cyclic", w is None, w)
@@ -293,6 +259,7 @@ def is_cyclic(alpha: LatMap, Q: HomsetEnumeration) -> CheckResult:
 
 def is_dualizing(alpha: LatMap, Q: HomsetEnumeration) -> CheckResult:
     """Residuating into alpha twice returns every member unchanged."""
+    Q.position(alpha)
     back1, back2 = _residuals_twice(Q, alpha.values[None])
     F = Q.matrix
     w = row_witness(((back1[0] == F) & (back2[0] == F)).all(axis=1), {
@@ -303,8 +270,7 @@ def is_dualizing(alpha: LatMap, Q: HomsetEnumeration) -> CheckResult:
 def is_codualizing(beta: LatMap, Q: HomsetEnumeration) -> CheckResult:
     """Every member is recovered as beta \\ (beta . member)."""
     L = _require_endo(Q)
-    if not is_join_continuous(beta):
-        raise NotContinuous("codualizing test needs a join-continuous map")
+    Q.position(beta)
     F = Q.matrix
     rho_b = right_adjoint(beta).values
     recovered = _batch_interior(L, L, rho_b[beta.values[F]])
@@ -415,10 +381,10 @@ def check_involutive_axioms(L: Lattice, M: Lattice,
         return done(False, w)
 
     # h / f == star(f . h*) over pairs h, f from Q(L, M); T is [f, h]
-    env = _residual_envelope(M, M, FA[:, None, :], FA[None, :, :])
     w = formula_witness(
         "right_residual_formula", ("h", "f"), M,
-        _batch_interior(M, M, env.reshape(B * B, M.n)),
+        _batch_residual_right(M, M, FA[:, A.rho].swapaxes(0, 1).reshape(
+            B * B, M.n)),
         T.reshape(B * B, M.n))
     if w:
         return done(False, w)

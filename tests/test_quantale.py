@@ -116,7 +116,9 @@ def test_residual_fixtures(zoo):
 
 
 def test_residuals_satisfy_universal_property(zoo):
-    for name in ("c3", "b2"):
+    # m3 and n5 are not distributive, so the interior's binding pairs
+    # take part on both sides of each residual
+    for name in ("c3", "b2", "m3", "n5"):
         L = zoo[name]
         Q = latq.enumerate_homset(L, L)
         for g in Q.maps:
@@ -225,22 +227,37 @@ def _envelope_by_definition(M, N, h, f):
             for y in range(M.n)]
 
 
-def test_residual_envelope_matches_definition(zoo):
-    # leading axes broadcast; the paired shapes, and every shape on the
-    # 64-chain, whose index sets are too wide to code, take one mask per x
+def test_residual_right_on_rectangular_homsets(zoo):
+    # h: X -> N and f: X -> M; h / f is the greatest k in Q(M, N) with
+    # k . f <= h, found here by filtering that homset
+    rng = np.random.RandomState(5)
+    carriers = [zoo[k] for k in ("n5", "m3", "c3", "b2")]
+    for X, M, N in itertools.product(carriers, repeat=3):
+        K = latq.enumerate_homset(M, N).matrix
+        H = latq.enumerate_homset(X, N).matrix
+        F = latq.enumerate_homset(X, M).matrix
+        for h in H[rng.randint(len(H), size=4)]:
+            for f in F[rng.randint(len(F), size=4)]:
+                below = K[N.leq[K[:, f], h].all(axis=1)]
+                top = [k for k in below if N.leq[below, k].all()]
+                got = latq.residual_right(latq.LatMap(X, N, h),
+                                          latq.LatMap(X, M, f))
+                assert len(top) == 1, (X, M, N)
+                assert got.values.tolist() == top[0].tolist(), (X, M, N)
+
+
+def test_residual_right_on_a_wide_chain():
+    # rows of 64 elements do not fit a row code, so every kernel runs on
+    # its rows as given; h / f is the interior of y -> meet of h(x) over
+    # x with y <= f(x)
     c64 = build_lattice(Poset(np.triu(np.ones((64, 64), dtype=bool))))
     rng = np.random.RandomState(3)
-    for L in (zoo["n5"], zoo["b3"], c64):
-        for h_lead, f_lead in (((), ()), ((3, 1), (1, 4)), ((2, 1), (2, 3))):
-            H = rng.randint(0, L.n, size=h_lead + (L.n,))
-            F = rng.randint(0, L.n, size=f_lead + (L.n,))
-            got = latq.quantale._residual_envelope(L, L, H, F)
-            lead = np.broadcast_shapes(h_lead, f_lead)
-            assert got.shape == lead + (L.n,)
-            for i in np.ndindex(lead):
-                h = np.broadcast_to(H, lead + (L.n,))[i]
-                f = np.broadcast_to(F, lead + (L.n,))[i]
-                assert got[i].tolist() == _envelope_by_definition(L, L, h, f)
+    for _ in range(20):
+        h, f = (latq.LatMap(c64, c64, np.sort(rng.randint(64, size=64))
+                            * (np.arange(64) > 0)) for _ in range(2))
+        want = latq.interior(latq.LatMap(
+            c64, c64, _envelope_by_definition(c64, c64, h.values, f.values)))
+        assert latq.residual_right(h, f) == want
 
 
 def _def_cyclic(L, Q, alpha):
@@ -403,6 +420,17 @@ def test_central_elements_match_definition(corpus):
         want = [f for f in Q.maps if all(
             latq.compose(f, g) == latq.compose(g, f) for g in Q.maps)]
         assert latq.central_elements(Q) == want, name
+
+
+def test_detectors_refuse_a_candidate_outside_the_homset(zoo):
+    b2, c3 = zoo["b2"], zoo["c3"]
+    Q = latq.enumerate_homset(c3, c3)
+    for detect in (latq.is_cyclic, latq.is_dualizing, latq.is_codualizing):
+        for other in (latq.special(b2, "o"), latq.identity(c3.op)):
+            with pytest.raises(latq.DomainMismatch):
+                detect(other, Q)
+        with pytest.raises(latq.NotContinuous):
+            detect(latq.LatMap(c3, c3, [2, 2, 2]), Q)
 
 
 def test_codualizing_fixtures(zoo):
