@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -89,13 +89,33 @@ def row_witness(ok: np.ndarray, rows: dict[str, np.ndarray]) -> dict | None:
             .tolist() for key, a in rows.items()}
 
 
+def verdict(name: str, ok: np.ndarray, rows: dict[str, np.ndarray]
+            ) -> CheckResult:
+    """The verdict of check `name`: it holds when ok is all True, and
+    otherwise row_witness(ok, rows) is its witness."""
+    w = row_witness(ok, rows)
+    return CheckResult(name, w is None, w)
+
+
+def first_failing_law(laws: Iterable[tuple]) -> dict | None:
+    """The law's name and row_witness(ok, rows) at the first (law, ok,
+    rows) of laws with a False in ok; None when every law holds.  A law's
+    arrays are dropped before the next law is computed, and no law after
+    a failing one is computed."""
+    for law, *v in laws:
+        w = row_witness(*v)
+        del v
+        if w:
+            return {"law": law, **w}
+    return None
+
+
 def raney_join_criterion(L: Lattice) -> CheckResult:
     """Every x equals the join over t not above x of omega(t)."""
     om = maps.special(L, "omega").values
     got = maps._batch_raney_join(L, L, om[None, :])[0]
     x = np.arange(L.n)
-    w = row_witness(got == x, {"x": x, "computed": got})
-    return CheckResult("raney_join_criterion", w is None, w)
+    return verdict("raney_join_criterion", got == x, {"x": x, "computed": got})
 
 
 def raney_meet_criterion(L: Lattice) -> CheckResult:

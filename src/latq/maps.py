@@ -40,7 +40,7 @@ class LatMap:
     __slots__ = ("dom", "cod", "values", "_key")
 
     def __init__(self, dom: Lattice, cod: Lattice, values):
-        values = np.array(values, dtype=np.int32)
+        values = np.asarray(values)     # range-checked before the int32 cast
         if values.shape != (dom.n,):
             raise DomainMismatch(
                 f"expected {dom.n} values, got shape {values.shape}"
@@ -49,7 +49,7 @@ class LatMap:
             raise IndexOutOfRange("value outside the codomain carrier")
         self.dom = dom
         self.cod = cod
-        self.values = _frozen(values)
+        self.values = _frozen(values.astype(np.int32))
         self._key: bytes | None = None
 
     def __call__(self, x: int) -> int:

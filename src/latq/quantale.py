@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cd import CheckResult, row_witness
+from .cd import CheckResult, first_failing_law, verdict
 from .errors import CapExceeded, DomainMismatch, NotContinuous, NotEndoHomset
 from .lattice import Lattice, Poset, build_lattice
 from .maps import (
@@ -252,9 +252,8 @@ def is_cyclic(alpha: LatMap, Q: HomsetEnumeration) -> CheckResult:
     """Left and right residuals into alpha agree for every member."""
     Q.position(alpha)
     into, over, _ = _residual_rows(Q, alpha.values[None])
-    w = row_witness((into[0] == over[0]).all(axis=1), {
+    return verdict("cyclic", (into[0] == over[0]).all(axis=1), {
         "f": Q.matrix, "left_residual": into[0], "right_residual": over[0]})
-    return CheckResult("cyclic", w is None, w)
 
 
 def is_dualizing(alpha: LatMap, Q: HomsetEnumeration) -> CheckResult:
@@ -262,9 +261,9 @@ def is_dualizing(alpha: LatMap, Q: HomsetEnumeration) -> CheckResult:
     Q.position(alpha)
     back1, back2 = _residuals_twice(Q, alpha.values[None])
     F = Q.matrix
-    w = row_witness(((back1[0] == F) & (back2[0] == F)).all(axis=1), {
-        "f": F, "left_then_right": back1[0], "right_then_left": back2[0]})
-    return CheckResult("dualizing", w is None, w)
+    return verdict("dualizing", ((back1[0] == F) & (back2[0] == F)).all(axis=1),
+                   {"f": F, "left_then_right": back1[0],
+                    "right_then_left": back2[0]})
 
 
 def is_codualizing(beta: LatMap, Q: HomsetEnumeration) -> CheckResult:
@@ -274,9 +273,8 @@ def is_codualizing(beta: LatMap, Q: HomsetEnumeration) -> CheckResult:
     F = Q.matrix
     rho_b = right_adjoint(beta).values
     recovered = _batch_interior(L, L, rho_b[beta.values[F]])
-    w = row_witness((recovered == F).all(axis=1),
-                    {"x": F, "recovered": recovered})
-    return CheckResult("codualizing", w is None, w)
+    return verdict("codualizing", (recovered == F).all(axis=1),
+                   {"x": F, "recovered": recovered})
 
 
 def cyclic_elements(Q: HomsetEnumeration) -> list[LatMap]:
@@ -332,62 +330,56 @@ def check_involutive_axioms(L: Lattice, M: Lattice,
     and the triangle rotation over Q(L,L) x Q(L,M)^2 when that triple
     count fits ROTATION_CAP (recorded in .info["rotation_checked"]).
     """
-
-    def done(holds: bool, witness=None) -> CheckResult:
-        return CheckResult("involutive_axioms", holds, witness, info=info)
-
     A = enumerate_homset(L, M, cap)
+    info = {"homset_size": len(A), "rotation_checked": False}
+    w = first_failing_law(_axiom_laws(L, M, A, cap, info))
+    return CheckResult("involutive_axioms", w is None, w, info=info)
+
+
+def _axiom_laws(L: Lattice, M: Lattice, A: HomsetEnumeration, cap: int,
+                info: dict):
+    """The laws of `check_involutive_axioms` as (law, ok, rows), in order."""
     FA = A.matrix
     B = len(A)
-    info: dict[str, object] = {"homset_size": B, "rotation_checked": False}
     oL = special(L, "o").values
     oM = special(M, "o").values
 
     SA = _batch_raney_join(M, L, A.rho)               # stars, maps M -> L
     SS = _batch_raney_join(L, M, _batch_right_adjoint(M, L, SA))
-    w = row_witness((SS == FA).all(axis=1), {"f": FA, "twice": SS})
-    if w:
-        return done(False, {"law": "double_transform", **w})
+    yield "double_transform", (SS == FA).all(axis=1), {"f": FA, "twice": SS}
 
     LE = _pointwise_leq(M, FA, FA)                    # f_i <= f_j
     T = FA[:, SA]                                     # [i, j, y] = (f_i . s_j)(y)
     C1 = M.leq[T, oM[None, None, :]].all(axis=-1)     # f_i . s_j <= zero_M
     U = SA[:, FA]                                     # [j, i, x] = (s_j . f_i)(x)
     C2 = L.leq[U, oL[None, None, :]].all(axis=-1).T   # s_j . f_i <= zero_L
-    w = row_witness((LE == C1) & (LE == C2), {
+    yield "order_reversal", (LE == C1) & (LE == C2), {
         "f": FA[:, None], "g": FA[None], "leq": LE,
-        "right_compose_below_zero": C1, "left_compose_below_zero": C2})
-    if w:
-        return done(False, {"law": "order_reversal", **w})
+        "right_compose_below_zero": C1, "left_compose_below_zero": C2}
 
-    def formula_witness(law: str, names: tuple[str, str], K: Lattice,
-                        ref: np.ndarray, X: np.ndarray) -> dict | None:
+    def formula(names: tuple[str, str], K: Lattice, ref: np.ndarray,
+                X: np.ndarray):
         """ref, over pairs (a, b) flattened, against the stars of the rows
-        of X, flattened as (b, a); the first pair that differs."""
+        of X, flattened as (b, a)."""
         ref = ref.reshape(B, B, K.n)
         alt = _batch_raney_join(K, K, _batch_right_adjoint(K, K, X))
         alt = alt.reshape(B, B, K.n).swapaxes(0, 1)
-        w = row_witness((ref == alt).all(axis=-1), {
+        return (ref == alt).all(axis=-1), {
             names[0]: FA[:, None], names[1]: FA[None],
-            "residual": ref, "via_transform": alt})
-        return w and {"law": law, **w}
+            "residual": ref, "via_transform": alt}
 
     # g \ h == star(h* . g) over pairs g, h from Q(L, M); U is [h, g]
-    w = formula_witness(
-        "left_residual_formula", ("g", "h"), L,
+    yield "left_residual_formula", *formula(
+        ("g", "h"), L,
         _batch_interior(L, L, A.rho[:, FA].reshape(B * B, L.n)),
         U.reshape(B * B, L.n))
-    if w:
-        return done(False, w)
 
     # h / f == star(f . h*) over pairs h, f from Q(L, M); T is [f, h]
-    w = formula_witness(
-        "right_residual_formula", ("h", "f"), M,
+    yield "right_residual_formula", *formula(
+        ("h", "f"), M,
         _batch_residual_right(M, M, FA[:, A.rho].swapaxes(0, 1).reshape(
             B * B, M.n)),
         T.reshape(B * B, M.n))
-    if w:
-        return done(False, w)
 
     E = A if M == L else enumerate_homset(L, L, cap)
     if len(E) * B * B <= ROTATION_CAP:
@@ -401,12 +393,9 @@ def check_involutive_axioms(L: Lattice, M: Lattice,
             P2 = L.leq[WV, SE[u][None, None, :]].all(axis=-1)
             UW = FE[u][SA]                            # [w, y] = (e_u . s_w)(y)
             P3 = L.leq[UW[None, :, :], SA[:, None, :]].all(axis=-1)
-            w = row_witness((P1 == P2) & (P1 == P3), {
+            yield "triangle_rotation", (P1 == P2) & (P1 == P3), {
                 "f": FE[u][None, None], "g": FA[:, None], "h": FA[None],
-                "compose_below": P1, "rotated_left": P2, "rotated_right": P3})
-            if w:
-                return done(False, {"law": "triangle_rotation", **w})
-    return done(True)
+                "compose_below": P1, "rotated_left": P2, "rotated_right": P3}
 
 
 def homset_lattice(Q: HomsetEnumeration, name: str | None = None) -> Lattice:

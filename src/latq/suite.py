@@ -9,6 +9,7 @@ as failures on the built-in corpus.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 from typing import Callable
@@ -16,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import cd, maps, quantale
-from .cd import CheckResult, row_witness
+from .cd import CheckResult, first_failing_law, verdict
 from .errors import CapExceeded
 from .lattice import (
     GeneratorSpec,
@@ -58,29 +59,17 @@ def builtin_corpus() -> list[Lattice]:
 
 
 class SuiteContext:
-    """Per-run caches: profiles, endo homsets, seeded generators."""
+    """Per-run caches: profiles, endo homsets, axioms, seeded generators."""
 
     def __init__(self, seed: int = 0, cap: int = quantale.DEFAULT_CAP):
         self.seed = seed
         self.cap = cap
-        self._profiles: dict[Lattice, cd.LatticeProfile] = {}
-        self._homsets: dict[Lattice, quantale.HomsetEnumeration] = {}
-        self._axioms: dict[Lattice, CheckResult] = {}
-
-    def profile(self, L: Lattice) -> cd.LatticeProfile:
-        if L not in self._profiles:
-            self._profiles[L] = cd.classify_lattice(L)
-        return self._profiles[L]
-
-    def homset(self, L: Lattice) -> quantale.HomsetEnumeration:
-        if L not in self._homsets:
-            self._homsets[L] = quantale.enumerate_homset(L, L, self.cap)
-        return self._homsets[L]
-
-    def axioms(self, L: Lattice) -> CheckResult:
-        if L not in self._axioms:
-            self._axioms[L] = quantale.check_involutive_axioms(L, L, self.cap)
-        return self._axioms[L]
+        # each lambda looks its function up per call, as wrappers rebind it
+        self.profile = functools.cache(lambda L: cd.classify_lattice(L))
+        self.homset = functools.cache(
+            lambda L: quantale.enumerate_homset(L, L, cap))
+        self.axioms = functools.cache(
+            lambda L: quantale.check_involutive_axioms(L, L, cap))
 
     def rng(self, L: Lattice, check_id: str) -> np.random.RandomState:
         tag = f"{self.seed}:{check_id}:{L.name}".encode()
@@ -125,6 +114,27 @@ def _gate(cd: bool | None = None, min_n: int = 1, max_n: int | None = None,
     return applies
 
 
+REGISTRY: tuple[TheoremCheck, ...] = ()
+
+
+def _check(check_id: str, **gate):
+    """Register the decorated body, in order, as check `check_id` gated by
+    `_gate(**gate)`; its docstring, whitespace collapsed, is the check's
+    statement (the id under `python -OO`, which drops docstrings)."""
+    def register(run):
+        global REGISTRY
+        statement = " ".join((run.__doc__ or check_id).split())
+        REGISTRY += (TheoremCheck(check_id, statement, _gate(**gate), run),)
+        return run
+    return register
+
+
+def _refuted(check_id: str, tag: str, held: bool) -> CheckResult:
+    """The verdict of a check that a statement fails: it holds when the
+    statement did not, and the witness records that it did."""
+    return CheckResult(check_id, not held, {tag: True} if held else None)
+
+
 def _jc_matrix(ctx: SuiteContext, L: Lattice, check_id: str) -> np.ndarray:
     """Exhaustive jc maps for small carriers, seeded jc samples otherwise."""
     if L.n <= EXHAUSTIVE_N:
@@ -141,47 +151,56 @@ def _monotone_matrix(ctx: SuiteContext, L: Lattice, check_id: str) -> np.ndarray
 
 # ------------------------------------------------------------- the checks
 
+@_check("T1")
 def _t1(ctx: SuiteContext, L: Lattice) -> CheckResult:
+    """special o equals the pointwise join over t of c(t) composed after
+    a(t)"""
     o = maps.special(L, "o")
     parts = [
         maps.compose(maps.special(L, "c", t), maps.special(L, "a", t))
         for t in range(L.n)
     ]
     got = maps.pointwise_join(parts, dom=L, cod=L)
-    witness = None
-    if got != o:
-        witness = {"computed": got.values.tolist(), "o": o.values.tolist()}
-    return CheckResult("T1", got == o, witness)
+    return CheckResult("T1", got == o, None if got == o else {
+        "computed": got.values.tolist(), "o": o.values.tolist()})
 
 
+@_check("T2")
 def _t2(ctx: SuiteContext, L: Lattice) -> CheckResult:
+    """interior of the upper indicator alpha(x) is the annihilator at
+    o(x)"""
     o = maps.special(L, "o").values
     alphas = np.where(L.leq, L.top, L.bottom).astype(np.int32)
     got = maps._batch_interior(L, L, alphas)
     expect = np.where(L.leq[:, o].T, L.bottom, L.top).astype(np.int32)
-    w = row_witness((got == expect).all(axis=1), {
+    return verdict("T2", (got == expect).all(axis=1), {
         "x": np.arange(L.n), "interior": got, "annihilator_at_o(x)": expect})
-    return CheckResult("T2", w is None, w)
 
 
+@_check("T3", max_n=SAMPLED_N, max_q=PAIR_HOMSET_CAP)
 def _t3(ctx: SuiteContext, L: Lattice) -> CheckResult:
+    """cyclic members of the endo homset all equal constant-top or special
+    o"""
     Q = ctx.homset(L)
     allowed = {maps.special(L, "c", L.top).key, maps.special(L, "o").key}
     extras = [f for f in quantale.cyclic_elements(Q) if f.key not in allowed]
-    witness = None
-    if extras:
-        witness = {"cyclic_but_unexpected": extras[0].values.tolist()}
-    return CheckResult("T3", not extras, witness)
+    return CheckResult("T3", not extras, None if not extras else {
+        "cyclic_but_unexpected": extras[0].values.tolist()})
 
 
+@_check("T4", min_n=2, max_n=SAMPLED_N, max_q=PAIR_HOMSET_CAP)
 def _t4(ctx: SuiteContext, L: Lattice) -> CheckResult:
-    Q = ctx.homset(L)
-    res = quantale.is_dualizing(maps.special(L, "c", L.top), Q)
-    witness = {"constant_top_dualizing": True} if res.holds else None
-    return CheckResult("T4", not res.holds, witness)
+    """constant-top is never dualizing on carriers with two or more
+    elements"""
+    top = maps.special(L, "c", L.top)
+    return _refuted("T4", "constant_top_dualizing",
+                    quantale.is_dualizing(top, ctx.homset(L)).holds)
 
 
+@_check("T5", max_n=SAMPLED_N, max_q=PAIR_HOMSET_CAP)
 def _t5(ctx: SuiteContext, L: Lattice) -> CheckResult:
+    """if special o is cyclic and differs from constant-top, the carrier
+    meets the meet criterion and the distributivity oracle"""
     Q = ctx.homset(L)
     o = maps.special(L, "o")
     c_top = maps.special(L, "c", L.top)
@@ -192,49 +211,58 @@ def _t5(ctx: SuiteContext, L: Lattice) -> CheckResult:
     conclusion = meets.holds and L.is_distributive
     witness = None if conclusion else {
         "premise": "o cyclic and distinct from constant-top",
-        "meet_criterion": meets.holds,
-        "distributive": L.is_distributive,
-    }
+        "meet_criterion": meets.holds, "distributive": L.is_distributive}
     return CheckResult("T5", conclusion, witness, substantive=True)
 
 
+@_check("T6", cd=True, max_q=PAIR_HOMSET_CAP)
 def _t6(ctx: SuiteContext, L: Lattice) -> CheckResult:
+    """involutive-quantaloid axioms hold on completely distributive
+    carriers"""
     res = ctx.axioms(L)
     return CheckResult("T6", res.holds, res.witness)
 
 
+@_check("T6n", cd=False, max_q=PAIR_HOMSET_CAP)
 def _t6n(ctx: SuiteContext, L: Lattice) -> CheckResult:
-    res = ctx.axioms(L)
-    witness = None if not res.holds else {"axioms_hold_on_non_cd": True}
-    return CheckResult("T6n", not res.holds, witness)
+    """involutive-quantaloid axioms fail on non completely distributive
+    carriers"""
+    return _refuted("T6n", "axioms_hold_on_non_cd", ctx.axioms(L).holds)
 
 
+@_check("T7", max_q=CENTER_HOMSET_CAP)
 def _t7(ctx: SuiteContext, L: Lattice) -> CheckResult:
+    """the composition center is exactly the identity and constant-bottom"""
     Q = ctx.homset(L)
     expect = {maps.identity(L).key, maps.special(L, "c", L.bottom).key}
     got = {f.key for f in quantale.central_elements(Q)}
-    witness = None
-    if got != expect:
-        sample = next(iter(got.symmetric_difference(expect)))
-        witness = {"difference_member": list(np.frombuffer(sample, dtype=np.int32).tolist())}
-    return CheckResult("T7", got == expect, witness)
+    return CheckResult("T7", got == expect, None if got == expect else {
+        "difference_member": np.frombuffer(next(iter(got ^ expect)),
+                                           dtype=np.int32).tolist()})
 
 
+@_check("T8", cd=True, max_n=SAMPLED_N)
 def _t8(ctx: SuiteContext, L: Lattice) -> CheckResult:
+    """meet transform then join transform is the identity on jc maps over
+    completely distributive carriers"""
     F = _jc_matrix(ctx, L, "T8")
     back = maps._batch_raney_join(L, L, maps._batch_raney_meet(L, L, F))
-    w = row_witness((back == F).all(axis=1), {"f": F, "roundtrip": back})
-    return CheckResult("T8", w is None, w)
+    return verdict("T8", (back == F).all(axis=1), {"f": F, "roundtrip": back})
 
 
+@_check("T8n", cd=False)
 def _t8n(ctx: SuiteContext, L: Lattice) -> CheckResult:
+    """meet transform then join transform moves the identity map on non
+    completely distributive carriers"""
     ident = maps.identity(L)
-    back = maps.raney_join(maps.raney_meet(ident))
-    witness = None if back != ident else {"roundtrip_fixed_identity": True}
-    return CheckResult("T8n", back != ident, witness)
+    return _refuted("T8n", "roundtrip_fixed_identity",
+                    maps.raney_join(maps.raney_meet(ident)) == ident)
 
 
+@_check("T9", cd=True, max_n=SAMPLED_N)
 def _t9(ctx: SuiteContext, L: Lattice) -> CheckResult:
+    """interior equals join transform after omega, and join transform
+    equals interior after o, for monotone maps over CD carriers"""
     F = _monotone_matrix(ctx, L, "T9")
     o = maps.special(L, "o").values
     om = maps.special(L, "omega").values
@@ -242,26 +270,32 @@ def _t9(ctx: SuiteContext, L: Lattice) -> CheckResult:
     via_omega = maps._batch_raney_join(L, L, F[:, om])
     joins = maps._batch_raney_join(L, L, F)
     via_o = maps._batch_interior(L, L, F[:, o])
-    w = row_witness(((ints == via_omega) & (joins == via_o)).all(axis=1), {
-        "f": F,
-        "interior": ints,
-        "join_transform_after_omega": via_omega,
-        "join_transform": joins,
-        "interior_after_o": via_o,
-    })
-    return CheckResult("T9", w is None, w)
+    return verdict("T9", ((ints == via_omega) & (joins == via_o)).all(axis=1), {
+        "f": F, "interior": ints, "join_transform_after_omega": via_omega,
+        "join_transform": joins, "interior_after_o": via_o})
 
 
+@_check("T9n", cd=False)
 def _t9n(ctx: SuiteContext, L: Lattice) -> CheckResult:
+    """the interior-via-omega formula fails at the identity map on non
+    completely distributive carriers"""
     ident = maps.identity(L)
-    om = maps.special(L, "omega")
-    via = maps.raney_join(maps.compose(ident, om))
-    holds = via != maps.interior(ident)
-    witness = None if holds else {"interior_formula_held_on_non_cd": True}
-    return CheckResult("T9n", holds, witness)
+    via = maps.raney_join(maps.compose(ident, maps.special(L, "omega")))
+    return _refuted("T9n", "interior_formula_held_on_non_cd",
+                    via == maps.interior(ident))
 
 
+@_check("T10", max_n=SAMPLED_N)
 def _t10(ctx: SuiteContext, L: Lattice) -> CheckResult:
+    """join transform is order-preserving, lax over composition with a
+    monotone left factor, exact for a jc left factor, and agrees with the
+    left adjoint of the meet transform on jc maps"""
+    w = first_failing_law(_t10_laws(ctx, L))
+    return CheckResult("T10", w is None, w)
+
+
+def _t10_laws(ctx: SuiteContext, L: Lattice):
+    """T10's laws as (law, ok, rows), in order."""
     if L.n <= EXHAUSTIVE_N:
         A = maps.all_maps_array(L, L)
         Mo = maps.monotone_maps_array(L, L)
@@ -279,11 +313,9 @@ def _t10(ctx: SuiteContext, L: Lattice) -> CheckResult:
         Mo = maps.sample_monotone_maps(L, L, SAMPLE_COUNT // 2, rng)
         J = maps._batch_interior(L, L, Mo)
     RA = maps._batch_raney_join(L, L, A)
-    LE = quantale._pointwise_leq(L, A, A)
-    LE_T = quantale._pointwise_leq(L, RA, RA)
-    w = row_witness(~LE | LE_T, {"f": A[:, None], "g": A[None]})
-    if w:
-        return CheckResult("T10", False, {"law": "transform_monotone", **w})
+    yield "transform_monotone", (~quantale._pointwise_leq(L, A, A)
+                                 | quantale._pointwise_leq(L, RA, RA)), {
+        "f": A[:, None], "g": A[None]}
 
     def per_left_factor(left: np.ndarray, law) -> np.ndarray:
         """law(transform(d . g), d . transform(g)) at every point, for each
@@ -295,27 +327,25 @@ def _t10(ctx: SuiteContext, L: Lattice) -> CheckResult:
         return law(lhs.reshape(comp.shape), D[:, RA]).all(axis=-1)[inverse]
 
     # lax composition law: transform(m . g) <= m . transform(g), m monotone
-    w = row_witness(per_left_factor(Mo, lambda lhs, rhs: L.leq[lhs, rhs]),
-                    {"monotone": Mo[:, None], "g": A[None]})
-    if w:
-        return CheckResult("T10", False, {"law": "lax_composition", **w})
+    yield "lax_composition", per_left_factor(
+        Mo, lambda lhs, rhs: L.leq[lhs, rhs]), {
+        "monotone": Mo[:, None], "g": A[None]}
     # exact composition law for join-continuous left factors
-    w = row_witness(per_left_factor(J, np.equal),
-                    {"jc": J[:, None], "g": A[None]})
-    if w:
-        return CheckResult("T10", False, {"law": "exact_composition", **w})
+    yield "exact_composition", per_left_factor(J, np.equal), {
+        "jc": J[:, None], "g": A[None]}
     # left adjoint of meet transform == join transform of right adjoint
-    rm = maps._batch_raney_meet(L, L, J)
-    lhs4 = maps._batch_left_adjoint(L, L, rm)
-    rhs4 = maps._batch_raney_join(L, L, maps._batch_right_adjoint(L, L, J))
-    w = row_witness((lhs4 == rhs4).all(axis=1), {
+    lhs = maps._batch_left_adjoint(L, L, maps._batch_raney_meet(L, L, J))
+    rhs = maps._batch_raney_join(L, L, maps._batch_right_adjoint(L, L, J))
+    yield "adjoint_bridge", (lhs == rhs).all(axis=1), {
         "f": J,
-        "left_adjoint_of_meet_transform": lhs4,
-        "join_transform_of_right_adjoint": rhs4})
-    return CheckResult("T10", w is None, w and {"law": "adjoint_bridge", **w})
+        "left_adjoint_of_meet_transform": lhs,
+        "join_transform_of_right_adjoint": rhs}
 
 
+@_check("T11")
 def _t11(ctx: SuiteContext, L: Lattice) -> CheckResult:
+    """special o sits below the identity exactly on chains and above it
+    exactly on smooth carriers"""
     o = maps.special(L, "o").values
     idx = np.arange(L.n)
     mix = bool(L.leq[o, idx].all())
@@ -323,14 +353,15 @@ def _t11(ctx: SuiteContext, L: Lattice) -> CheckResult:
     chain = is_chain(L)
     smooth = ctx.profile(L).smooth
     holds = (mix == chain) and (comix == smooth)
-    witness = None
-    if not holds:
-        witness = {"o_below_id": mix, "chain": chain,
-                   "id_below_o": comix, "smooth": smooth}
-    return CheckResult("T11", holds, witness)
+    return CheckResult("T11", holds, None if holds else {
+        "o_below_id": mix, "chain": chain, "id_below_o": comix,
+        "smooth": smooth})
 
 
+@_check("T12", cd=True, max_n=EXHAUSTIVE_N, max_q=PAIR_HOMSET_CAP)
 def _t12(ctx: SuiteContext, L: Lattice) -> CheckResult:
+    """big_meet of a pair is the interior of the pointwise meet and the
+    enumerated homset infimum on CD carriers"""
     Q = ctx.homset(L)
     F = Q.matrix
     meets = L.meet[F[:, None], F[None]]           # [i, j, x] = (f_i ^ f_j)(x)
@@ -340,36 +371,39 @@ def _t12(ctx: SuiteContext, L: Lattice) -> CheckResult:
     # element k of the homset lattice is member k, so its meet table
     # indexes the members
     inf = F[quantale.homset_lattice(Q).meet]
-    w = row_witness(((got == via_interior) & (got == inf)).all(axis=-1), {
+    return verdict("T12", ((got == via_interior) & (got == inf)).all(axis=-1), {
         "f": F[:, None], "g": F[None], "big_meet": got,
         "interior_of_meet": via_interior, "enumerated_infimum": inf})
-    return CheckResult("T12", w is None, w)
 
 
+@_check("T12n", cd=False)
 def _t12n(ctx: SuiteContext, L: Lattice) -> CheckResult:
+    """big_meet differs from the interior of the pointwise meet at the
+    identity pair on non CD carriers"""
     ident = maps.identity(L)
-    got = maps.big_meet([ident, ident])
-    via = maps.interior(maps.pointwise_meet([ident, ident]))
-    holds = got != via
-    witness = None if holds else {"big_meet_matched_on_non_cd": True}
-    return CheckResult("T12n", holds, witness)
+    return _refuted("T12n", "big_meet_matched_on_non_cd",
+                    maps.big_meet([ident, ident])
+                    == maps.interior(maps.pointwise_meet([ident, ident])))
 
 
+@_check("T13", max_q=PAIR_HOMSET_CAP)
 def _t13(ctx: SuiteContext, L: Lattice) -> CheckResult:
+    """distributivity oracle, involutive axioms, and existence of a cyclic
+    dualizing element agree"""
     Q = ctx.homset(L)
     oracle = L.is_distributive
     axioms = ctx.axioms(L).holds
     found = quantale.cyclic_dualizing_elements(Q)
     holds = oracle == axioms == bool(found)
-    witness = None
-    if not holds:
-        witness = {"distributive_oracle": oracle,
-                   "involutive_axioms": axioms,
-                   "cyclic_dualizing_found": [f.values.tolist() for f in found]}
-    return CheckResult("T13", holds, witness)
+    return CheckResult("T13", holds, None if holds else {
+        "distributive_oracle": oracle, "involutive_axioms": axioms,
+        "cyclic_dualizing_found": [f.values.tolist() for f in found]})
 
 
+@_check("T14", cd=True, max_n=EXHAUSTIVE_N, max_q=PAIR_HOMSET_CAP)
 def _t14(ctx: SuiteContext, L: Lattice) -> CheckResult:
+    """residual-via-transform formulas plus full triangle rotation hold on
+    small completely distributive carriers"""
     res = ctx.axioms(L)
     rotation = bool(res.info.get("rotation_checked"))
     holds = res.holds and rotation
@@ -377,93 +411,6 @@ def _t14(ctx: SuiteContext, L: Lattice) -> CheckResult:
         None if rotation else {"rotation_not_covered": True})
     return CheckResult("T14", holds, witness)
 
-
-REGISTRY: tuple[TheoremCheck, ...] = (
-    TheoremCheck(
-        "T1",
-        "special o equals the pointwise join over t of c(t) composed after a(t)",
-        _gate(), _t1),
-    TheoremCheck(
-        "T2",
-        "interior of the upper indicator alpha(x) is the annihilator at o(x)",
-        _gate(), _t2),
-    TheoremCheck(
-        "T3",
-        "cyclic members of the endo homset all equal constant-top or special o",
-        _gate(max_n=SAMPLED_N, max_q=PAIR_HOMSET_CAP), _t3),
-    TheoremCheck(
-        "T4",
-        "constant-top is never dualizing on carriers with two or more elements",
-        _gate(min_n=2, max_n=SAMPLED_N, max_q=PAIR_HOMSET_CAP), _t4),
-    TheoremCheck(
-        "T5",
-        "if special o is cyclic and differs from constant-top, the carrier "
-        "meets the meet criterion and the distributivity oracle",
-        _gate(max_n=SAMPLED_N, max_q=PAIR_HOMSET_CAP), _t5),
-    TheoremCheck(
-        "T6",
-        "involutive-quantaloid axioms hold on completely distributive carriers",
-        _gate(cd=True, max_q=PAIR_HOMSET_CAP), _t6),
-    TheoremCheck(
-        "T6n",
-        "involutive-quantaloid axioms fail on non completely distributive carriers",
-        _gate(cd=False, max_q=PAIR_HOMSET_CAP), _t6n),
-    TheoremCheck(
-        "T7",
-        "the composition center is exactly the identity and constant-bottom",
-        _gate(max_q=CENTER_HOMSET_CAP), _t7),
-    TheoremCheck(
-        "T8",
-        "meet transform then join transform is the identity on jc maps over "
-        "completely distributive carriers",
-        _gate(cd=True, max_n=SAMPLED_N), _t8),
-    TheoremCheck(
-        "T8n",
-        "meet transform then join transform moves the identity map on non "
-        "completely distributive carriers",
-        _gate(cd=False), _t8n),
-    TheoremCheck(
-        "T9",
-        "interior equals join transform after omega, and join transform "
-        "equals interior after o, for monotone maps over CD carriers",
-        _gate(cd=True, max_n=SAMPLED_N), _t9),
-    TheoremCheck(
-        "T9n",
-        "the interior-via-omega formula fails at the identity map on non "
-        "completely distributive carriers",
-        _gate(cd=False), _t9n),
-    TheoremCheck(
-        "T10",
-        "join transform is order-preserving, lax over composition with a "
-        "monotone left factor, exact for a jc left factor, and agrees with "
-        "the left adjoint of the meet transform on jc maps",
-        _gate(max_n=SAMPLED_N), _t10),
-    TheoremCheck(
-        "T11",
-        "special o sits below the identity exactly on chains and above it "
-        "exactly on smooth carriers",
-        _gate(), _t11),
-    TheoremCheck(
-        "T12",
-        "big_meet of a pair is the interior of the pointwise meet and the "
-        "enumerated homset infimum on CD carriers",
-        _gate(cd=True, max_n=EXHAUSTIVE_N, max_q=PAIR_HOMSET_CAP), _t12),
-    TheoremCheck(
-        "T12n",
-        "big_meet differs from the interior of the pointwise meet at the "
-        "identity pair on non CD carriers",
-        _gate(cd=False), _t12n),
-    TheoremCheck(
-        "T13",
-        "distributivity oracle, involutive axioms, and existence of a cyclic "
-        "dualizing element agree",
-        _gate(max_q=PAIR_HOMSET_CAP), _t13),
-    TheoremCheck(
-        "T14",
-        "residual-via-transform formulas plus full triangle rotation hold on "
-        "small completely distributive carriers",
-        _gate(cd=True, max_n=EXHAUSTIVE_N, max_q=PAIR_HOMSET_CAP), _t14),
-)
 
 CHECK_IDS = tuple(c.id for c in REGISTRY)
 

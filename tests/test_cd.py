@@ -1,9 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 import latq
-from latq.cd import row_witness
+from latq.cd import first_failing_law, row_witness, verdict
 
 
 def closure_lattices():
@@ -127,6 +129,40 @@ def test_row_witness_broadcasts_leading_axes_of_a_pair():
                          "fixed": one, "flag": ok})
     assert w == {"f": [0, 0], "g": [1, 1], "fixed": [5, 6], "flag": False}
     assert list(w) == ["f", "g", "fixed", "flag"]
+
+
+def test_first_failing_law_drops_each_law_and_stops_at_the_first_failure():
+    seen = {}
+
+    def tracked(a):
+        seen.setdefault("refs", []).append(weakref.ref(a))
+        return a
+
+    def laws():
+        yield "holds", tracked(np.ones(3, dtype=bool)), {
+            "x": tracked(np.arange(3))}
+        # the first law's arrays are gone before this law is computed
+        seen["alive"] = [r() is not None for r in seen["refs"]]
+        yield "fails", np.array([True, False, False]), {
+            "x": np.arange(3), "f": np.arange(6).reshape(3, 2)}
+        seen["computed_after_failure"] = True
+        yield "later", np.zeros(1, dtype=bool), {"y": np.arange(1)}
+
+    ok = np.array([True, False, False])
+    rows = {"x": np.arange(3), "f": np.arange(6).reshape(3, 2)}
+    assert first_failing_law(laws()) == {"law": "fails",
+                                         **row_witness(ok, rows)}
+    assert seen["alive"] == [False, False]
+    assert "computed_after_failure" not in seen
+    assert first_failing_law(iter([("holds", ok[:1], rows)])) is None
+
+
+def test_verdict_is_row_witness_as_a_check_result():
+    ok = np.array([True, False])
+    rows = {"x": np.arange(2)}
+    res = verdict("probe", ok, rows)
+    assert (res.name, res.holds, res.witness) == ("probe", False, {"x": 1})
+    assert verdict("probe", ok[:1], rows).witness is None
 
 
 def test_check_result_doc_timing_flag():

@@ -359,6 +359,19 @@ def test_internal_error_exit_three(capsys, monkeypatch):
     assert "RuntimeError" in err
 
 
+@pytest.mark.parametrize("value", [2 ** 40, -2 ** 40, 2 ** 64])
+@pytest.mark.parametrize("argv", [("map", "interior"), ("map", "adjoint"),
+                                  ("q", "star")])
+def test_map_values_beyond_int32_exit_two(capsys, tmp_path, c3_file,
+                                          argv, value):
+    # the range is checked on the values as read, before any cast
+    f = map_file(tmp_path, c3_file, "huge", [0, 1, value])
+    code, _, err = run(capsys, *argv, f)
+    assert code == 2
+    assert "error: value outside the codomain carrier" in err
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------------ misc
 
 def test_help_and_no_args(capsys):
@@ -417,5 +430,35 @@ def test_check_fuzz_exits_cleanly(tmp_path_factory, payload):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["check", str(path)])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+_map_docs = st.fixed_dictionaries({
+    "dom": st.just("c3.json") | _json,
+    "cod": st.just("c3.json") | _json,
+    "values": st.lists(st.integers() | _json, max_size=4) | _json,
+}).map(lambda doc: json.dumps(doc).encode())
+
+
+def _map_doc(values) -> bytes:
+    return json.dumps({"dom": "c3.json", "cod": "c3.json",
+                       "values": values}).encode()
+
+
+@given(payload=_map_docs | _documents | st.binary(max_size=64),
+       argv=st.sampled_from([("map", "interior"), ("map", "adjoint"),
+                             ("q", "star")]))
+@example(payload=_map_doc([0, 1, 2 ** 40]), argv=("map", "interior"))
+@example(payload=_map_doc([0, 2 ** 64, 1]), argv=("q", "star"))
+def test_map_fuzz_exits_cleanly(tmp_path_factory, payload, argv):
+    where = tmp_path_factory.mktemp("fuzz")
+    docio.save_lattice(latq.generate(latq.GeneratorSpec("chain", n=3)),
+                       str(where / "c3.json"))
+    path = where / "map.json"
+    path.write_bytes(payload)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, str(path)])
     assert code in (0, 1, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()

@@ -36,3 +36,27 @@ def test_no_uint8_matrix_products_in_src():
                     "uint8" in ast.get_source_segment(text, node):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _writes_to_console(node: ast.AST) -> bool:
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id == "print"
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.value.id == "sys" and node.attr in {"stdout", "stderr"}
+    if isinstance(node, ast.ImportFrom) and node.module == "sys":
+        return any(a.name in {"stdout", "stderr"} for a in node.names)
+    return False
+
+
+def test_library_modules_print_nothing():
+    # diagnostics go through logging; only the command line writes to the
+    # console
+    files = [p for p in sorted(SRC.glob("*.py")) if p.name != "cli.py"]
+    assert files
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _writes_to_console(node)
+    ]
+    assert found == []
