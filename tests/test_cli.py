@@ -391,13 +391,14 @@ _json = st.recursive(
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=12)
-# lattice-shaped documents stay at a few elements: a valid n near the
-# element cap builds for seconds, which a fuzz run cannot afford
-_small = st.integers(-2, 9)
+# sizes and cover indices run to just past the element cap; at most ten
+# covers make every n above 11 a non-lattice, refused within a second
+_CAP = latq.lattice.MAX_ELEMENTS
+_indices = st.integers(-2, _CAP + 1)
 _lattice_docs = st.fixed_dictionaries({
     "name": st.text(max_size=4) | _json,
-    "n": _small | _json,
-    "covers": st.lists(st.lists(_small, max_size=3) | _json, max_size=10)
+    "n": _indices | _json,
+    "covers": st.lists(st.lists(_indices, max_size=3) | _json, max_size=10)
     | _json,
 })
 _documents = (_json | _lattice_docs).map(
@@ -422,15 +423,29 @@ def _damaged(draw):
         + text[at:]
 
 
-@given(payload=_documents | _damaged() | st.binary(max_size=64))
-@example(payload=DEEP)
-def test_check_fuzz_exits_cleanly(tmp_path_factory, payload):
+def _lattice_doc(n: int, covers: list) -> bytes:
+    return json.dumps({"name": "x", "n": n, "covers": covers}).encode()
+
+
+_CHAIN = [[i, i + 1] for i in range(_CAP - 1)]
+
+
+@given(payload=_documents | _damaged() | st.binary(max_size=64),
+       exit_code=st.none())
+@example(payload=DEEP, exit_code=None)
+# at the element cap: an antichain, a chain, and a chain with two tops
+@example(payload=_lattice_doc(_CAP, []), exit_code=2)
+@example(payload=_lattice_doc(_CAP, _CHAIN), exit_code=0)
+@example(payload=_lattice_doc(_CAP, _CHAIN[:-1] + [[_CAP - 3, _CAP - 1]]),
+         exit_code=2)
+def test_check_fuzz_exits_cleanly(tmp_path_factory, payload, exit_code):
     path = tmp_path_factory.mktemp("fuzz") / "doc.json"
     path.write_bytes(payload)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["check", str(path)])
     assert code in (0, 1, 2), err.getvalue()
+    assert exit_code in (None, code), err.getvalue()
     assert "Traceback" not in err.getvalue()
 
 

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import latq
 import oracles
@@ -109,6 +109,130 @@ def test_meet_is_join_in_the_dual(L):
     assert D.bottom == L.top and D.top == L.bottom
     DD = latq.dual(D)
     assert np.array_equal(DD.leq, L.leq)
+
+
+def _pair_loop(leq):
+    """(join, meet) of an order matrix by a plain loop over the pairs, or
+    the message naming the first pair (i, j >= i) in row-major order, join
+    table first, whose common bounds are no principal up- or down-set."""
+    n = len(leq)
+    tables = []
+    for what, order in (("join", leq), ("meet", leq.T)):
+        bounds = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
+                                 "little") for row in order]
+        element = {b: k for k, b in enumerate(bounds)}
+        table = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                k = element.get(bounds[i] & bounds[j])
+                if k is None:
+                    return f"elements {i} and {j} have no {what}"
+                table[i][j] = table[j][i] = k
+        tables.append(np.array(table))
+    return tuple(tables)
+
+
+def _assert_tables_match_the_pair_loop(leq):
+    # through a fresh poset, so a dual order is built, not transposed
+    L = latq.build_lattice(latq.Poset(leq))
+    join, meet = _pair_loop(L.leq)
+    assert np.array_equal(L.join, join) and np.array_equal(L.meet, meet)
+    assert L.leq[L.bottom].all() and L.leq[:, L.top].all()
+
+
+def _large_corpus():
+    # the carriers of perfbench's verify_large workload
+    g = latq.GeneratorSpec
+    return [latq.generate(g("product", a=a, b=a)) for a in (20, 16, 12)] + [
+        latq.downset_lattice(latq.Poset(np.eye(8, dtype=bool)))] + [
+        latq.generate(g("random", seed=s, n=n))
+        for n in (10, 11, 12) for s in range(4)]
+
+
+def test_tables_match_the_pair_loop_on_both_corpora(corpus):
+    # the built-ins and verify_large's carriers, each with its dual order
+    for L in list(corpus) + _large_corpus():
+        _assert_tables_match_the_pair_loop(L.leq)
+        _assert_tables_match_the_pair_loop(L.leq.T)
+
+
+@pytest.mark.parametrize("n", [65, 66, 300, latq.lattice.MAX_ELEMENTS])
+def test_tables_match_the_pair_loop_on_long_chains(n):
+    # n - 1 join-irreducibles: one full code word at 65, several past it
+    leq = np.triu(np.ones((n, n), dtype=bool))
+    _assert_tables_match_the_pair_loop(leq)
+    _assert_tables_match_the_pair_loop(leq.T)
+
+
+def test_tables_match_the_pair_loop_on_homset_lattices(corpus):
+    built = 0
+    for L in corpus:
+        try:
+            Q = latq.quantale.enumerate_homset(L, L)
+        except latq.CapExceeded:
+            continue
+        if len(Q) < latq.lattice.MAX_ELEMENTS:
+            _assert_tables_match_the_pair_loop(
+                latq.quantale.homset_lattice(Q).leq)
+            built += 1
+    assert built == 54
+
+
+@given(closure_lattices())
+def test_tables_match_the_pair_loop_on_closure_lattices(L):
+    _assert_tables_match_the_pair_loop(L.leq)
+    _assert_tables_match_the_pair_loop(L.leq.T)
+
+
+@st.composite
+def relabelled_posets(draw):
+    """A random order on up to 10 elements, often with a bottom and a top
+    added, under a random labelling."""
+    n = draw(st.integers(1, 10))
+    leq = np.eye(n, dtype=bool)
+    for i, j in itertools.combinations(range(n), 2):
+        leq[i, j] = draw(st.booleans())
+    if n > 1 and draw(st.booleans()):
+        leq[0] = leq[:, n - 1] = True
+    for k in range(n):
+        for i in range(n):
+            if leq[i, k]:
+                leq[i] |= leq[k]
+    perm = draw(st.permutations(range(n)))
+    return latq.Poset(leq[np.ix_(perm, perm)])
+
+
+@given(relabelled_posets())
+# the join lookup for 1 and 2 lands on an upper bound of both that is not
+# least; for 1 and 3, on an element with as many upper bounds as the pair
+# has common ones, but not above both
+@example(latq.build_poset(10, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4),
+                               (3, 6), (4, 5), (4, 6), (5, 7), (5, 8), (6, 7),
+                               (6, 8), (7, 9), (8, 9)]))
+@example(latq.build_poset(9, [(0, 1), (0, 3), (1, 2), (1, 5), (2, 7), (3, 4),
+                              (3, 7), (4, 6), (5, 6), (6, 8), (7, 8)]))
+def test_build_lattice_names_the_pair_the_loop_names(p):
+    expected = _pair_loop(p.leq)
+    if isinstance(expected, str):
+        with pytest.raises(latq.NotALattice) as info:
+            latq.build_lattice(p)
+        assert str(info.value) == expected
+    else:
+        L = latq.build_lattice(p)
+        assert np.array_equal(L.join, expected[0])
+        assert np.array_equal(L.meet, expected[1])
+
+
+def test_non_lattice_is_named_after_a_code_collision():
+    # a chain with a second maximal element over n - 3: no meet-irreducible
+    # lies above n - 3, n - 2 or n - 1, so the three share the empty code and
+    # the join lookup misses on about 2n pairs that have a join, all of them
+    # before the one pair that has none
+    n = latq.lattice.MAX_ELEMENTS
+    covers = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
+    with pytest.raises(latq.NotALattice,
+                       match=f"^elements {n - 2} and {n - 1} have no join$"):
+        latq.build_lattice(latq.build_poset(n, covers))
 
 
 def test_sup_inf_empty_folds(zoo):
