@@ -12,7 +12,6 @@ corpus, and a CLI (`latq`).
 from .cd import (
     CheckResult,
     LatticeProfile,
-    bounded_family_cd_check,
     classify_lattice,
     completely_join_primes,
     criteria_agree,
@@ -114,9 +113,9 @@ from .suite import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckResult", "LatticeProfile", "bounded_family_cd_check",
-    "classify_lattice", "completely_join_primes", "criteria_agree",
-    "distributive_oracle", "is_smooth", "is_spatial",
+    "CheckResult", "LatticeProfile", "classify_lattice",
+    "completely_join_primes", "criteria_agree", "distributive_oracle",
+    "is_smooth", "is_spatial",
     "raney_join_criterion", "raney_meet_criterion",
     "dumps", "lattice_from_doc", "lattice_to_doc", "load_lattice",
     "load_map", "map_from_doc", "map_to_doc", "save_lattice", "save_map",

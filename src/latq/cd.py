@@ -8,7 +8,6 @@ the suite and the acceptance tests quantify that agreement.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Iterable
@@ -16,8 +15,7 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from . import maps
-from .errors import CapExceeded
-from .lattice import Lattice, distributivity_witness, is_chain
+from .lattice import Lattice, _fold, distributivity_witness, is_chain
 
 
 @dataclass
@@ -148,40 +146,6 @@ def criteria_agree(L: Lattice) -> bool:
     return a == b == c
 
 
-def bounded_family_cd_check(L: Lattice, max_i: int = 2, max_j: int = 2,
-                            work_cap: int = 1 << 20) -> CheckResult:
-    """Meet-of-joins equals join of choice-function meets, up to the bounds.
-
-    Only full max_i x max_j matrices are enumerated: a shorter row is the
-    same row with a repeated value, and a duplicated row changes neither
-    side (its extra choice terms are absorbed by the join), so smaller
-    shapes are covered.
-    """
-    n = L.n
-    if n ** (max_i * max_j) > work_cap:
-        raise CapExceeded(
-            f"{n}^{max_i * max_j} families exceed the {work_cap} work cap")
-    rows = list(itertools.product(range(n), repeat=max_j))
-    row_join = [L.sup(r) for r in rows]
-    choices = list(itertools.product(range(max_j), repeat=max_i))
-    for mat in itertools.product(range(len(rows)), repeat=max_i):
-        lhs = L.inf(row_join[r] for r in mat)
-        rhs = L.bottom
-        for psi in choices:
-            term = L.inf(rows[mat[i]][psi[i]] for i in range(max_i))
-            rhs = int(L.join[rhs, term])
-            if rhs == lhs:
-                break
-        if rhs != lhs:
-            witness = {
-                "family": [list(rows[r]) for r in mat],
-                "lhs": lhs,
-                "rhs": rhs,
-            }
-            return CheckResult("bounded_family_cd_check", False, witness)
-    return CheckResult("bounded_family_cd_check", True)
-
-
 def completely_join_primes(L: Lattice) -> frozenset[int]:
     """Elements x not below o(x), the join of everything not above x.
 
@@ -203,10 +167,10 @@ def is_spatial(L: Lattice) -> bool:
 
 
 def _spatial(L: Lattice, primes: list[int]) -> bool:
-    return all(
-        L.sup(p for p in primes if L.leq[p, x]) == x
-        for x in range(L.n)
-    )
+    # entry [x, k] is below[k] where below[k] <= x, else the bottom
+    below = np.array([L.bottom, *primes])
+    sups = _fold(L.join, np.where(L.leq[below].T, below, L.bottom))
+    return bool((sups == np.arange(L.n)).all())
 
 
 @dataclass

@@ -2,11 +2,12 @@
 
 Elements are integers 0..n-1.  The order lives in a boolean matrix
 ``leq`` with ``leq[i, j]`` meaning i is below j; join and meet are
-integer tables.  Construction through `build_poset` relabels elements
-along a stable topological order, so freshly built lattices satisfy
-``leq[i, j] implies i <= j``.  Nothing downstream may rely on that:
-`dual` transposes the matrix in place and breaks it on purpose.  The
-meet side of `maps` and `cd` is the join side run on the dual.
+integer tables.  `build_poset` keeps the labels as given, so nothing may
+rely on ``leq[i, j] implies i <= j``; `dual` transposes the matrix and
+breaks it anyway.  The meet side of `maps` and `cd` is the join side run
+on the dual.  A family of elements is folded through a table by one
+function, `_fold`, which `Lattice.sup` and `inf` and the batch kernels
+of `maps` share.
 """
 
 from __future__ import annotations
@@ -30,6 +31,15 @@ MAX_ELEMENTS = 1024
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _fold(table: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """A lattice operation table folded over the last, nonempty axis of A by
+    halves; idempotence makes an overlapping middle entry harmless."""
+    while A.shape[-1] > 1:
+        w = A.shape[-1]
+        A = table[A[..., :(w + 1) // 2], A[..., w // 2:]]
+    return A[..., 0]
 
 
 def _stable_topo(leq: np.ndarray) -> list[int]:
@@ -103,11 +113,10 @@ class Poset:
 
 
 def build_poset(n: int, covers: Iterable[tuple[int, int]]) -> Poset:
-    """Poset from cover pairs (lower, upper), validated and canonicalized.
+    """Poset from cover pairs (lower, upper), validated, labels as given.
 
-    Takes the reflexive-transitive closure of the cover relation, rejects
-    cycles, then relabels elements along a stable topological order.  Input
-    whose labels already form a linear extension keeps them unchanged.
+    Takes the reflexive-transitive closure of the cover relation and
+    rejects cycles.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -126,10 +135,6 @@ def build_poset(n: int, covers: Iterable[tuple[int, int]]) -> Poset:
     if sym.any():
         i, j = map(int, np.argwhere(sym)[0])
         raise CycleDetected(f"elements {i} and {j} lie on a common cycle")
-    order = _stable_topo(leq)
-    if order != list(range(n)):
-        perm = np.asarray(order)
-        leq = leq[np.ix_(perm, perm)]
     return Poset(leq)
 
 
@@ -174,10 +179,7 @@ class Lattice:
 
     def sup(self, xs: Iterable[int]) -> int:
         """Join of any finite family; the empty join is the bottom."""
-        out = self.bottom
-        for x in xs:
-            out = int(self.join[out, x])
-        return out
+        return int(_fold(self.join, np.array([self.bottom, *xs], np.intp)))
 
     def inf(self, xs: Iterable[int]) -> int:
         """Meet of any finite family; the empty meet is the top."""
@@ -291,14 +293,18 @@ def dual(L: Lattice) -> Lattice:
 
 
 def distributivity_witness(L: Lattice) -> tuple[int, int, int] | None:
-    """First (x, y, z) with x ^ (y v z) != (x ^ y) v (x ^ z), else None."""
+    """First (x, y, z) with x ^ (y v z) != (x ^ y) v (x ^ z), else None.
+
+    A y comparable to every z satisfies the law for every x, so only the
+    rows y with an incomparable z are scanned.
+    """
+    ys = np.flatnonzero((~(L.leq | L.leq.T)).any(axis=1))
     for x in range(L.n):
-        lhs = L.meet[x][L.join]
-        rhs = L.join[np.ix_(L.meet[x], L.meet[x])]
-        bad = lhs != rhs
+        m = L.meet[x]
+        bad = m[L.join[ys]] != L.join[m[ys][:, None], m[None, :]]
         if bad.any():
-            y, z = map(int, np.argwhere(bad)[0])
-            return (x, y, z)
+            r, z = map(int, np.argwhere(bad)[0])
+            return (x, int(ys[r]), z)
     return None
 
 
@@ -335,8 +341,7 @@ def _inclusion_lattice(masks: list[int], name: str | None) -> Lattice:
 class GeneratorSpec:
     """Config for `generate`.  Unused fields stay None.
 
-    kinds: chain(n), boolean(k), m3, n5, product(a, b),
-    downsets(poset), random(seed, n).
+    kinds: chain(n), boolean(k), m3, n5, product(a, b), random(seed, n).
     """
 
     kind: str
@@ -345,7 +350,6 @@ class GeneratorSpec:
     a: int | None = None
     b: int | None = None
     seed: int | None = None
-    poset: Poset | None = None
 
 
 def _chain(n: int) -> Lattice:
@@ -438,10 +442,6 @@ def generate(spec: GeneratorSpec) -> Lattice:
         if spec.a is None or spec.b is None:
             raise ValueError("product needs a and b")
         return _product_of_chains(spec.a, spec.b)
-    if kind == "downsets":
-        if spec.poset is None:
-            raise ValueError("downsets needs a poset")
-        return downset_lattice(spec.poset)
     if kind == "random":
         if spec.seed is None or spec.n is None:
             raise ValueError("random needs seed and n")

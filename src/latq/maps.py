@@ -12,6 +12,9 @@ a homset of at most cod.n ** n members.  So the kernels run once per
 distinct row and copy the results back out (`_once_per_distinct_row`).
 They run on every row, as given, when a matrix has fewer than two rows
 or when a row does not fit a 62-bit code (n * log2(cod.n) >= 62).
+
+Families are folded through a join or meet table by `lattice._fold`.
+The sampler draws all its rows at once, one domain element at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainMismatch, IndexOutOfRange, NotContinuous
-from .lattice import Lattice, _frozen
+from .lattice import Lattice, _fold, _frozen
 
 
 @dataclass(frozen=True)
@@ -222,15 +225,6 @@ def _batch_interior(dom: Lattice, cod: Lattice, H: np.ndarray) -> np.ndarray:
         H[:, zs] = K
 
 
-def _fold(table: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """A lattice operation table folded over the last, nonempty axis of A by
-    halves; idempotence makes an overlapping middle entry harmless."""
-    while A.shape[-1] > 1:
-        w = A.shape[-1]
-        A = table[A[..., :(w + 1) // 2], A[..., w // 2:]]
-    return A[..., 0]
-
-
 @_once_per_distinct_row
 def _batch_right_adjoint(dom: Lattice, cod: Lattice, F: np.ndarray) -> np.ndarray:
     """Rowwise y -> join of {x : F[k, x] <= y}; callers ensure rows are jc."""
@@ -371,21 +365,24 @@ def sample_monotone_maps(dom: Lattice, cod: Lattice, count: int,
                          rng: np.random.RandomState) -> np.ndarray:
     """Seeded random monotone maps as a (count, dom.n) array.
 
-    Walks a linear extension assigning each element a uniform choice from
-    the up-set of the join of its lower covers' values.
+    Walks a linear extension of dom, drawing the value at each element in
+    every row at once, uniformly from the up-set of the join of the row's
+    values below that element (`_draw_above`).
     """
-    order = dom.poset.toposort
-    lower: dict[int, list[int]] = {x: [] for x in range(dom.n)}
-    for i, j in dom.poset.covers:
-        lower[j].append(i)
-    ups = [np.flatnonzero(cod.leq[v]) for v in range(cod.n)]
-    out = np.empty((count, dom.n), dtype=np.int32)
-    for r in range(count):
-        row = out[r]
-        for x in order:
-            lo = cod.bottom
-            for c in lower[x]:
-                lo = int(cod.join[lo, row[c]])
-            cands = ups[lo]
-            row[x] = cands[rng.randint(len(cands))]
+    out = np.full((count, dom.n), cod.bottom, dtype=np.int32)
+    for x in dom.poset.toposort:
+        lo = _fold(cod.join, out[:, dom.leq[:, x]])
+        out[:, x] = _draw_above(cod, lo, rng)
     return out
+
+
+def _draw_above(L: Lattice, lo: np.ndarray, rng: np.random.RandomState
+                ) -> np.ndarray:
+    """For each entry v of lo, a uniform draw from the elements above v.
+
+    Row v of the stable argsort of ~L.leq lists the elements above v
+    first, ascending, so one draw bounded by each up-set's size picks
+    from it.
+    """
+    up = np.argsort(~L.leq, axis=1, kind="stable").astype(np.int32)
+    return up[lo, rng.randint(0, L.leq.sum(axis=1)[lo])]

@@ -59,7 +59,8 @@ def builtin_corpus() -> list[Lattice]:
 
 
 class SuiteContext:
-    """Per-run caches: profiles, endo homsets, axioms, seeded generators."""
+    """Per-run caches: profiles, endo homsets, axioms, cyclic members,
+    seeded generators."""
 
     def __init__(self, seed: int = 0, cap: int = quantale.DEFAULT_CAP):
         self.seed = seed
@@ -70,6 +71,8 @@ class SuiteContext:
             lambda L: quantale.enumerate_homset(L, L, cap))
         self.axioms = functools.cache(
             lambda L: quantale.check_involutive_axioms(L, L, cap))
+        self.cyclic = functools.cache(
+            lambda L: quantale.cyclic_elements(self.homset(L)))
 
     def rng(self, L: Lattice, check_id: str) -> np.random.RandomState:
         tag = f"{self.seed}:{check_id}:{L.name}".encode()
@@ -181,9 +184,8 @@ def _t2(ctx: SuiteContext, L: Lattice) -> CheckResult:
 def _t3(ctx: SuiteContext, L: Lattice) -> CheckResult:
     """cyclic members of the endo homset all equal constant-top or special
     o"""
-    Q = ctx.homset(L)
     allowed = {maps.special(L, "c", L.top).key, maps.special(L, "o").key}
-    extras = [f for f in quantale.cyclic_elements(Q) if f.key not in allowed]
+    extras = [f for f in ctx.cyclic(L) if f.key not in allowed]
     return CheckResult("T3", not extras, None if not extras else {
         "cyclic_but_unexpected": extras[0].values.tolist()})
 
@@ -201,10 +203,8 @@ def _t4(ctx: SuiteContext, L: Lattice) -> CheckResult:
 def _t5(ctx: SuiteContext, L: Lattice) -> CheckResult:
     """if special o is cyclic and differs from constant-top, the carrier
     meets the meet criterion and the distributivity oracle"""
-    Q = ctx.homset(L)
     o = maps.special(L, "o")
-    c_top = maps.special(L, "c", L.top)
-    premise = o != c_top and quantale.is_cyclic(o, Q).holds
+    premise = o != maps.special(L, "c", L.top) and o in ctx.cyclic(L)
     if not premise:
         return CheckResult("T5", True, substantive=False)
     meets = cd.raney_meet_criterion(L)
@@ -302,14 +302,9 @@ def _t10_laws(ctx: SuiteContext, L: Lattice):
         J = ctx.homset(L).matrix
     else:
         rng = ctx.rng(L, "T10")
-        G = np.stack([rng.randint(0, L.n, size=L.n).astype(np.int32)
-                      for _ in range(SAMPLE_COUNT // 2)])
-        # partner maps pointwise below G, so law 1 has real pairs to see;
-        # row v of `down` lists the elements below v first, ascending, and
-        # one array-bounded draw takes the same values as a draw per entry
-        down = np.argsort(~L.leq.T, axis=1, kind="stable").astype(np.int32)
-        Fb = down[G, rng.randint(0, L.leq.sum(axis=0)[G])]
-        A = np.concatenate([G, Fb])
+        G = rng.randint(0, L.n, size=(SAMPLE_COUNT // 2, L.n)).astype(np.int32)
+        # partner maps pointwise below G, so law 1 has real pairs to see
+        A = np.concatenate([G, maps._draw_above(L.op, G, rng)])
         Mo = maps.sample_monotone_maps(L, L, SAMPLE_COUNT // 2, rng)
         J = maps._batch_interior(L, L, Mo)
     RA = maps._batch_raney_join(L, L, A)
@@ -393,7 +388,7 @@ def _t13(ctx: SuiteContext, L: Lattice) -> CheckResult:
     Q = ctx.homset(L)
     oracle = L.is_distributive
     axioms = ctx.axioms(L).holds
-    found = quantale.cyclic_dualizing_elements(Q)
+    found = [f for f in ctx.cyclic(L) if quantale.is_dualizing(f, Q).holds]
     holds = oracle == axioms == bool(found)
     return CheckResult("T13", holds, None if holds else {
         "distributive_oracle": oracle, "involutive_axioms": axioms,

@@ -1,3 +1,4 @@
+import itertools
 import weakref
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import latq
-from latq.cd import first_failing_law, row_witness, verdict
+import oracles
+from latq.cd import CheckResult, first_failing_law, row_witness, verdict
 
 
 def closure_lattices():
@@ -44,23 +46,56 @@ def test_three_criteria_always_agree(L):
     assert latq.criteria_agree(L)
 
 
+def bounded_family_cd_check(L, max_i: int = 2, max_j: int = 2,
+                            work_cap: int = 1 << 20) -> CheckResult:
+    """Meet-of-joins equals join of choice-function meets, up to the bounds.
+
+    A test oracle of plain loops over the tables.  Only full max_i x max_j
+    matrices are enumerated: a shorter row is the same row with a repeated
+    value, and a duplicated row changes neither side (its extra choice
+    terms are absorbed by the join), so smaller shapes are covered.
+    """
+    n = L.n
+    if n ** (max_i * max_j) > work_cap:
+        raise latq.CapExceeded(
+            f"{n}^{max_i * max_j} families exceed the {work_cap} work cap")
+    rows = list(itertools.product(range(n), repeat=max_j))
+    row_join = [oracles.sup(L, r) for r in rows]
+    choices = list(itertools.product(range(max_j), repeat=max_i))
+    for mat in itertools.product(range(len(rows)), repeat=max_i):
+        lhs = oracles.inf(L, (row_join[r] for r in mat))
+        rhs = L.bottom
+        for psi in choices:
+            term = oracles.inf(L, (rows[mat[i]][psi[i]] for i in range(max_i)))
+            rhs = int(L.join[rhs, term])
+            if rhs == lhs:
+                break
+        if rhs != lhs:
+            witness = {
+                "family": [list(rows[r]) for r in mat],
+                "lhs": lhs,
+                "rhs": rhs,
+            }
+            return CheckResult("bounded_family_cd_check", False, witness)
+    return CheckResult("bounded_family_cd_check", True)
+
+
 @given(closure_lattices())
 def test_bounded_family_check_matches_criteria(L):
     # larger carriers are refused by the work cap (test_bounded_family_cap)
     assume(L.n ** 4 <= 1 << 20)
-    fam = latq.bounded_family_cd_check(L)
+    fam = bounded_family_cd_check(L)
     assert fam.holds == latq.raney_join_criterion(L).holds
 
 
 def test_bounded_family_witness_replays(zoo):
     L = zoo["m3"]
-    res = latq.bounded_family_cd_check(L)
+    res = bounded_family_cd_check(L)
     assert not res.holds
     rows = res.witness["family"]
     lhs = L.inf(L.sup(r) for r in rows)
     assert lhs == res.witness["lhs"]
     # rhs is the join over choice functions of row-element meets
-    import itertools
     rhs = L.bottom
     for psi in itertools.product(range(len(rows[0])), repeat=len(rows)):
         term = L.inf(rows[i][psi[i]] for i in range(len(rows)))
@@ -72,7 +107,7 @@ def test_bounded_family_witness_replays(zoo):
 def test_bounded_family_cap():
     big = latq.generate(latq.GeneratorSpec("boolean", k=4))
     with pytest.raises(latq.CapExceeded):
-        latq.bounded_family_cd_check(big, work_cap=10)
+        bounded_family_cd_check(big, work_cap=10)
 
 
 def test_is_spatial(zoo):
@@ -82,6 +117,21 @@ def test_is_spatial(zoo):
     assert not latq.is_spatial(zoo["n5"])
     assert not latq.is_spatial(zoo["m3"])
     assert latq.is_spatial(zoo["c1"])
+
+
+def test_is_spatial_matches_a_plain_loop(corpus):
+    # every element is the join of the completely join-primes below it
+    n = latq.lattice.MAX_ELEMENTS
+    chain = latq.build_lattice(
+        latq.build_poset(n, [(i, i + 1) for i in range(n - 1)]))
+    verdicts = set()
+    for L in [*corpus, chain]:
+        primes = latq.completely_join_primes(L)
+        want = all(oracles.sup(L, [p for p in primes if L.leq[p, x]]) == x
+                   for x in range(L.n))
+        assert latq.is_spatial(L) == want, L.name
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_profile_fixtures(zoo):

@@ -226,6 +226,19 @@ def test_map_adjoint_and_interior(capsys, tmp_path, c3_file, b2_file):
     assert code == 2 and "error:" in err
 
 
+def test_map_commands_keep_the_lattice_file_labels(capsys, tmp_path):
+    # 2 is the bottom of this file, so constant 2 is constant bottom: it is
+    # join-continuous, its own interior, and c(2)
+    lat = tmp_path / "L.json"
+    lat.write_text(json.dumps(
+        {"name": "L", "n": 3, "covers": [[2, 1], [1, 0]]}))
+    bottom = map_file(tmp_path, str(lat), "bottom", [2, 2, 2])
+    code, out, _ = run(capsys, "map", "interior", bottom)
+    assert code == 0 and json.loads(out)["values"] == [2, 2, 2]
+    code, out, _ = run(capsys, "map", "c", "2", str(lat))
+    assert code == 0 and json.loads(out)["values"] == [2, 2, 2]
+
+
 def test_map_raney_transforms(capsys, tmp_path, c3_file):
     id_file = map_file(tmp_path, c3_file, "id", [0, 1, 2])
     code, out, _ = run(capsys, "map", "raney-join", id_file)

@@ -23,11 +23,14 @@ def test_build_poset_closes_transitively():
     assert not p.leq[3, 0]
 
 
-def test_build_poset_relabels_to_linear_extension():
-    # covers given against the order; indices come back sorted
+def test_build_poset_keeps_labels_as_given():
+    # covers given against the index order: 2 is the bottom, 0 the top
     p = latq.build_poset(3, [(2, 1), (1, 0)])
-    ii, jj = np.nonzero(p.leq & ~np.eye(3, dtype=bool))
-    assert (ii < jj).all()
+    assert p.covers == ((1, 0), (2, 1))
+    assert p.leq[2].all() and p.leq[:, 0].all()
+    L = latq.build_lattice(p)
+    assert (L.bottom, L.top) == (2, 0)
+    assert L.poset.toposort == (2, 1, 0)
 
 
 def test_build_poset_rejects_cycles_and_bad_indices():

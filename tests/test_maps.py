@@ -463,6 +463,25 @@ def test_sample_monotone_maps(zoo):
     assert np.array_equal(S, again)
 
 
+@pytest.mark.parametrize("name", ["c3", "b2"])
+def test_sample_monotone_maps_has_full_support(zoo, name):
+    L = zoo[name]
+    S = latq.sample_monotone_maps(L, L, 2000, np.random.RandomState(0))
+    assert set(map(tuple, S.tolist())) == set(oracles.monotone_maps(L, L))
+
+
+def test_draw_above_the_dual_stays_pointwise_below(zoo):
+    for L in zoo.values():
+        rng = np.random.RandomState(1)
+        G = rng.randint(0, L.n, size=(300, L.n))
+        F = maps._draw_above(L.op, G, rng)
+        assert F.shape == G.shape and L.leq[F, G].all(), L.name
+        # and every element below v is drawn somewhere for v
+        for v in range(L.n):
+            assert set(F[G == v].tolist()) == \
+                {u for u in range(L.n) if L.leq[u, v]}, (L.name, v)
+
+
 # ---------------------------------------------- cross-homset transform law
 
 def test_adjoint_bridge_across_homsets(zoo):
