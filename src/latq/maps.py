@@ -13,8 +13,23 @@ distinct row and copy the results back out (`_once_per_distinct_row`).
 They run on every row, as given, when a matrix has fewer than two rows
 or when a row does not fit a 62-bit code (n * log2(cod.n) >= 62).
 
+Rows are told apart by exact ranks (`_row_ids`): a run of columns is
+coded as sum of row[x] * base ** x, and `_dedup` ranks the codes with
+one sort of (code << k) | position keys, where np.unique would take
+three times as long.  A row too wide for one code is ranked run by run,
+each run's codes appended to the ranks of the columns above it.
+
+The pair sweeps in `quantale` rest on one pair kernel, `_pair_kernel`:
+out[a, b] = sum over x of W[a, x, F[b, x]], one matrix product with the
+one-hot codes of F.  With W a table of "not below", it counts the points
+where one map is not below another; with W[a, x, v] = P[a, v] * base ** x
+it gives the code of every composite P_a . Q_b (`_composite_ids`), so a
+sweep runs its kernels on the distinct composites without ever forming
+the (len(P), len(Q), n) array of them.
+
 Families are folded through a join or meet table by `lattice._fold`.
-The sampler draws all its rows at once, one domain element at a time.
+The sampler draws all its rows at once, one domain element at a time,
+from an up-set table built once per call (`_upsets`).
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainMismatch, IndexOutOfRange, NotContinuous
+from .errors import CapExceeded, DomainMismatch, IndexOutOfRange, NotContinuous
 from .lattice import Lattice, _fold, _frozen
 
 
@@ -160,20 +175,84 @@ def pointwise_meet(fs: Sequence[LatMap],
 # ---------------------------------------------------------------- kernels
 
 
-def _distinct_rows(F: np.ndarray, base: int):
-    """The distinct rows of a (B, n) matrix of entries below base, and for
-    each row the position of its copy among them; None when a row does not
-    fit a 62-bit code (n * log2(base) >= 62).
+def _pair_kernel(W: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """out[a, b] = sum over x of W[a, x, F[b, x]], for W of shape (A, n, m)
+    and F of shape (B, n) with entries below m: one matrix product of W
+    with the one-hot codes of F, in W's dtype."""
+    A, n, m = W.shape
+    onehot = np.eye(m, dtype=W.dtype)[F].reshape(len(F), n * m)
+    return W.reshape(A, n * m) @ onehot.T
 
-    Row k is coded as sum of F[k, x] * base ** x, and the distinct rows
-    are decoded from the sorted distinct codes.
+
+def _dedup(codes: np.ndarray):
+    """np.unique(codes, return_index=True, return_inverse=True) for a flat
+    array of nonnegative int64 codes below 2 ** (63 - N.bit_length()), N
+    the number of codes: one sort of the keys (code << k) | position."""
+    k = len(codes).bit_length()
+    keys = np.sort((codes << k) | np.arange(len(codes)))
+    at, codes = keys & ((1 << k) - 1), keys >> k
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[at] = np.repeat(np.arange(len(starts)),
+                            np.diff(starts, append=len(keys)))
+    return codes[starts], at[starts], inverse
+
+
+def _row_ids(codes: Callable[[int, int], np.ndarray], width: int, base: int,
+             N: int):
+    """(first, ids) over N rows of the given width with entries below base:
+    ids[r] ranks row r's values as np.unique ranks the codes sum of
+    row[x] * base ** x, and first[i] is the first row of rank i.
+
+    codes(lo, hi) gives each row's code over columns lo..hi-1 alone, and is
+    asked only for runs with base ** (hi - lo) <= 2 ** 53.  The runs are
+    taken from the last column down, each as wide as the ranks so far
+    times its codes fit `_dedup`, and each run's codes are appended to the
+    ranks of the columns above it; so every code is exact at any width.
     """
-    width = F.shape[1]
-    if width * math.log2(base) >= 62:
+    ids = np.zeros(N, dtype=np.int64)
+    first, count, hi = np.zeros(min(N, 1), dtype=np.int64), 1, width
+    while hi > 0:
+        room = min(53, 63 - N.bit_length() - (count - 1).bit_length())
+        lo = hi - 1
+        while lo > 0 and base ** (hi - lo + 1) <= 1 << room:
+            lo -= 1
+        if base ** (hi - lo) > 1 << room:
+            raise CapExceeded(f"{N} rows are too many to rank exactly")
+        distinct, first, ids = _dedup(ids * base ** (hi - lo) + codes(lo, hi))
+        count, hi = len(distinct), lo
+    return first, ids
+
+
+def _rank_rows(F: np.ndarray, base: int):
+    """`_row_ids` over the rows of a (B, n) matrix of entries below base."""
+    return _row_ids(lambda lo, hi: F[:, lo:hi] @ base ** np.arange(
+        hi - lo, dtype=np.int64), F.shape[1], base, len(F))
+
+
+def _distinct_rows(F: np.ndarray, base: int):
+    """The distinct rows of a (B, n) matrix of entries below base, in
+    order of their codes sum of F[k, x] * base ** x, and for each row the
+    position of its copy among them; None when a row does not fit a 62-bit
+    code (n * log2(base) >= 62)."""
+    if F.shape[1] * math.log2(base) >= 62:
         return None
-    powers = base ** np.arange(width, dtype=np.int64)
-    distinct, inverse = np.unique(F @ powers, return_inverse=True)
-    return (distinct[:, None] // powers % base).astype(F.dtype), inverse
+    first, ids = _rank_rows(F, base)
+    return F[first], ids
+
+
+def _composite_ids(P: np.ndarray, Q: np.ndarray, base: int):
+    """`_row_ids` over the rows P_a . Q_b, for (a, b) in row-major order,
+    from P of shape (A, m) with entries below base and Q of shape (B, n)
+    with entries below m, without forming them: the code of a run of
+    columns is `_pair_kernel` with W[a, x, v] = P[a, v] * base ** x."""
+    P = P.astype(np.float64)
+
+    def codes(lo: int, hi: int) -> np.ndarray:
+        W = P[:, None, :] * float(base) ** np.arange(hi - lo)[:, None]
+        return _pair_kernel(W, Q[:, lo:hi]).astype(np.int64).ravel()
+
+    return _row_ids(codes, Q.shape[1], base, len(P) * len(Q))
 
 
 def _once_per_distinct_row(kernel: Callable[..., np.ndarray]):
@@ -369,20 +448,26 @@ def sample_monotone_maps(dom: Lattice, cod: Lattice, count: int,
     every row at once, uniformly from the up-set of the join of the row's
     values below that element (`_draw_above`).
     """
+    upsets = _upsets(cod)
     out = np.full((count, dom.n), cod.bottom, dtype=np.int32)
     for x in dom.poset.toposort:
         lo = _fold(cod.join, out[:, dom.leq[:, x]])
-        out[:, x] = _draw_above(cod, lo, rng)
+        out[:, x] = _draw_above(upsets, lo, rng)
     return out
 
 
-def _draw_above(L: Lattice, lo: np.ndarray, rng: np.random.RandomState
-                ) -> np.ndarray:
-    """For each entry v of lo, a uniform draw from the elements above v.
+def _upsets(L: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """The table `_draw_above` draws from: the stable argsort of ~L.leq,
+    whose row v lists the elements above v first, ascending, and the
+    number of elements above each v."""
+    return (np.argsort(~L.leq, axis=1, kind="stable").astype(np.int32),
+            L.leq.sum(axis=1))
 
-    Row v of the stable argsort of ~L.leq lists the elements above v
-    first, ascending, so one draw bounded by each up-set's size picks
-    from it.
-    """
-    up = np.argsort(~L.leq, axis=1, kind="stable").astype(np.int32)
-    return up[lo, rng.randint(0, L.leq.sum(axis=1)[lo])]
+
+def _draw_above(upsets: tuple[np.ndarray, np.ndarray], lo: np.ndarray,
+                rng: np.random.RandomState) -> np.ndarray:
+    """For each entry v of lo, a uniform draw from the elements above v in
+    the lattice of upsets = `_upsets(L)`: one draw bounded by each up-set's
+    size picks from its row."""
+    up, size = upsets
+    return up[lo, rng.randint(0, size[lo])]

@@ -11,6 +11,16 @@ chunk's residuals against every member in one kernel call.  A right
 residual is a left residual on the order duals: `rho` reverses
 composition and the order, so `rho(h / f)` is the least meet-continuous
 map above `f . rho(h)`.
+
+The pair sweeps never form a (B, B, n) array of composites.  The
+pointwise order and the order-reversal tests `f . g <= zero` are counts
+from `maps._pair_kernel`; the axiom sweep's residual formulas and the
+cyclic search code every composite exactly (`maps._composite_ids`), run
+the kernels on the distinct composites alone (`_on_composites`), and
+compare results by rank.  The composite codes take 8 bytes a pair, so
+the axiom sweep holds O(B^2) memory; the cyclic and dualizing searches
+still go in chunks of candidates, and `is_cyclic`, `is_dualizing` and
+the dualizing search still gather their residual rows whole.
 """
 
 from __future__ import annotations
@@ -29,7 +39,10 @@ from .maps import (
     _batch_left_adjoint,
     _batch_raney_join,
     _batch_right_adjoint,
+    _composite_ids,
     _once_per_distinct_row,
+    _pair_kernel,
+    _rank_rows,
     compose,
     identity,
     interior,
@@ -238,8 +251,12 @@ def _members_where(Q: HomsetEnumeration, verdicts) -> list[LatMap]:
 
 
 def _cyclic(Q: HomsetEnumeration, A: np.ndarray) -> np.ndarray:
-    into, over, _ = _residual_rows(Q, A)
-    return (into == over).all(axis=(1, 2))
+    L = _require_endo(Q)
+    into, i = _on_composites(_batch_interior, L, Q.rho, A)
+    over, o = _on_composites(_batch_residual_right, L, Q.matrix,
+                             _batch_right_adjoint(L, L, A))
+    into, over = _same_rows(into, over, L.n)
+    return (into[i] == over[o]).all(axis=0)
 
 
 def _dualizing(Q: HomsetEnumeration, A: np.ndarray) -> np.ndarray:
@@ -306,18 +323,54 @@ def cyclic_dualizing_elements(Q: HomsetEnumeration) -> list[LatMap]:
     return [f for f in cyclic_elements(Q) if is_dualizing(f, Q).holds]
 
 
+def _on_composites(kernel, K: Lattice, P: np.ndarray, Q: np.ndarray):
+    """kernel(K, K, .) on the distinct rows among the maps P_a . Q_b, into
+    K, and ids with out[ids[a, b]] the kernel's row at (a, b); the
+    (len(P), len(Q), n) array of all the rows is never formed."""
+    first, ids = _composite_ids(P, Q, K.n)
+    a, b = np.divmod(first, len(Q))
+    return kernel(K, K, P[a[:, None], Q[b]]), ids.reshape(len(P), len(Q))
+
+
+def _same_rows(X: np.ndarray, Y: np.ndarray, base: int):
+    """Ranks of the rows of X and of Y, entries below base, with equal
+    ranks exactly for equal rows."""
+    _, ids = _rank_rows(np.concatenate([X, Y]), base)
+    return ids[:len(X)], ids[len(X):]
+
+
+class _Gathered:
+    """rows[ids] for `cd.row_witness`, read one entry at a time rather
+    than gathered whole."""
+
+    def __init__(self, rows: np.ndarray, ids: np.ndarray):
+        self.rows, self.ids, self.shape = rows, ids, ids.shape
+
+    def __getitem__(self, at) -> np.ndarray:
+        return self.rows[self.ids[at]]
+
+
 def _pointwise_leq(cod: Lattice, F: np.ndarray, G: np.ndarray) -> np.ndarray:
     """All-pairs pointwise order: out[i, j] iff row F_i <= row G_j.
 
-    One matrix product of one-hot codes instead of a (B, B, n) gather:
-    X[i, x*m + v] = [F_i(x) = v] and Z[j, x*m + v] = [v not <= G_j(x)],
-    so (X Z^T)[i, j] counts the x with F_i(x) not <= G_j(x).  The counts
-    are at most n, which float32 holds exactly.
+    `_pair_kernel` counts the x with F_i(x) not <= G_j(x), from
+    W[i, x, v] = [F_i(x) not <= v]; the counts are at most n, which
+    float32 holds exactly.
     """
-    width = F.shape[1] * cod.n
-    X = np.eye(cod.n, dtype=np.float32)[F].reshape(len(F), width)
-    Z = (~cod.leq.T[G]).astype(np.float32).reshape(len(G), width)
-    return (X @ Z.T) == 0
+    return _pair_kernel((~cod.leq[F]).astype(np.float32), G) == 0
+
+
+def _composites_below(K: Lattice, P: np.ndarray, Q: np.ndarray,
+                      R: np.ndarray) -> np.ndarray:
+    """out[a, b] iff P_a . Q_b <= R pointwise, into K: `_pair_kernel`
+    counts the x with P_a(Q_b(x)) not <= R(x)."""
+    W = ~K.leq[P[:, None, :], R[None, :, None]]
+    return _pair_kernel(W.astype(np.float32), Q) == 0
+
+
+def _stars(dom: Lattice, cod: Lattice, F: np.ndarray) -> np.ndarray:
+    """Rowwise star of maps dom -> cod, as maps cod -> dom."""
+    return _batch_raney_join(cod, dom, _batch_right_adjoint(dom, cod, F))
 
 
 def check_involutive_axioms(L: Lattice, M: Lattice,
@@ -345,54 +398,48 @@ def _axiom_laws(L: Lattice, M: Lattice, A: HomsetEnumeration, cap: int,
     oM = special(M, "o").values
 
     SA = _batch_raney_join(M, L, A.rho)               # stars, maps M -> L
-    SS = _batch_raney_join(L, M, _batch_right_adjoint(M, L, SA))
+    SS = _stars(M, L, SA)
     yield "double_transform", (SS == FA).all(axis=1), {"f": FA, "twice": SS}
 
     LE = _pointwise_leq(M, FA, FA)                    # f_i <= f_j
-    T = FA[:, SA]                                     # [i, j, y] = (f_i . s_j)(y)
-    C1 = M.leq[T, oM[None, None, :]].all(axis=-1)     # f_i . s_j <= zero_M
-    U = SA[:, FA]                                     # [j, i, x] = (s_j . f_i)(x)
-    C2 = L.leq[U, oL[None, None, :]].all(axis=-1).T   # s_j . f_i <= zero_L
+    C1 = _composites_below(M, FA, SA, oM)             # f_i . s_j <= zero_M
+    C2 = _composites_below(L, SA, FA, oL).T           # s_j . f_i <= zero_L
     yield "order_reversal", (LE == C1) & (LE == C2), {
         "f": FA[:, None], "g": FA[None], "leq": LE,
         "right_compose_below_zero": C1, "left_compose_below_zero": C2}
 
-    def formula(names: tuple[str, str], K: Lattice, ref: np.ndarray,
-                X: np.ndarray):
-        """ref, over pairs (a, b) flattened, against the stars of the rows
-        of X, flattened as (b, a)."""
-        ref = ref.reshape(B, B, K.n)
-        alt = _batch_raney_join(K, K, _batch_right_adjoint(K, K, X))
-        alt = alt.reshape(B, B, K.n).swapaxes(0, 1)
-        return (ref == alt).all(axis=-1), {
+    def formula(names: tuple[str, str], K: Lattice, ref, alt):
+        """ref against alt over pairs (a, b) of members, each given as
+        (rows, ids) with rows[ids[a, b]] its row at (a, b)."""
+        (R, i), (S, j) = ref, alt
+        r, s = _same_rows(R, S, K.n)
+        return r[i] == s[j], {
             names[0]: FA[:, None], names[1]: FA[None],
-            "residual": ref, "via_transform": alt}
+            "residual": _Gathered(R, i), "via_transform": _Gathered(S, j)}
 
-    # g \ h == star(h* . g) over pairs g, h from Q(L, M); U is [h, g]
+    def swapped(rows_ids):
+        return rows_ids[0], rows_ids[1].T
+
+    # g \ h == star(h* . g) over pairs g, h from Q(L, M)
     yield "left_residual_formula", *formula(
-        ("g", "h"), L,
-        _batch_interior(L, L, A.rho[:, FA].reshape(B * B, L.n)),
-        U.reshape(B * B, L.n))
+        ("g", "h"), L, _on_composites(_batch_interior, L, A.rho, FA),
+        swapped(_on_composites(_stars, L, SA, FA)))
 
-    # h / f == star(f . h*) over pairs h, f from Q(L, M); T is [f, h]
+    # h / f == star(f . h*) over pairs h, f from Q(L, M)
     yield "right_residual_formula", *formula(
         ("h", "f"), M,
-        _batch_residual_right(M, M, FA[:, A.rho].swapaxes(0, 1).reshape(
-            B * B, M.n)),
-        T.reshape(B * B, M.n))
+        swapped(_on_composites(_batch_residual_right, M, FA, A.rho)),
+        swapped(_on_composites(_stars, M, FA, SA)))
 
     E = A if M == L else enumerate_homset(L, L, cap)
     if len(E) * B * B <= ROTATION_CAP:
         info["rotation_checked"] = True
         FE = E.matrix
         SE = _batch_raney_join(L, L, E.rho)
-        WV = U.transpose(1, 0, 2)                     # [v, w, x] = (s_w . f_v)(x)
         for u in range(len(E)):
-            Vu = FA[:, FE[u]]                         # [v, x] = (f_v . e_u)(x)
-            P1 = _pointwise_leq(M, Vu, FA)            # e-compose below w
-            P2 = L.leq[WV, SE[u][None, None, :]].all(axis=-1)
-            UW = FE[u][SA]                            # [w, y] = (e_u . s_w)(y)
-            P3 = L.leq[UW[None, :, :], SA[:, None, :]].all(axis=-1)
+            P1 = _pointwise_leq(M, FA[:, FE[u]], FA)      # f_v . e_u <= f_w
+            P2 = _composites_below(L, SA, FA, SE[u]).T    # s_w . f_v <= e_u*
+            P3 = _pointwise_leq(L, FE[u][SA], SA).T       # e_u . s_w <= s_v
             yield "triangle_rotation", (P1 == P2) & (P1 == P3), {
                 "f": FE[u][None, None], "g": FA[:, None], "h": FA[None],
                 "compose_below": P1, "rotated_left": P2, "rotated_right": P3}

@@ -304,7 +304,7 @@ def _t10_laws(ctx: SuiteContext, L: Lattice):
         rng = ctx.rng(L, "T10")
         G = rng.randint(0, L.n, size=(SAMPLE_COUNT // 2, L.n)).astype(np.int32)
         # partner maps pointwise below G, so law 1 has real pairs to see
-        A = np.concatenate([G, maps._draw_above(L.op, G, rng)])
+        A = np.concatenate([G, maps._draw_above(maps._upsets(L.op), G, rng)])
         Mo = maps.sample_monotone_maps(L, L, SAMPLE_COUNT // 2, rng)
         J = maps._batch_interior(L, L, Mo)
     RA = maps._batch_raney_join(L, L, A)

@@ -474,7 +474,7 @@ def test_draw_above_the_dual_stays_pointwise_below(zoo):
     for L in zoo.values():
         rng = np.random.RandomState(1)
         G = rng.randint(0, L.n, size=(300, L.n))
-        F = maps._draw_above(L.op, G, rng)
+        F = maps._draw_above(maps._upsets(L.op), G, rng)
         assert F.shape == G.shape and L.leq[F, G].all(), L.name
         # and every element below v is drawn somewhere for v
         for v in range(L.n):
@@ -581,6 +581,75 @@ def test_distinct_rows_code_each_row_once():
     # 62 bits or more per row: not coded
     assert maps._distinct_rows(np.zeros((3, 31), dtype=np.int32), 4) is None
     assert maps._distinct_rows(np.zeros((3, 30), dtype=np.int32), 4) is not None
+
+
+@pytest.mark.parametrize("A, B, n, m", [
+    (5, 5, 4, 3), (7, 3, 2, 6), (2, 9, 5, 1), (0, 4, 3, 3), (4, 0, 3, 3),
+    (0, 0, 2, 2),
+])
+def test_pair_kernel_matches_double_loop(A, B, n, m):
+    rng = np.random.RandomState(A * 100 + B * 10 + n)
+    W = rng.randint(-4, 5, size=(A, n, m)).astype(np.float64)
+    F = rng.randint(0, m, size=(B, n))
+    want = np.zeros((A, B))
+    for a in range(A):
+        for b in range(B):
+            want[a, b] = sum(W[a, x, F[b, x]] for x in range(n))
+    got = maps._pair_kernel(W, F)
+    assert got.shape == (A, B) and np.array_equal(got, want)
+
+
+def _ranks_by_loop(rows, base):
+    """np.unique's index and inverse over the codes sum of row[x] * base ** x
+    as Python integers, which have no width limit."""
+    codes = np.array([sum(int(v) * base ** x for x, v in enumerate(row))
+                      for row in rows], dtype=object)
+    _, first, ids = np.unique(codes, return_index=True, return_inverse=True)
+    return first, ids
+
+
+@pytest.mark.parametrize("P_shape, Q_shape, base", [
+    ((6, 4), (6, 5), 3),          # square
+    ((5, 3), (8, 4), 7),          # rectangular
+    ((0, 3), (4, 2), 3),          # no rows in P
+    ((4, 3), (0, 2), 3),          # no rows in Q
+    ((9, 30), (7, 30), 30),       # rows of 30 log2 30 > 62 bits
+])
+def test_composite_ids_match_double_loop(P_shape, Q_shape, base):
+    rng = np.random.RandomState(base + P_shape[0])
+    pool = rng.randint(0, base, size=(3, P_shape[1]))
+    P = pool[rng.randint(0, 3, size=P_shape[0])]       # repeated composites
+    Q = rng.randint(0, P_shape[1], size=Q_shape)
+    rows = [P[a][Q[b]] for a in range(len(P)) for b in range(len(Q))]
+    first, ids = maps._composite_ids(P, Q, base)
+    want_first, want_ids = _ranks_by_loop(rows, base)
+    assert first.tolist() == want_first.tolist()
+    assert ids.tolist() == want_ids.tolist()
+
+
+def test_composite_ids_past_62_bits_on_a_rectangular_homset(corpus):
+    # the composites f . rho(h), r19 -> r19, over Q(c3, r19): 23 columns
+    # below 23 need 104 bits, so the codes are built from ranked runs
+    named = {L.name: L for L in corpus}
+    L, M = named["c3"], named["r19"]
+    Q = latq.enumerate_homset(L, M)
+    rows = [f[r] for f in Q.matrix for r in Q.rho]
+    assert M.n * np.log2(M.n) > 62 and len(rows) == len(Q) ** 2
+    first, ids = maps._composite_ids(Q.matrix, Q.rho, M.n)
+    want_first, want_ids = _ranks_by_loop(rows, M.n)
+    assert first.tolist() == want_first.tolist()
+    assert ids.tolist() == want_ids.tolist()
+    assert 1 < len(first) < len(rows)
+
+
+@pytest.mark.parametrize("N, top", [(0, 5), (1, 5), (2, 1), (1000, 50),
+                                    (5000, 1 << 40)])
+def test_dedup_equals_np_unique(N, top):
+    codes = np.random.RandomState(N).randint(0, top, size=N, dtype=np.int64)
+    got = maps._dedup(codes)
+    want = np.unique(codes, return_index=True, return_inverse=True)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_kernels_deduplicate_from_two_rows_up(zoo, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import latq
 import oracles
 from latq import quantale
+from latq.cd import first_failing_law
 from latq.lattice import Poset, build_lattice
 
 
@@ -521,6 +523,117 @@ def test_involutive_axioms_fail_off_cd(zoo):
         assert back != f
     assert latq.check_involutive_axioms(zoo["m3"], zoo["m3"]).info[
         "homset_size"] == 50
+
+
+def _axiom_laws_by_gathers(L, M, A, cap):
+    """The laws of `check_involutive_axioms` as (law, ok, rows), computed
+    as (B, B, n) gathers of every pair's composite, row by row."""
+    FA, B = A.matrix, len(A)
+    oL = quantale.special(L, "o").values
+    oM = quantale.special(M, "o").values
+    SA = quantale._batch_raney_join(M, L, A.rho)
+    SS = quantale._batch_raney_join(
+        L, M, quantale._batch_right_adjoint(M, L, SA))
+    yield "double_transform", (SS == FA).all(axis=1), {"f": FA, "twice": SS}
+
+    LE = M.leq[FA[:, None], FA[None]].all(axis=-1)
+    T = FA[:, SA]                                   # [i, j] = f_i . s_j
+    C1 = M.leq[T, oM[None, None, :]].all(axis=-1)
+    U = SA[:, FA]                                   # [j, i] = s_j . f_i
+    C2 = L.leq[U, oL[None, None, :]].all(axis=-1).T
+    yield "order_reversal", (LE == C1) & (LE == C2), {
+        "f": FA[:, None], "g": FA[None], "leq": LE,
+        "right_compose_below_zero": C1, "left_compose_below_zero": C2}
+
+    def formula(names, K, ref, X):
+        ref = ref.reshape(B, B, K.n)
+        alt = quantale._batch_raney_join(
+            K, K, quantale._batch_right_adjoint(K, K, X))
+        alt = alt.reshape(B, B, K.n).swapaxes(0, 1)
+        return (ref == alt).all(axis=-1), {
+            names[0]: FA[:, None], names[1]: FA[None],
+            "residual": ref, "via_transform": alt}
+
+    yield "left_residual_formula", *formula(
+        ("g", "h"), L, quantale._batch_interior(
+            L, L, A.rho[:, FA].reshape(B * B, L.n)), U.reshape(B * B, L.n))
+    yield "right_residual_formula", *formula(
+        ("h", "f"), M, quantale._batch_residual_right(
+            M, M, FA[:, A.rho].swapaxes(0, 1).reshape(B * B, M.n)),
+        T.reshape(B * B, M.n))
+
+    E = A if M == L else latq.enumerate_homset(L, L, cap)
+    if len(E) * B * B <= quantale.ROTATION_CAP:
+        FE, SE = E.matrix, quantale._batch_raney_join(L, L, E.rho)
+        for u in range(len(E)):
+            Vu = FA[:, FE[u]]
+            P1 = M.leq[Vu[:, None], FA[None]].all(axis=-1)
+            P2 = L.leq[U.transpose(1, 0, 2), SE[u]].all(axis=-1)
+            UW = FE[u][SA]
+            P3 = L.leq[UW[None, :, :], SA[:, None, :]].all(axis=-1)
+            yield "triangle_rotation", (P1 == P2) & (P1 == P3), {
+                "f": FE[u][None, None], "g": FA[:, None], "h": FA[None],
+                "compose_below": P1, "rotated_left": P2, "rotated_right": P3}
+
+
+AXIOM_CASES = [("m3", "m3"), ("n5", "n5"), ("b2", "b2"), ("c4", "c4"),
+               ("c3", "r04"), ("c3", "r09")]
+
+
+@pytest.mark.parametrize("dom, cod", AXIOM_CASES)
+def test_axiom_laws_match_the_pair_gathers(corpus, dom, cod):
+    named = {L.name: L for L in corpus}
+    L, M = named[dom], named[cod]
+    A = latq.enumerate_homset(L, M)
+    got = list(quantale._axiom_laws(L, M, A, quantale.DEFAULT_CAP, {}))
+    want = list(_axiom_laws_by_gathers(L, M, A, quantale.DEFAULT_CAP))
+    assert [law for law, *_ in got] == [law for law, *_ in want]
+    for (law, ok, _), (_, ok_want, _) in zip(got, want):
+        assert ok.dtype == bool and np.array_equal(ok, ok_want), law
+    w = latq.check_involutive_axioms(L, M).witness
+    assert w == first_failing_law(
+        _axiom_laws_by_gathers(L, M, A, quantale.DEFAULT_CAP))
+    if L != M:      # the rectangular cases fail on the order reversal
+        assert w["law"] == "order_reversal"
+
+
+@pytest.mark.parametrize("kernel, law", [
+    ("_batch_interior", "left_residual_formula"),
+    ("_batch_left_adjoint", "right_residual_formula"),
+])
+def test_failing_residual_formula_names_the_first_failing_pair(
+        zoo, monkeypatch, kernel, law):
+    # a kernel spoiled on some rows, by a rule on each row alone, makes
+    # the formula fail, and the witness is the gathers' first failure
+    real = getattr(quantale, kernel)
+
+    def spoiled(dom, cod, F):
+        out = real(dom, cod, F).copy()
+        bad = F.sum(axis=1) % 3 == 1
+        out[bad] = out[bad][:, ::-1]
+        return out
+
+    monkeypatch.setattr(quantale, kernel, spoiled)
+    for name in ("b2", "c4"):
+        L = zoo[name]
+        A = latq.enumerate_homset(L, L)
+        w = latq.check_involutive_axioms(L, L).witness
+        assert w is not None and w["law"] == law, name
+        assert w == first_failing_law(
+            _axiom_laws_by_gathers(L, L, A, quantale.DEFAULT_CAP)), name
+
+
+def test_axiom_sweep_peak_memory_on_d4_7(corpus):
+    # the (B, B, n) gathers peaked at 124.8 MB on d4_7 (B = 746)
+    L = {L.name: L for L in corpus}["d4_7"]
+    tracemalloc.start()
+    try:
+        res = latq.check_involutive_axioms(L, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.holds and res.info["homset_size"] == 746
+    assert peak <= 124.8 / 2 * 2 ** 20
 
 
 def test_cyclic_dualizing_search(zoo):

@@ -188,9 +188,11 @@ def test_cells_match_committed_verify_reference(corpus):
 
 def test_sampled_cells_match_committed_verify_reference_at_seed_1(corpus):
     # T8, T9 and T10 draw their samples from the seed; at a seed other
-    # than the reference's 0 every cell still renders as in the reference
+    # than the reference's 0 every cell still renders as in the reference.
+    # T3, T5, T6, T6n, T13 and T14 run the pair sweeps over composite codes
     ref = json.loads(VERIFY_REF.read_text())["results"]
-    report = latq.run_suite(corpus=corpus, checks=["T8", "T9", "T10"], seed=1)
+    checks = ["T3", "T5", "T6", "T6n", "T8", "T9", "T10", "T13", "T14"]
+    report = latq.run_suite(corpus=corpus, checks=checks, seed=1)
     cells = 0
     for check, row in report.results.items():
         for name, cell in row.items():
