@@ -6,21 +6,21 @@ first level where its three values are final.
 The detectors (cyclic, central, dualizing, codualizing, involutive
 axioms) run on the stacked value matrix through the batch kernels in
 `maps`, with the single-map operations as their spot-checkable face.
-The cyclic and dualizing searches take the candidates in chunks, each
-chunk's residuals against every member in one kernel call.  A right
-residual is a left residual on the order duals: `rho` reverses
+A right residual is a left residual on the order duals: `rho` reverses
 composition and the order, so `rho(h / f)` is the least meet-continuous
 map above `f . rho(h)`.
 
 The pair sweeps never form a (B, B, n) array of composites.  The
 pointwise order and the order-reversal tests `f . g <= zero` are counts
 from `maps._pair_kernel`; the axiom sweep's residual formulas and the
-cyclic search code every composite exactly (`maps._composite_ids`), run
-the kernels on the distinct composites alone (`_on_composites`), and
-compare results by rank.  The composite codes take 8 bytes a pair, so
-the axiom sweep holds O(B^2) memory; the cyclic and dualizing searches
-still go in chunks of candidates, and `is_cyclic`, `is_dualizing` and
-the dualizing search still gather their residual rows whole.
+cyclic and dualizing searches code every composite exactly
+(`maps._composite_ids`), run the kernels on the distinct composites
+alone (`_on_composites`), and compare results by rank.  The composite
+codes take 8 bytes a pair, so the axiom sweep holds O(B^2) memory.  The
+cyclic and dualizing searches take the candidates in chunks, and rank
+each residual against the members (`_residual_members`): a residual of
+members is a member, so residuating twice is a lookup of positions, and
+`is_cyclic` and `is_dualizing` are the same pass for one candidate.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .maps import (
 
 DEFAULT_CAP = 1 << 20
 ROTATION_CAP = 1 << 20    # triples checked by the triangle rotation
-_CHUNK_BYTES = 1 << 23    # one residual array of a detector chunk, in bytes
+_CHUNK_BYTES = 1 << 23    # a detector chunk's candidates times F.nbytes
 
 
 class HomsetEnumeration:
@@ -212,75 +212,72 @@ def _require_endo(Q: HomsetEnumeration) -> Lattice:
     return Q.dom
 
 
-def _residual_rows(Q: HomsetEnumeration, A: np.ndarray):
-    """For rows alpha_j of A, (f_k \\ alpha_j, alpha_j / f_k) over the
-    members f_k of Q, each as a (len(A), len(Q), n) array, and the right
-    adjoints of the rows of A."""
-    L = _require_endo(Q)
-    rho_A = _batch_right_adjoint(L, L, A)
-    shape = (len(A), len(Q), L.n)
-    into = _batch_interior(L, L, Q.rho[:, A].swapaxes(0, 1).reshape(-1, L.n))
-    over = _batch_residual_right(
-        L, L, Q.matrix[:, rho_A].swapaxes(0, 1).reshape(-1, L.n))
-    return into.reshape(shape), over.reshape(shape), rho_A
-
-
-def _residuals_twice(Q: HomsetEnumeration, A: np.ndarray):
-    """For rows alpha_j of A, ((alpha_j / f_k) \\ alpha_j, alpha_j /
-    (f_k \\ alpha_j)) over the members f_k of Q, shaped as in
-    `_residual_rows`."""
-    L = Q.dom
-    into, over, rho_A = _residual_rows(Q, A)
-    # (alpha_j / f_k) \ alpha_j is the interior of rho(alpha_j / f_k) . alpha_j
-    rho = _batch_right_adjoint(L, L, over.reshape(-1, L.n)).reshape(over.shape)
-    j = np.arange(len(A))[:, None, None]
-    k = np.arange(len(Q))[None, :, None]
-    back1 = _batch_interior(L, L, rho[j, k, A[:, None, :]].reshape(-1, L.n))
-    back2 = _batch_residual_right(
-        L, L, into[j, k, rho_A[:, None, :]].reshape(-1, L.n))
-    return back1.reshape(over.shape), back2.reshape(over.shape)
-
-
-def _members_where(Q: HomsetEnumeration, verdicts) -> list[LatMap]:
-    """The members alpha of Q for which verdicts(Q, A) is True, with A the
-    members' rows in chunks of at most _CHUNK_BYTES of residual rows."""
-    F = Q.matrix
-    step = max(1, _CHUNK_BYTES // max(1, F.nbytes))
-    keep = [verdicts(Q, F[s:s + step]) for s in range(0, len(F), step)]
-    return [Q.maps[k] for k in np.flatnonzero(np.concatenate(keep))]
-
-
-def _cyclic(Q: HomsetEnumeration, A: np.ndarray) -> np.ndarray:
+def _residual_members(Q: HomsetEnumeration, A: np.ndarray):
+    """For rows alpha_j of A, (left, right) of shape (len(Q), len(A)):
+    left[k, j] is the position in Q of f_k \\ alpha_j, and right[k, j]
+    that of alpha_j / f_k.  The kernels run on the distinct composites
+    (`_on_composites`), and their rows are ranked against the members."""
     L = _require_endo(Q)
     into, i = _on_composites(_batch_interior, L, Q.rho, A)
     over, o = _on_composites(_batch_residual_right, L, Q.matrix,
                              _batch_right_adjoint(L, L, A))
-    into, over = _same_rows(into, over, L.n)
-    return (into[i] == over[o]).all(axis=0)
+    _, ids = _rank_rows(np.concatenate([Q.matrix, into, over]), L.n)
+    at = np.full(len(ids), -1)
+    at[ids[:len(Q)]] = np.arange(len(Q))
+    at = at[ids[len(Q):]]
+    if (at < 0).any():
+        raise NotContinuous("a residual is not a member of this homset")
+    return at[i], at[len(into) + o]
 
 
-def _dualizing(Q: HomsetEnumeration, A: np.ndarray) -> np.ndarray:
-    back1, back2 = _residuals_twice(Q, A)
-    F = Q.matrix[None]
-    return ((back1 == F) & (back2 == F)).all(axis=(1, 2))
+def _cyclic(left: np.ndarray, right: np.ndarray):
+    """Per pair (k, j), f_k \\ alpha_j == alpha_j / f_k; and the
+    positions shown in a witness."""
+    return left == right, {"left_residual": left, "right_residual": right}
+
+
+def _dualizing(left: np.ndarray, right: np.ndarray):
+    """Per pair (k, j), residuating into alpha_j twice returns f_k:
+    (alpha_j / f_k) \\ alpha_j is left[right[k, j], j], and alpha_j /
+    (f_k \\ alpha_j) is right[left[k, j], j]."""
+    back1 = np.take_along_axis(left, right, axis=0)
+    back2 = np.take_along_axis(right, left, axis=0)
+    k = np.arange(len(left))[:, None]
+    return (back1 == k) & (back2 == k), {"left_then_right": back1,
+                                         "right_then_left": back2}
+
+
+def _members_where(Q: HomsetEnumeration, test) -> list[LatMap]:
+    """The members alpha_j of Q for which test holds on every pair (k, j),
+    the candidates taken in chunks of `step` rows, step * F.nbytes at most
+    _CHUNK_BYTES.  That bounds a chunk's B * step distinct composite rows,
+    and its (B, step) int64 composite codes and member positions, 2 / n of
+    it each."""
+    F = Q.matrix
+    step = max(1, _CHUNK_BYTES // max(1, F.nbytes))
+    keep = [test(*_residual_members(Q, F[s:s + step]))[0].all(axis=0)
+            for s in range(0, len(F), step)]
+    return [Q.maps[k] for k in np.flatnonzero(np.concatenate(keep))]
+
+
+def _one_member(name: str, test, alpha: LatMap,
+                Q: HomsetEnumeration) -> CheckResult:
+    """test for the one candidate alpha, with its first failing member and
+    the rows at the positions test names as the witness."""
+    Q.position(alpha)
+    ok, shown = test(*_residual_members(Q, alpha.values[None]))
+    return verdict(name, ok[:, 0], {"f": Q.matrix, **{
+        key: Q.matrix[at[:, 0]] for key, at in shown.items()}})
 
 
 def is_cyclic(alpha: LatMap, Q: HomsetEnumeration) -> CheckResult:
     """Left and right residuals into alpha agree for every member."""
-    Q.position(alpha)
-    into, over, _ = _residual_rows(Q, alpha.values[None])
-    return verdict("cyclic", (into[0] == over[0]).all(axis=1), {
-        "f": Q.matrix, "left_residual": into[0], "right_residual": over[0]})
+    return _one_member("cyclic", _cyclic, alpha, Q)
 
 
 def is_dualizing(alpha: LatMap, Q: HomsetEnumeration) -> CheckResult:
     """Residuating into alpha twice returns every member unchanged."""
-    Q.position(alpha)
-    back1, back2 = _residuals_twice(Q, alpha.values[None])
-    F = Q.matrix
-    return verdict("dualizing", ((back1[0] == F) & (back2[0] == F)).all(axis=1),
-                   {"f": F, "left_then_right": back1[0],
-                    "right_then_left": back2[0]})
+    return _one_member("dualizing", _dualizing, alpha, Q)
 
 
 def is_codualizing(beta: LatMap, Q: HomsetEnumeration) -> CheckResult:

@@ -8,6 +8,7 @@ import latq
 import oracles
 from latq import quantale
 from latq.cd import first_failing_law
+from latq.errors import NotContinuous
 from latq.lattice import Poset, build_lattice
 
 
@@ -402,6 +403,44 @@ def test_cyclic_witness_replays(zoo):
     assert w["left_residual"] != w["right_residual"]
 
 
+def test_dualizing_witness_replays(zoo):
+    n5 = zoo["n5"]
+    Q = latq.enumerate_homset(n5, n5)
+    o = latq.special(n5, "o")
+    res = latq.is_dualizing(o, Q)
+    assert not res.holds
+    w = res.witness
+    assert w == {"f": [0, 0, 1, 0, 1], "left_then_right": [0, 0, 1, 1, 1],
+                 "right_then_left": [0, 0, 3, 0, 3]}
+    f = latq.LatMap(n5, n5, w["f"])
+    back1 = latq.residual_left(latq.residual_right(o, f), o)
+    back2 = latq.residual_right(o, latq.residual_left(f, o))
+    assert back1.values.tolist() == w["left_then_right"]
+    assert back2.values.tolist() == w["right_then_left"]
+
+
+def test_detectors_refuse_an_incomplete_homset(zoo):
+    # bottom \ o is the top member; on the homset without it, a residual
+    # into o is not a member, and the detectors refuse rather than read a
+    # missing position or give a verdict
+    n5 = zoo["n5"]
+    Q = latq.enumerate_homset(n5, n5)
+    o = latq.special(n5, "o")
+    bottom = Q.maps[0]
+    top = latq.residual_left(bottom, o)
+    assert top == latq.special(n5, "c", n5.top)
+    keep = np.arange(len(Q)) != Q.position(top)
+    part = quantale.HomsetEnumeration(n5, n5, Q.matrix[keep])
+    assert bottom in part and o in part and top not in part
+    for detect in (latq.is_cyclic, latq.is_dualizing):
+        with pytest.raises(NotContinuous):
+            detect(o, part)
+    for search in (latq.cyclic_elements, latq.dualizing_elements,
+                   latq.cyclic_dualizing_elements):
+        with pytest.raises(NotContinuous):
+            search(part)
+
+
 def test_central_fixtures(zoo):
     for name in ("c2", "c3", "b2", "m3", "n5"):
         L = zoo[name]
@@ -634,6 +673,20 @@ def test_axiom_sweep_peak_memory_on_d4_7(corpus):
         tracemalloc.stop()
     assert res.holds and res.info["homset_size"] == 746
     assert peak <= 124.8 / 2 * 2 ** 20
+
+
+def test_dualizing_search_peak_memory_on_d4_7(corpus):
+    # the (|A|, B, n) residual gathers peaked at 62.0 MB on d4_7 (B = 746)
+    L = {L.name: L for L in corpus}["d4_7"]
+    Q = latq.enumerate_homset(L, L)
+    tracemalloc.start()
+    try:
+        found = latq.dualizing_elements(Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 1
+    assert peak <= 62.0 / 2 * 2 ** 20
 
 
 def test_cyclic_dualizing_search(zoo):
