@@ -124,7 +124,7 @@ def _cmd_q(args) -> int:
         if args.op == "enumerate":
             lines = [f"count {len(Q)}"]
             if args.list:
-                lines.extend(json.dumps(f.values.tolist()) for f in Q.maps)
+                lines.extend(json.dumps(row) for row in Q.matrix.tolist())
         else:
             members = {
                 "cyclic": quantale.cyclic_elements,

@@ -17,10 +17,15 @@ cyclic and dualizing searches code every composite exactly
 (`maps._composite_ids`), run the kernels on the distinct composites
 alone (`_on_composites`), and compare results by rank.  The composite
 codes take 8 bytes a pair, so the axiom sweep holds O(B^2) memory.  The
-cyclic and dualizing searches take the candidates in chunks, and rank
-each residual against the members (`_residual_members`): a residual of
-members is a member, so residuating twice is a lookup of positions, and
-`is_cyclic` and `is_dualizing` are the same pass for one candidate.
+cyclic and dualizing searches rank each residual against the members
+(`_residual_members`): a residual of members is a member, so residuating
+twice is a lookup of positions, and `is_cyclic` and `is_dualizing` are
+the same pass for one candidate.  The cyclic and central searches narrow
+(`_narrowed`): the candidates meet the members a block at a time, and
+each is dropped at its first failing block.  The dualizing test reads
+whole columns of positions, so that search keeps chunks of candidates
+against all the members.  No search lists more than the members it
+returns.
 """
 
 from __future__ import annotations
@@ -77,7 +82,11 @@ class HomsetEnumeration:
 
     @cached_property
     def maps(self) -> list[LatMap]:
-        return [LatMap(self.dom, self.cod, row) for row in self.matrix]
+        return self.members(range(len(self)))
+
+    def members(self, at) -> list[LatMap]:
+        """The members at positions at, the rest left unlisted."""
+        return [LatMap(self.dom, self.cod, self.matrix[k]) for k in at]
 
     def __iter__(self):
         return iter(self.maps)
@@ -212,15 +221,14 @@ def _require_endo(Q: HomsetEnumeration) -> Lattice:
     return Q.dom
 
 
-def _residual_members(Q: HomsetEnumeration, A: np.ndarray):
-    """For rows alpha_j of A, (left, right) of shape (len(Q), len(A)):
-    left[k, j] is the position in Q of f_k \\ alpha_j, and right[k, j]
-    that of alpha_j / f_k.  The kernels run on the distinct composites
-    (`_on_composites`), and their rows are ranked against the members."""
+def _residual_members(Q: HomsetEnumeration, J, K=slice(None)):
+    """For members alpha_j, j in J, and f_k, k in K, (left, right) of shape
+    (len(K), len(J)): left[k, j] is the position in Q of f_k \\ alpha_j,
+    and right[k, j] that of alpha_j / f_k.  The kernels run on the
+    distinct composites (`_on_composites`), ranked against the members."""
     L = _require_endo(Q)
-    into, i = _on_composites(_batch_interior, L, Q.rho, A)
-    over, o = _on_composites(_batch_residual_right, L, Q.matrix,
-                             _batch_right_adjoint(L, L, A))
+    into, i = _on_composites(_batch_interior, L, Q.rho[K], Q.matrix[J])
+    over, o = _on_composites(_batch_residual_right, L, Q.matrix[K], Q.rho[J])
     _, ids = _rank_rows(np.concatenate([Q.matrix, into, over]), L.n)
     at = np.full(len(ids), -1)
     at[ids[:len(Q)]] = np.arange(len(Q))
@@ -247,25 +255,26 @@ def _dualizing(left: np.ndarray, right: np.ndarray):
                                          "right_then_left": back2}
 
 
-def _members_where(Q: HomsetEnumeration, test) -> list[LatMap]:
-    """The members alpha_j of Q for which test holds on every pair (k, j),
-    the candidates taken in chunks of `step` rows, step * F.nbytes at most
-    _CHUNK_BYTES.  That bounds a chunk's B * step distinct composite rows,
-    and its (B, step) int64 composite codes and member positions, 2 / n of
-    it each."""
+def _narrowed(Q: HomsetEnumeration, test) -> list[LatMap]:
+    """The members c of Q with test(K, C) true at c for every block K of
+    member positions, C the candidates still kept: only survivors meet the
+    next block.  A block is at least as long as all before it, longer when
+    few candidates are left, and len(K) * len(C) rows fit _CHUNK_BYTES."""
     F = Q.matrix
-    step = max(1, _CHUNK_BYTES // max(1, F.nbytes))
-    keep = [test(*_residual_members(Q, F[s:s + step]))[0].all(axis=0)
-            for s in range(0, len(F), step)]
-    return [Q.maps[k] for k in np.flatnonzero(np.concatenate(keep))]
+    keep, done = np.arange(len(F)), 0
+    while done < len(F) and len(keep):
+        step = min(max(1, done, len(F) // len(keep)),
+                   max(1, _CHUNK_BYTES // (len(keep) * F[0].nbytes)))
+        keep = keep[test(slice(done, done + step), keep)]
+        done += step
+    return Q.members(keep)
 
 
 def _one_member(name: str, test, alpha: LatMap,
                 Q: HomsetEnumeration) -> CheckResult:
     """test for the one candidate alpha, with its first failing member and
     the rows at the positions test names as the witness."""
-    Q.position(alpha)
-    ok, shown = test(*_residual_members(Q, alpha.values[None]))
+    ok, shown = test(*_residual_members(Q, [Q.position(alpha)]))
     return verdict(name, ok[:, 0], {"f": Q.matrix, **{
         key: Q.matrix[at[:, 0]] for key, at in shown.items()}})
 
@@ -292,22 +301,26 @@ def is_codualizing(beta: LatMap, Q: HomsetEnumeration) -> CheckResult:
 
 
 def cyclic_elements(Q: HomsetEnumeration) -> list[LatMap]:
-    return _members_where(Q, _cyclic)
+    return _narrowed(Q, lambda K, C: _cyclic(
+        *_residual_members(Q, C, K))[0].all(axis=0))
 
 
 def central_elements(Q: HomsetEnumeration) -> list[LatMap]:
     """Members commuting with every member under composition."""
     _require_endo(Q)
     F = Q.matrix
-    keep = np.arange(len(F))
-    for f in F:
-        C = F[keep]
-        keep = keep[(C[:, f] == f[C]).all(axis=1)]
-    return [Q.maps[k] for k in keep]
+    return _narrowed(Q, lambda K, C: (F[C][:, F[K]] == np.swapaxes(
+        F[K][:, F[C]], 0, 1)).all(axis=(1, 2)))
 
 
 def dualizing_elements(Q: HomsetEnumeration) -> list[LatMap]:
-    return _members_where(Q, _dualizing)
+    """Candidates in chunks of step rows, step * F.nbytes at most
+    _CHUNK_BYTES, which bounds a chunk's B * step composites."""
+    F = Q.matrix
+    step = max(1, _CHUNK_BYTES // max(1, F.nbytes))
+    return Q.members(s + k for s in range(0, len(F), step)
+                     for k in np.flatnonzero(_dualizing(*_residual_members(
+                         Q, slice(s, s + step)))[0].all(axis=0)))
 
 
 def codualizing_elements(Q: HomsetEnumeration) -> list[LatMap]:

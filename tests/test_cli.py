@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tracemalloc
@@ -268,6 +269,27 @@ def test_q_enumerate(capsys, c3_file):
     rows = sorted(json.loads(line) for line in lines[1:])
     assert rows == [[0, 0, 0], [0, 0, 1], [0, 0, 2],
                     [0, 1, 1], [0, 1, 2], [0, 2, 2]]
+
+
+@pytest.mark.parametrize("name, spec, digest", [
+    ("m3", latq.GeneratorSpec("m3"),
+     "15730a33341e5a42b39ca27071aa1b82662017c155fc3760b88a071323674ac6"),
+    ("b3", latq.GeneratorSpec("boolean", k=3),
+     "21a216db46992ab7be70e9075ee460a0a13583761146634ac99abe1329162062"),
+])
+def test_q_enumerate_list_rows_in_homset_order(capsys, tmp_path, name, spec,
+                                               digest):
+    # one line per member, in homset order, as each LatMap's values print;
+    # the digest pins the exact bytes
+    L = latq.generate(spec)
+    path = tmp_path / f"{name}.json"
+    docio.save_lattice(L, str(path))
+    code, out, _ = run(capsys, "q", "enumerate", str(path), "--list")
+    Q = latq.enumerate_homset(L, L)
+    assert code == 0
+    assert out == "".join(f"{line}\n" for line in [f"count {len(Q)}", *(
+        json.dumps(f.values.tolist()) for f in Q.maps)])
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_q_enumerate_cap(capsys, c3_file):

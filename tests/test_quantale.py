@@ -441,6 +441,123 @@ def test_detectors_refuse_an_incomplete_homset(zoo):
             search(part)
 
 
+@pytest.mark.parametrize("search", [
+    latq.cyclic_elements, latq.central_elements, latq.dualizing_elements,
+    latq.cyclic_dualizing_elements], ids=lambda f: f.__name__)
+def test_searches_on_a_homset_without_rows(zoo, search):
+    n5 = zoo["n5"]
+    assert search(quantale.HomsetEnumeration(n5, n5, np.zeros((0, 5)))) == []
+
+
+def test_narrowing_meets_every_member(corpus):
+    # the same members with the rows reversed, so the blocks a candidate
+    # meets first are the ones it met last
+    carriers = {L.name: L for L in corpus}
+    for name in ("m3", "n5", "b2", "c4", "d4_7"):
+        L = carriers[name]
+        Q = latq.enumerate_homset(L, L)
+        R = quantale.HomsetEnumeration(L, L, Q.matrix[::-1])
+        for search in (latq.cyclic_elements, latq.central_elements):
+            assert {f.key for f in search(R)} == \
+                {f.key for f in search(Q)}, (name, search.__name__)
+
+
+def _last(L, Q, fails):
+    """Q with the members f for which fails(f) holds moved to the end."""
+    bad = np.array([fails(f) for f in Q.maps])
+    assert bad.any() and not bad.all()
+    order = np.concatenate([np.flatnonzero(~bad), np.flatnonzero(bad)])
+    return quantale.HomsetEnumeration(L, L, Q.matrix[order])
+
+
+def test_narrowing_drops_a_candidate_at_the_last_block(zoo):
+    # each non-central (non-cyclic) member of b2 meets the members it
+    # fails with only after all the others, and is still dropped
+    b2 = zoo["b2"]
+    Q = latq.enumerate_homset(b2, b2)
+    central = {f.key for f in latq.central_elements(Q)}
+    cyclic = {f.key for f in latq.cyclic_elements(Q)}
+    assert len(central) == len(cyclic) == 2
+    for c in Q.maps:
+        if c.key not in central:
+            R = _last(b2, Q, lambda g: latq.compose(c, g)
+                      != latq.compose(g, c))
+            assert {f.key for f in latq.central_elements(R)} == central
+        if c.key not in cyclic:
+            R = _last(b2, Q, lambda f: latq.residual_left(f, c)
+                      != latq.residual_right(c, f))
+            assert {f.key for f in latq.cyclic_elements(R)} == cyclic
+
+
+def _logged_blocks(monkeypatch, B):
+    """Spy on `quantale._narrowed`: the (start, stop, candidates) of each
+    block it passes to its test, the stop clipped at B."""
+    real, blocks = quantale._narrowed, []
+
+    def logged(Q, test):
+        def block(K, C):
+            blocks.append((K.start, min(K.stop, B), len(C)))
+            return test(K, C)
+        return real(Q, block)
+    monkeypatch.setattr(quantale, "_narrowed", logged)
+    return blocks
+
+
+def _tile_within(blocks, B, budget, row):
+    starts, stops, _ = zip(*blocks)
+    assert starts == (0, *stops[:-1]) and stops[-1] == B
+    assert all((b - a) * c * row <= budget for a, b, c in blocks)
+
+
+def test_narrowing_keeps_a_candidate_only_after_every_member(
+        zoo, monkeypatch):
+    # a synthetic test fails each candidate at most at one member
+    # position, odd positions only, so the last member decides some; under
+    # a small budget about half of b3's members survive every block, and
+    # the byte bound, not the growth rule, sets the blocks
+    Q = latq.enumerate_homset(zoo["b3"], zoo["b3"])
+    fails_at = np.random.default_rng(0).permutation(len(Q))
+
+    def test(K, C):
+        at = fails_at[C]
+        return ~((K.start <= at) & (at < K.stop) & (at % 2 == 1))
+    budget = 1 << 16
+    monkeypatch.setattr(quantale, "_CHUNK_BYTES", budget)
+    blocks = _logged_blocks(monkeypatch, len(Q))
+    kept = quantale._narrowed(Q, test)
+    assert [Q.position(f) for f in kept] == \
+        np.flatnonzero(fails_at % 2 == 0).tolist()
+    _tile_within(blocks, len(Q), budget, Q.matrix[0].nbytes)
+    assert len(blocks) > 32
+
+
+def test_narrowing_blocks_tile_the_members_within_budget(corpus, monkeypatch):
+    L = {L.name: L for L in corpus}["d4_7"]
+    Q = latq.enumerate_homset(L, L)
+    blocks = _logged_blocks(monkeypatch, len(Q))
+    for search in (latq.cyclic_elements, latq.central_elements):
+        blocks.clear()
+        assert len(search(Q)) == 2
+        _tile_within(blocks, len(Q), quantale._CHUNK_BYTES,
+                     Q.matrix[0].nbytes)
+        assert len(blocks) <= 11
+    # a test that drops nothing still meets O(log B) blocks: 1, 1, 2, 4, ...
+    blocks.clear()
+    everyone = quantale._narrowed(Q, lambda K, C: np.ones(len(C), bool))
+    assert len(everyone) == len(Q)
+    _tile_within(blocks, len(Q), quantale._CHUNK_BYTES, Q.matrix[0].nbytes)
+    assert len(blocks) == 11
+
+
+def test_detectors_list_no_whole_homset(corpus):
+    L = {L.name: L for L in corpus}["d4_7"]
+    Q = latq.enumerate_homset(L, L)
+    assert len(latq.cyclic_elements(Q)) == len(latq.central_elements(Q)) == 2
+    (alpha,) = latq.dualizing_elements(Q)
+    assert latq.is_dualizing(alpha, Q).holds
+    assert "maps" not in vars(Q)
+
+
 def test_central_fixtures(zoo):
     for name in ("c2", "c3", "b2", "m3", "n5"):
         L = zoo[name]
