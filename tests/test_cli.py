@@ -333,6 +333,61 @@ def test_q_star_and_binary_ops(capsys, tmp_path, c3_file):
     assert json.loads(out)["values"] == [0, 2, 2]
 
 
+# map files between different lattice files: name -> (dom, cod, values);
+# "square" is b2 under another name, so only its file tells it apart
+_MAPS_BETWEEN_FILES = {
+    "f": ("c2", "b2", [0, 1]),              # join-continuous
+    "g": ("b2", "c3", [0, 1, 2, 2]),        # join-continuous
+    "h": ("c2", "c3", [0, 2]),              # join-continuous
+    "k": ("c2", "b2", [1, 3]),              # meet- but not join-continuous
+    "m": ("b2", "c3", [1, 2, 1, 2]),        # meet- but not join-continuous
+    "s": ("square", "b2", [0, 2, 1, 3]),    # an isomorphism
+}
+
+
+@pytest.mark.parametrize("argv, dom, cod, values", [
+    (("map", "interior", "k"), "c2", "b2", [0, 3]),
+    (("map", "adjoint", "f"), "b2", "c2", [0, 1, 0, 1]),
+    (("map", "adjoint", "m"), "c3", "b2", [0, 0, 1]),
+    (("map", "adjoint", "s"), "b2", "square", [0, 2, 1, 3]),
+    (("map", "raney-join", "k"), "c2", "b2", [0, 1]),
+    (("map", "raney-meet", "k"), "c2", "b2", [3, 3]),
+    (("q", "star", "f"), "b2", "c2", [0, 0, 1, 1]),
+    (("q", "star", "s"), "b2", "square", [0, 1, 2, 3]),
+    (("q", "compose", "g", "f"), "c2", "c3", [0, 1]),
+    (("q", "residual-left", "g", "h"), "c2", "b2", [0, 3]),
+    (("q", "residual-right", "h", "f"), "b2", "c3", [0, 2, 2, 2]),
+    (("q", "oplus", "g", "f"), "c2", "c3", [0, 2]),
+], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
+def test_map_valued_commands_name_the_files_of_their_carriers(
+        capsys, tmp_path, monkeypatch, zoo, argv, dom, cod, values):
+    # each output's dom and cod name the file its carrier was read from,
+    # relative to the working directory on stdout and to the -o file's
+    # directory otherwise
+    (tmp_path / "lat").mkdir()
+    (tmp_path / "maps").mkdir()
+    (tmp_path / "out").mkdir()
+    for name, L in (("c2", zoo["c2"]), ("b2", zoo["b2"]), ("c3", zoo["c3"]),
+                    ("square", zoo["b2"].rename("square"))):
+        docio.save_lattice(L, str(tmp_path / "lat" / f"{name}.json"))
+    for name, (d, c, v) in _MAPS_BETWEEN_FILES.items():
+        (tmp_path / "maps" / f"{name}.json").write_text(docio.dumps(
+            {"dom": f"../lat/{d}.json", "cod": f"../lat/{c}.json",
+             "values": v}))
+    monkeypatch.chdir(tmp_path)
+    command, op, *names = argv
+    files = [f"maps/{name}.json" for name in names]
+    code, out, err = run(capsys, command, op, *files)
+    assert code == 0, err
+    assert json.loads(out) == {"dom": f"lat/{dom}.json",
+                               "cod": f"lat/{cod}.json", "values": values}
+    code, out, err = run(capsys, command, op, *files, "-o", "out/r.json")
+    assert code == 0 and out == "", err
+    assert json.loads((tmp_path / "out" / "r.json").read_text()) == {
+        "dom": f"../lat/{dom}.json", "cod": f"../lat/{cod}.json",
+        "values": values}
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_subset_of_checks(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -388,6 +389,12 @@ def test_all_posets_counts_match_oeis_small_values():
     for p in latq.all_posets(4):
         sizes[p.n] = sizes.get(p.n, 0) + 1
     assert sizes == {1: 1, 2: 2, 3: 5, 4: 16}
+    # the classes, their canonical forms and their order, which the
+    # built-in corpus's d{k}_{i} names follow
+    digest = hashlib.sha256(
+        b"".join(p.leq.tobytes() for p in latq.all_posets(4))).hexdigest()
+    assert digest == \
+        "c956fa8589331dc25b43bcd26ca491f03223ec98a520a0f61c187b7cb79de8e3"
 
 
 def test_downsets_of_every_small_poset_are_distributive():
