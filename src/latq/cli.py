@@ -8,6 +8,7 @@ structure), 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,23 +27,27 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _ref(target_abs: str, out: str | None) -> str:
-    base = os.path.dirname(os.path.abspath(out)) if out else os.getcwd()
-    return os.path.relpath(target_abs, base)
-
-
-def _load_map_with_refs(path: str):
+def _load_map(path: str, files: list) -> maps.LatMap:
+    """The map in a map file; each of its carriers joins `files` with the
+    path of the lattice file it was read from."""
     doc = docio._load_json(path)
     base = os.path.dirname(os.path.abspath(path))
     f = docio.map_from_doc(doc, base)
-    dom_abs = os.path.abspath(docio._resolve(doc["dom"], base))
-    cod_abs = os.path.abspath(docio._resolve(doc["cod"], base))
-    return f, dom_abs, cod_abs
+    files += [(L, os.path.abspath(docio._resolve(doc[key], base)))
+              for L, key in ((f.dom, "dom"), (f.cod, "cod"))]
+    return f
 
 
-def _emit_map(f, dom_abs: str, cod_abs: str, out: str | None) -> None:
-    doc = docio.map_to_doc(f, _ref(dom_abs, out), _ref(cod_abs, out))
-    _emit(docio.dumps(doc), out)
+def _emit_map(f, files: list, out: str | None) -> None:
+    """Write f with dom and cod naming the files its carriers came from,
+    found by identity: equal lattices from two files keep their own names.
+    Refs are relative to the -o file's directory, or to the working
+    directory on stdout."""
+    base = os.path.dirname(os.path.abspath(out)) if out else os.getcwd()
+    dom_ref, cod_ref = (
+        os.path.relpath(next(path for L, path in files if L is carrier), base)
+        for carrier in (f.dom, f.cod))
+    _emit(docio.dumps(docio.map_to_doc(f, dom_ref, cod_ref)), out)
 
 
 # ------------------------------------------------------------- subcommands
@@ -89,75 +94,62 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_map(args) -> int:
-    if args.kind in ("o", "omega", "c", "a", "alpha", "nu"):
-        L = docio.load_lattice(args.lattice)
-        x = getattr(args, "element", None)
-        f = maps.special(L, args.kind, x)
-        lat_abs = os.path.abspath(args.lattice)
-        _emit_map(f, lat_abs, lat_abs, args.output)
-        return 0
-    f, dom_abs, cod_abs = _load_map_with_refs(args.mapfile)
-    if args.kind == "interior":
-        _emit_map(maps.interior(f), dom_abs, cod_abs, args.output)
-    elif args.kind == "adjoint":
-        cls = maps.classify(f)
-        if cls.join_continuous:
-            _emit_map(maps.right_adjoint(f), cod_abs, dom_abs, args.output)
-        elif cls.meet_continuous:
-            _emit_map(maps.left_adjoint(f), cod_abs, dom_abs, args.output)
-        else:
-            raise NotContinuous(
-                "map preserves neither joins nor meets; no adjoint on "
-                "either side")
-    elif args.kind == "raney-join":
-        _emit_map(maps.raney_join(f), dom_abs, cod_abs, args.output)
-    else:  # raney-meet
-        _emit_map(maps.raney_meet(f), dom_abs, cod_abs, args.output)
+def _cmd_special(args) -> int:
+    L = docio.load_lattice(args.lattice)
+    f = maps.special(L, args.kind, getattr(args, "element", None))
+    _emit_map(f, [(L, os.path.abspath(args.lattice))], args.output)
+    return 0
+
+
+def _adjoint(f):
+    """The right adjoint of a join-continuous map, else the left adjoint."""
+    cls = maps.classify(f)
+    if cls.join_continuous:
+        return maps.right_adjoint(f)
+    if cls.meet_continuous:
+        return maps.left_adjoint(f)
+    raise NotContinuous(
+        "map preserves neither joins nor meets; no adjoint on either side")
+
+
+# Map-valued commands: (command, name) -> (map-file arguments, operation).
+# Every operation returns a map between its arguments' carrier objects.
+_MAP_COMMANDS = {
+    ("map", "interior"): (("mapfile",), maps.interior),
+    ("map", "adjoint"): (("mapfile",), _adjoint),
+    ("map", "raney-join"): (("mapfile",), maps.raney_join),
+    ("map", "raney-meet"): (("mapfile",), maps.raney_meet),
+    ("q", "star"): (("mapfile",), quantale.star),
+    ("q", "compose"): (("outer", "inner"), maps.compose),
+    ("q", "residual-left"): (("g", "h"), quantale.residual_left),
+    ("q", "residual-right"): (("h", "f"), quantale.residual_right),
+    ("q", "oplus"): (("g", "f"), quantale.dual_tensor),
+}
+
+
+def _cmd_map_op(args, arguments, op) -> int:
+    files: list = []
+    result = op(*(_load_map(getattr(args, a), files) for a in arguments))
+    _emit_map(result, files, args.output)
     return 0
 
 
 def _cmd_q(args) -> int:
-    if args.op in ("enumerate", "cyclic", "central", "dualizing"):
-        L = docio.load_lattice(args.lattice)
-        Q = quantale.enumerate_homset(L, L, cap=args.cap)
-        if args.op == "enumerate":
-            lines = [f"count {len(Q)}"]
-            if args.list:
-                lines.extend(json.dumps(row) for row in Q.matrix.tolist())
-        else:
-            members = {
-                "cyclic": quantale.cyclic_elements,
-                "central": quantale.central_elements,
-                "dualizing": quantale.dualizing_elements,
-            }[args.op](Q)
-            lines = [f"count {len(members)}"]
-            lines.extend(json.dumps(f.values.tolist()) for f in members)
-        _emit("\n".join(lines) + "\n", None)
-        return 0
-    if args.op == "star":
-        f, dom_abs, cod_abs = _load_map_with_refs(args.mapfile)
-        _emit_map(quantale.star(f), cod_abs, dom_abs, args.output)
-        return 0
-    if args.op == "compose":
-        f, fdom, fcod = _load_map_with_refs(args.outer)
-        g, gdom, gcod = _load_map_with_refs(args.inner)
-        _emit_map(maps.compose(f, g), gdom, fcod, args.output)
-        return 0
-    if args.op == "residual-left":
-        g, gdom, _ = _load_map_with_refs(args.g)
-        h, hdom, _ = _load_map_with_refs(args.h)
-        _emit_map(quantale.residual_left(g, h), hdom, gdom, args.output)
-        return 0
-    if args.op == "residual-right":
-        h, _, hcod = _load_map_with_refs(args.h)
-        f, _, fcod = _load_map_with_refs(args.f)
-        _emit_map(quantale.residual_right(h, f), fcod, hcod, args.output)
-        return 0
-    # oplus
-    g, _, gcod = _load_map_with_refs(args.g)
-    f, fdom, _ = _load_map_with_refs(args.f)
-    _emit_map(quantale.dual_tensor(g, f), fdom, gcod, args.output)
+    L = docio.load_lattice(args.lattice)
+    Q = quantale.enumerate_homset(L, L, cap=args.cap)
+    if args.op == "enumerate":
+        lines = [f"count {len(Q)}"]
+        if args.list:
+            lines.extend(json.dumps(row) for row in Q.matrix.tolist())
+    else:
+        members = {
+            "cyclic": quantale.cyclic_elements,
+            "central": quantale.central_elements,
+            "dualizing": quantale.dualizing_elements,
+        }[args.op](Q)
+        lines = [f"count {len(members)}"]
+        lines.extend(json.dumps(f.values.tolist()) for f in members)
+    _emit("\n".join(lines) + "\n", None)
     return 0
 
 
@@ -219,19 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     mp = sub.add_parser("map", help="build or transform maps")
     msub = mp.add_subparsers(dest="kind", required=True)
-    for kind in ("o", "omega"):
+    for kind in ("o", "omega", "c", "a", "alpha", "nu"):
         p = msub.add_parser(kind)
+        if kind not in ("o", "omega"):
+            p.add_argument("element", type=int)
         p.add_argument("lattice")
         p.add_argument("-o", "--output")
-    for kind in ("c", "a", "alpha", "nu"):
-        p = msub.add_parser(kind)
-        p.add_argument("element", type=int)
-        p.add_argument("lattice")
-        p.add_argument("-o", "--output")
-    for kind in ("interior", "adjoint", "raney-join", "raney-meet"):
-        p = msub.add_parser(kind)
-        p.add_argument("mapfile")
-        p.add_argument("-o", "--output")
+        p.set_defaults(run=_cmd_special)
 
     q = sub.add_parser("q", help="endo-homset structure and residuals")
     qsub = q.add_subparsers(dest="op", required=True)
@@ -241,25 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=quantale.DEFAULT_CAP)
         if op == "enumerate":
             p.add_argument("--list", action="store_true")
-    q_star = qsub.add_parser("star")
-    q_star.add_argument("mapfile")
-    q_star.add_argument("-o", "--output")
-    q_comp = qsub.add_parser("compose")
-    q_comp.add_argument("outer")
-    q_comp.add_argument("inner")
-    q_comp.add_argument("-o", "--output")
-    q_rl = qsub.add_parser("residual-left")
-    q_rl.add_argument("g")
-    q_rl.add_argument("h")
-    q_rl.add_argument("-o", "--output")
-    q_rr = qsub.add_parser("residual-right")
-    q_rr.add_argument("h")
-    q_rr.add_argument("f")
-    q_rr.add_argument("-o", "--output")
-    q_op = qsub.add_parser("oplus")
-    q_op.add_argument("g")
-    q_op.add_argument("f")
-    q_op.add_argument("-o", "--output")
+        p.set_defaults(run=_cmd_q)
+
+    for (command, name), (arguments, op) in _MAP_COMMANDS.items():
+        p = (msub if command == "map" else qsub).add_parser(name)
+        for argument in arguments:
+            p.add_argument(argument)
+        p.add_argument("-o", "--output")
+        p.set_defaults(run=functools.partial(
+            _cmd_map_op, arguments=arguments, op=op))
 
     ver = sub.add_parser("verify", help="run the law-check suite")
     ver.add_argument("--corpus", default="builtin",
@@ -270,16 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--timing", action="store_true")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--cap", type=int, default=quantale.DEFAULT_CAP)
+    for parser, run in ((gen, _cmd_gen), (chk, _cmd_check),
+                        (ver, _cmd_verify)):
+        parser.set_defaults(run=run)
     return ap
-
-
-_DISPATCH = {
-    "gen": _cmd_gen,
-    "check": _cmd_check,
-    "map": _cmd_map,
-    "q": _cmd_q,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -289,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except (LatqError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -551,19 +551,32 @@ def _map_doc(values) -> bytes:
                        "values": values}).encode()
 
 
+_TWO_MAPS = [("q", "compose"), ("q", "residual-left"),
+             ("q", "residual-right"), ("q", "oplus")]
+
+
 @given(payload=_map_docs | _documents | st.binary(max_size=64),
        argv=st.sampled_from([("map", "interior"), ("map", "adjoint"),
-                             ("q", "star")]))
-@example(payload=_map_doc([0, 1, 2 ** 40]), argv=("map", "interior"))
-@example(payload=_map_doc([0, 2 ** 64, 1]), argv=("q", "star"))
-def test_map_fuzz_exits_cleanly(tmp_path_factory, payload, argv):
+                             ("q", "star"), *_TWO_MAPS]),
+       fuzzed_first=st.booleans())
+@example(payload=_map_doc([0, 1, 2 ** 40]), argv=("map", "interior"),
+         fuzzed_first=True)
+@example(payload=_map_doc([0, 2 ** 64, 1]), argv=("q", "star"),
+         fuzzed_first=True)
+def test_map_fuzz_exits_cleanly(tmp_path_factory, payload, argv,
+                                fuzzed_first):
+    # a two-map command gets the fuzzed file in one slot and a valid c3
+    # map in the other
     where = tmp_path_factory.mktemp("fuzz")
     docio.save_lattice(latq.generate(latq.GeneratorSpec("chain", n=3)),
                        str(where / "c3.json"))
+    (where / "id.json").write_bytes(_map_doc([0, 1, 2]))
     path = where / "map.json"
     path.write_bytes(payload)
+    valid = [str(where / "id.json")] if argv in _TWO_MAPS else []
+    files = [str(path), *valid] if fuzzed_first else [*valid, str(path)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([*argv, str(path)])
+        code = cli.main([*argv, *files])
     assert code in (0, 1, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
