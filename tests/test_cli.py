@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -464,11 +465,74 @@ def test_map_values_beyond_int32_exit_two(capsys, tmp_path, c3_file,
 
 # ------------------------------------------------------------------ misc
 
+# every action of gen, map, q and their subcommands, in order:
+# (option strings, dest, metavar, default, type name)
+_HELP = (("-h", "--help"), "help", None, argparse.SUPPRESS, None)
+_OUT = (("-o", "--output"), "output", None, None, None)
+_CAP = (("--cap",), "cap", None, 1048576, "int")
+_LATTICE = ((), "lattice", None, None, None)
+_ELEMENT = ((), "element", None, None, "int")
+_MAPFILE = ((), "mapfile", None, None, None)
+_SURFACE = [
+    ("gen", [_HELP, ((), "shape", None, None, None)]),
+    ("gen chain", [_HELP, ((), "n", "size", None, "int"), _OUT]),
+    ("gen boolean", [_HELP, ((), "k", "exponent", None, "int"), _OUT]),
+    ("gen m3", [_HELP, _OUT]),
+    ("gen n5", [_HELP, _OUT]),
+    ("gen product", [_HELP, ((), "a", None, None, "int"),
+                     ((), "b", None, None, "int"), _OUT]),
+    ("gen random", [_HELP, (("--seed",), "seed", None, 0, "int"),
+                    (("--size",), "n", "SIZE", 8, "int"), _OUT]),
+    ("gen downsets", [_HELP, ((), "posetfile", None, None, None), _OUT]),
+    ("map", [_HELP, ((), "kind", None, None, None)]),
+    ("map o", [_HELP, _LATTICE, _OUT]),
+    ("map omega", [_HELP, _LATTICE, _OUT]),
+    ("map c", [_HELP, _ELEMENT, _LATTICE, _OUT]),
+    ("map a", [_HELP, _ELEMENT, _LATTICE, _OUT]),
+    ("map alpha", [_HELP, _ELEMENT, _LATTICE, _OUT]),
+    ("map nu", [_HELP, _ELEMENT, _LATTICE, _OUT]),
+    ("map interior", [_HELP, _MAPFILE, _OUT]),
+    ("map adjoint", [_HELP, _MAPFILE, _OUT]),
+    ("map raney-join", [_HELP, _MAPFILE, _OUT]),
+    ("map raney-meet", [_HELP, _MAPFILE, _OUT]),
+    ("q", [_HELP, ((), "op", None, None, None)]),
+    ("q enumerate", [_HELP, _LATTICE, _CAP,
+                     (("--list",), "list", None, False, None)]),
+    ("q cyclic", [_HELP, _LATTICE, _CAP]),
+    ("q central", [_HELP, _LATTICE, _CAP]),
+    ("q dualizing", [_HELP, _LATTICE, _CAP]),
+    ("q star", [_HELP, _MAPFILE, _OUT]),
+    ("q compose", [_HELP, ((), "outer", None, None, None),
+                   ((), "inner", None, None, None), _OUT]),
+    ("q residual-left", [_HELP, ((), "g", None, None, None),
+                         ((), "h", None, None, None), _OUT]),
+    ("q residual-right", [_HELP, ((), "h", None, None, None),
+                          ((), "f", None, None, None), _OUT]),
+    ("q oplus", [_HELP, ((), "g", None, None, None),
+                 ((), "f", None, None, None), _OUT]),
+]
+
+
+def _parser_surface(parser, path=()):
+    """(path, actions) for parser and every subparser below it, in order."""
+    yield " ".join(path), [
+        (tuple(a.option_strings), a.dest, a.metavar, a.default,
+         getattr(a.type, "__name__", a.type)) for a in parser._actions]
+    for a in parser._actions:
+        if isinstance(a, argparse._SubParsersAction):
+            for name, sub in a.choices.items():
+                yield from _parser_surface(sub, path + (name,))
+
+
 def test_help_and_no_args(capsys):
     code, _, _ = run(capsys, "--help")
     assert code == 0
     code, _, _ = run(capsys)
     assert code == 2  # subcommand required
+    surface = [(path, actions)
+               for path, actions in _parser_surface(cli.build_parser())
+               if path.split(" ")[0] in ("gen", "map", "q")]
+    assert surface == _SURFACE
 
 
 

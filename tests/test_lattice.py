@@ -265,9 +265,20 @@ def test_generator_caps_and_validation():
         latq.generate(latq.GeneratorSpec("chain", n=21))
     with pytest.raises(latq.TooLarge):
         latq.generate(latq.GeneratorSpec("boolean", k=5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^chain needs n$"):
         latq.generate(latq.GeneratorSpec("chain"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^boolean needs k$"):
+        latq.generate(latq.GeneratorSpec("boolean"))
+    for spec in (latq.GeneratorSpec("product", a=2),
+                 latq.GeneratorSpec("product", b=2)):
+        with pytest.raises(ValueError, match=r"^product needs a and b$"):
+            latq.generate(spec)
+    for spec in (latq.GeneratorSpec("random", seed=0),
+                 latq.GeneratorSpec("random", n=4)):
+        with pytest.raises(ValueError, match=r"^random needs seed and n$"):
+            latq.generate(spec)
+    with pytest.raises(ValueError,
+                       match=r"^unknown generator kind 'nonsense'$"):
         latq.generate(latq.GeneratorSpec("nonsense"))
 
 
