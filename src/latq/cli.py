@@ -16,7 +16,7 @@ import traceback
 
 from . import cd, docio, maps, quantale, suite
 from .errors import LatqError, NotContinuous
-from .lattice import GeneratorSpec, downset_lattice, generate
+from .lattice import GENERATORS, GeneratorSpec, downset_lattice, generate
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -27,26 +27,15 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_map(path: str, files: list) -> maps.LatMap:
-    """The map in a map file; each of its carriers joins `files` with the
-    path of the lattice file it was read from."""
-    doc = docio._load_json(path)
-    base = os.path.dirname(os.path.abspath(path))
-    f = docio.map_from_doc(doc, base)
-    files += [(L, os.path.abspath(docio._resolve(doc[key], base)))
-              for L, key in ((f.dom, "dom"), (f.cod, "cod"))]
-    return f
-
-
-def _emit_map(f, files: list, out: str | None) -> None:
-    """Write f with dom and cod naming the files its carriers came from,
-    found by identity: equal lattices from two files keep their own names.
-    Refs are relative to the -o file's directory, or to the working
-    directory on stdout."""
+def _emit_map(f, carriers: dict, out: str | None) -> None:
+    """Write f with dom and cod naming the paths of its carriers in
+    `carriers`, found by identity: equal lattices from two files keep
+    their own names.  Refs are relative to the -o file's directory, or to
+    the working directory on stdout."""
     base = os.path.dirname(os.path.abspath(out)) if out else os.getcwd()
     dom_ref, cod_ref = (
-        os.path.relpath(next(path for L, path in files if L is carrier), base)
-        for carrier in (f.dom, f.cod))
+        os.path.relpath(next(p for p, L in carriers.items() if L is end), base)
+        for end in (f.dom, f.cod))
     _emit(docio.dumps(docio.map_to_doc(f, dom_ref, cod_ref)), out)
 
 
@@ -59,9 +48,9 @@ def _cmd_gen(args) -> int:
         L = downset_lattice(p, name=f"downsets_{name}")
     else:
         # the shape's arguments are parsed into GeneratorSpec field names
-        fields = {k: v for k, v in vars(args).items()
-                  if k in ("n", "k", "a", "b", "seed")}
-        L = generate(GeneratorSpec(args.shape, **fields))
+        _, fields = GENERATORS[args.shape]
+        L = generate(GeneratorSpec(
+            args.shape, **{k: getattr(args, k) for k in fields}))
     _emit(docio.dumps(docio.lattice_to_doc(L)), args.output)
     return 0
 
@@ -97,7 +86,7 @@ def _cmd_check(args) -> int:
 def _cmd_special(args) -> int:
     L = docio.load_lattice(args.lattice)
     f = maps.special(L, args.kind, getattr(args, "element", None))
-    _emit_map(f, [(L, os.path.abspath(args.lattice))], args.output)
+    _emit_map(f, {os.path.abspath(args.lattice): L}, args.output)
     return 0
 
 
@@ -128,9 +117,10 @@ _MAP_COMMANDS = {
 
 
 def _cmd_map_op(args, arguments, op) -> int:
-    files: list = []
-    result = op(*(_load_map(getattr(args, a), files) for a in arguments))
-    _emit_map(result, files, args.output)
+    carriers: dict = {}    # a lattice file named twice is read once
+    result = op(*(docio.load_map(getattr(args, a), carriers)
+                  for a in arguments))
+    _emit_map(result, carriers, args.output)
     return 0
 
 
@@ -142,11 +132,7 @@ def _cmd_q(args) -> int:
         if args.list:
             lines.extend(json.dumps(row) for row in Q.matrix.tolist())
     else:
-        members = {
-            "cyclic": quantale.cyclic_elements,
-            "central": quantale.central_elements,
-            "dualizing": quantale.dualizing_elements,
-        }[args.op](Q)
+        members = getattr(quantale, f"{args.op}_elements")(Q)
         lines = [f"count {len(members)}"]
         lines.extend(json.dumps(f.values.tolist()) for f in members)
     _emit("\n".join(lines) + "\n", None)
@@ -186,22 +172,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a lattice file")
     gsub = gen.add_subparsers(dest="shape", required=True)
-    g_chain = gsub.add_parser("chain")
-    g_chain.add_argument("n", metavar="size", type=int)
-    g_bool = gsub.add_parser("boolean")
-    g_bool.add_argument("k", metavar="exponent", type=int)
-    gsub.add_parser("m3")
-    gsub.add_parser("n5")
-    g_prod = gsub.add_parser("product")
-    g_prod.add_argument("a", type=int)
-    g_prod.add_argument("b", type=int)
-    g_rand = gsub.add_parser("random")
-    g_rand.add_argument("--seed", type=int, default=0)
-    g_rand.add_argument("--size", dest="n", metavar="SIZE", type=int, default=8)
-    g_down = gsub.add_parser("downsets")
-    g_down.add_argument("posetfile")
-    for p in (g_chain, g_bool, gsub.choices["m3"], gsub.choices["n5"],
-              g_prod, g_rand, g_down):
+    # shape -> its arguments, as (name or flag, add_argument keywords)
+    shapes = {
+        "chain": [("n", dict(metavar="size", type=int))],
+        "boolean": [("k", dict(metavar="exponent", type=int))],
+        "m3": [], "n5": [],
+        "product": [("a", dict(type=int)), ("b", dict(type=int))],
+        "random": [("--seed", dict(type=int, default=0)),
+                   ("--size", dict(dest="n", metavar="SIZE", type=int,
+                                   default=8))],
+        "downsets": [("posetfile", {})],
+    }
+    for shape, arguments in shapes.items():
+        p = gsub.add_parser(shape)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
         p.add_argument("-o", "--output")
 
     chk = sub.add_parser("check", help="profile a lattice file")

@@ -93,25 +93,29 @@ def _resolve(ref: str, base_dir: str) -> str:
     return ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
 
 
-def map_from_doc(doc, base_dir: str = ".") -> LatMap:
+def map_from_doc(doc, base_dir: str = ".",
+                 carriers: dict | None = None) -> LatMap:
+    """`carriers` maps the absolute path of each lattice file read so far
+    to its Lattice; maps loaded through one table share their carriers."""
     if not isinstance(doc, dict):
         raise ParseError("map document must be a JSON object")
-    dom_ref = _expect(doc, "dom", str, "map document")
-    cod_ref = _expect(doc, "cod", str, "map document")
+    refs = [_expect(doc, key, str, "map document") for key in ("dom", "cod")]
     values = _expect(doc, "values", list, "map document")
     if not all(_is(v, int) for v in values):
         raise ParseError("map values must be integers")
-    dom = load_lattice(_resolve(dom_ref, base_dir))
-    if os.path.abspath(_resolve(cod_ref, base_dir)) == \
-            os.path.abspath(_resolve(dom_ref, base_dir)):
-        cod = dom
-    else:
-        cod = load_lattice(_resolve(cod_ref, base_dir))
-    return LatMap(dom, cod, values)
+    carriers = {} if carriers is None else carriers
+    ends = []
+    for path in (_resolve(ref, base_dir) for ref in refs):
+        key = os.path.abspath(path)
+        if key not in carriers:
+            carriers[key] = load_lattice(path)
+        ends.append(carriers[key])
+    return LatMap(*ends, values)
 
 
-def load_map(path: str) -> LatMap:
-    return map_from_doc(_load_json(path), os.path.dirname(os.path.abspath(path)))
+def load_map(path: str, carriers: dict | None = None) -> LatMap:
+    return map_from_doc(_load_json(path),
+                        os.path.dirname(os.path.abspath(path)), carriers)
 
 
 def save_map(f: LatMap, dom_ref: str, cod_ref: str, path: str) -> None:

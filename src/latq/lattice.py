@@ -340,10 +340,8 @@ def _inclusion_lattice(masks: list[int], name: str | None) -> Lattice:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Config for `generate`.  Unused fields stay None.
-
-    kinds: chain(n), boolean(k), m3, n5, product(a, b), random(seed, n).
-    """
+    """Config for `generate`: a kind and the fields `GENERATORS` lists
+    for it.  Unused fields stay None."""
 
     kind: str
     n: int | None = None
@@ -424,30 +422,26 @@ def _random_closure_lattice(seed: int, n: int) -> Lattice:
     return _inclusion_lattice(masks, f"r{seed}_{n}")
 
 
+# generator kind -> (builder, its GeneratorSpec fields in argument order)
+GENERATORS = {
+    "chain": (_chain, ("n",)),
+    "boolean": (_boolean, ("k",)),
+    "m3": (_m3, ()),
+    "n5": (_n5, ()),
+    "product": (_product_of_chains, ("a", "b")),
+    "random": (_random_closure_lattice, ("seed", "n")),
+}
+
+
 def generate(spec: GeneratorSpec) -> Lattice:
     """Build the lattice a GeneratorSpec describes."""
-    kind = spec.kind
-    if kind == "chain":
-        if spec.n is None:
-            raise ValueError("chain needs n")
-        return _chain(spec.n)
-    if kind == "boolean":
-        if spec.k is None:
-            raise ValueError("boolean needs k")
-        return _boolean(spec.k)
-    if kind == "m3":
-        return _m3()
-    if kind == "n5":
-        return _n5()
-    if kind == "product":
-        if spec.a is None or spec.b is None:
-            raise ValueError("product needs a and b")
-        return _product_of_chains(spec.a, spec.b)
-    if kind == "random":
-        if spec.seed is None or spec.n is None:
-            raise ValueError("random needs seed and n")
-        return _random_closure_lattice(spec.seed, spec.n)
-    raise ValueError(f"unknown generator kind {kind!r}")
+    if spec.kind not in GENERATORS:
+        raise ValueError(f"unknown generator kind {spec.kind!r}")
+    build, fields = GENERATORS[spec.kind]
+    args = [getattr(spec, field) for field in fields]
+    if None in args:
+        raise ValueError(f"{spec.kind} needs {' and '.join(fields)}")
+    return build(*args)
 
 
 def all_posets(max_n: int) -> Iterator[Poset]:

@@ -45,7 +45,6 @@ from .maps import (
     _batch_raney_join,
     _batch_right_adjoint,
     _composite_ids,
-    _once_per_distinct_row,
     _pair_kernel,
     _rank_rows,
     compose,
@@ -187,7 +186,6 @@ def residual_right(h: LatMap, f: LatMap) -> LatMap:
     return LatMap(f.cod, h.cod, _batch_residual_right(h.cod, f.cod, G)[0])
 
 
-@_once_per_distinct_row
 def _batch_residual_right(N: Lattice, M: Lattice, G: np.ndarray) -> np.ndarray:
     """Rowwise h / f, maps M -> N, from the rows of G = f . rho(h), maps
     N -> M: the left adjoint of the interior of G between the order duals,

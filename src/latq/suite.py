@@ -317,9 +317,8 @@ def _t10_laws(ctx: SuiteContext, L: Lattice):
         distinct row d of left and each g in A, copied back to the repeats
         of d: a (len(left), len(A)) verdict."""
         D, inverse = maps._distinct_rows(left, L.n)   # n <= SAMPLED_N fits
-        comp = D[:, A]                                # [d, g, x] = d(g(x))
-        lhs = maps._batch_raney_join(L, L, comp.reshape(-1, L.n))
-        return law(lhs.reshape(comp.shape), D[:, RA]).all(axis=-1)[inverse]
+        T, ids = quantale._on_composites(maps._batch_raney_join, L, D, A)
+        return law(T[ids], D[:, RA]).all(axis=-1)[inverse]
 
     # lax composition law: transform(m . g) <= m . transform(g), m monotone
     yield "lax_composition", per_left_factor(

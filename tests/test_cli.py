@@ -389,6 +389,23 @@ def test_map_valued_commands_name_the_files_of_their_carriers(
         "values": values}
 
 
+def test_a_lattice_file_named_by_several_maps_is_read_once(
+        capsys, tmp_path, monkeypatch, c3_file):
+    reads = []
+    load = docio.load_lattice
+    monkeypatch.setattr(docio, "load_lattice",
+                        lambda path: reads.append(path) or load(path))
+    f_file = map_file(tmp_path, c3_file, "f", [0, 2, 2])
+    g_file = map_file(tmp_path, c3_file, "g", [0, 2, 2])
+    h_file = map_file(tmp_path, c3_file, "h", [0, 0, 1])
+    for argv in (("compose", f_file, f_file),
+                 ("residual-left", g_file, h_file)):
+        reads.clear()
+        code, _, err = run(capsys, "q", *argv)
+        assert code == 0, err
+        assert len(reads) == 1, argv
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_subset_of_checks(capsys):
