@@ -11,13 +11,15 @@ detectors and sweeps pass in repeat rows heavily: their rows are maps in
 a homset of at most cod.n ** n members.  So the kernels run once per
 distinct row and copy the results back out (`_once_per_distinct_row`).
 They run on every row, as given, when a matrix has fewer than two rows
-or when a row does not fit a 62-bit code (n * log2(cod.n) >= 62).
+or when a row needs 62 bits or more (n * log2(cod.n) >= 62).
 
 Rows are told apart by exact ranks (`_row_ids`): a run of columns is
 coded as sum of row[x] * base ** x, and `_dedup` ranks the codes with
 one sort of (code << k) | position keys, where np.unique would take
 three times as long.  A row too wide for one code is ranked run by run,
-each run's codes appended to the ranks of the columns above it.
+each run's codes appended to the ranks of the columns above it.  Every
+caller ranks rows through `_rank_rows`, several blocks at once, or
+composites through `_composite_ids` (below).
 
 The pair sweeps in `quantale` rest on one pair kernel, `_pair_kernel`:
 out[a, b] = sum over x of W[a, x, F[b, x]], one matrix product with the
@@ -35,6 +37,7 @@ from an up-set table built once per call (`_upsets`).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -63,6 +66,10 @@ class LatMap:
             raise DomainMismatch(
                 f"expected {dom.n} values, got shape {values.shape}"
             )
+        # bool and float are refused; ints past int64 come as objects
+        if values.dtype.kind not in "iu" and not all(
+                type(v) is int for v in values.tolist()):
+            raise IndexOutOfRange(f"values must be integers, not {values.dtype}")
         if values.size and (values.min() < 0 or values.max() >= cod.n):
             raise IndexOutOfRange("value outside the codomain carrier")
         self.dom = dom
@@ -224,21 +231,14 @@ def _row_ids(codes: Callable[[int, int], np.ndarray], width: int, base: int,
     return first, ids
 
 
-def _rank_rows(F: np.ndarray, base: int):
-    """`_row_ids` over the rows of a (B, n) matrix of entries below base."""
-    return _row_ids(lambda lo, hi: F[:, lo:hi] @ base ** np.arange(
-        hi - lo, dtype=np.int64), F.shape[1], base, len(F))
-
-
-def _distinct_rows(F: np.ndarray, base: int):
-    """The distinct rows of a (B, n) matrix of entries below base, in
-    order of their codes sum of F[k, x] * base ** x, and for each row the
-    position of its copy among them; None when a row does not fit a 62-bit
-    code (n * log2(base) >= 62)."""
-    if F.shape[1] * math.log2(base) >= 62:
-        return None
-    first, ids = _rank_rows(F, base)
-    return F[first], ids
+def _rank_rows(base: int, *blocks: np.ndarray):
+    """`_row_ids` over the stacked rows of (B_i, n) blocks of entries below
+    base: first indexes the stack, and ids holds each block's ranks."""
+    ends = list(itertools.accumulate(map(len, blocks), initial=0))
+    first, ids = _row_ids(lambda lo, hi: np.concatenate([
+        F[:, lo:hi] @ base ** np.arange(hi - lo, dtype=np.int64)
+        for F in blocks]), blocks[0].shape[1], base, ends[-1])
+    return first, [ids[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def _composite_ids(P: np.ndarray, Q: np.ndarray, base: int):
@@ -257,16 +257,15 @@ def _composite_ids(P: np.ndarray, Q: np.ndarray, base: int):
 
 def _once_per_distinct_row(kernel: Callable[..., np.ndarray]):
     """Run a rowwise kernel over (B, n) values in cod on distinct rows only,
-    and index its result by the inverse to put every row back."""
+    and index its result by the ranks to put every row back."""
 
     @functools.wraps(kernel)
     def run(dom: Lattice, cod: Lattice, F: np.ndarray) -> np.ndarray:
         F = np.asarray(F)
-        once = _distinct_rows(F, cod.n) if len(F) >= 2 else None
-        if once is None:
+        if len(F) < 2 or F.shape[1] * math.log2(cod.n) >= 62:
             return kernel(dom, cod, F)
-        rows, inverse = once
-        return kernel(dom, cod, rows)[inverse]
+        first, (ids,) = _rank_rows(cod.n, F)
+        return kernel(dom, cod, F[first])[ids]
 
     return run
 

@@ -16,16 +16,17 @@ from `maps._pair_kernel`; the axiom sweep's residual formulas and the
 cyclic and dualizing searches code every composite exactly
 (`maps._composite_ids`), run the kernels on the distinct composites
 alone (`_on_composites`), and compare results by rank.  The composite
-codes take 8 bytes a pair, so the axiom sweep holds O(B^2) memory.  The
-cyclic and dualizing searches rank each residual against the members
-(`_residual_members`): a residual of members is a member, so residuating
-twice is a lookup of positions, and `is_cyclic` and `is_dualizing` are
-the same pass for one candidate.  The cyclic and central searches narrow
-(`_narrowed`): the candidates meet the members a block at a time, and
-each is dropped at its first failing block.  The dualizing test reads
-whole columns of positions, so that search keeps chunks of candidates
-against all the members.  No search lists more than the members it
-returns.
+codes take 8 bytes a pair, so the axiom sweep holds O(B^2) memory.  A
+row's position among the members comes from ranking both together
+(`HomsetEnumeration.positions`), for `position`, `in` and the residuals
+of the cyclic and dualizing searches (`_residual_members`): a residual
+of members is a member, so residuating twice is a lookup of positions,
+and `is_cyclic` and `is_dualizing` are the same pass for one candidate.
+The cyclic and central searches narrow (`_narrowed`): the candidates
+meet the members a block at a time, and each is dropped at its first
+failing block.  The dualizing test reads whole columns of positions, so
+that search keeps chunks of candidates against all the members.  No
+search lists more than the members it returns.
 """
 
 from __future__ import annotations
@@ -75,11 +76,6 @@ class HomsetEnumeration:
         return len(self.matrix)
 
     @cached_property
-    def index(self) -> dict[bytes, int]:
-        """Position of each member by its value bytes."""
-        return {row.tobytes(): k for k, row in enumerate(self.matrix)}
-
-    @cached_property
     def maps(self) -> list[LatMap]:
         return self.members(range(len(self)))
 
@@ -95,16 +91,24 @@ class HomsetEnumeration:
         """Right adjoints of all members, stacked (B, cod.n)."""
         return _batch_right_adjoint(self.dom, self.cod, self.matrix)
 
+    def positions(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's position among the members, -1 for a non-member."""
+        first, (members, ids) = _rank_rows(self.cod.n, self.matrix, rows)
+        at = np.full(len(first), -1)   # one slot per distinct row
+        at[members] = np.arange(len(self))
+        return at[ids]
+
     def position(self, f: LatMap) -> int:
         if f.dom != self.dom or f.cod != self.cod:
             raise DomainMismatch("map belongs to a different homset")
-        k = self.index.get(f.key)
-        if k is None:
+        k = int(self.positions(f.values[None])[0])
+        if k < 0:
             raise NotContinuous("map is not join-continuous for this homset")
         return k
 
     def __contains__(self, f: LatMap) -> bool:
-        return f.dom == self.dom and f.cod == self.cod and f.key in self.index
+        return (f.dom == self.dom and f.cod == self.cod
+                and self.positions(f.values[None])[0] >= 0)
 
     def __repr__(self) -> str:
         return f"HomsetEnumeration({self.dom!r} -> {self.cod!r}, {len(self)})"
@@ -227,10 +231,7 @@ def _residual_members(Q: HomsetEnumeration, J, K=slice(None)):
     L = _require_endo(Q)
     into, i = _on_composites(_batch_interior, L, Q.rho[K], Q.matrix[J])
     over, o = _on_composites(_batch_residual_right, L, Q.matrix[K], Q.rho[J])
-    _, ids = _rank_rows(np.concatenate([Q.matrix, into, over]), L.n)
-    at = np.full(len(ids), -1)
-    at[ids[:len(Q)]] = np.arange(len(Q))
-    at = at[ids[len(Q):]]
+    at = Q.positions(np.concatenate([into, over]))
     if (at < 0).any():
         raise NotContinuous("a residual is not a member of this homset")
     return at[i], at[len(into) + o]
@@ -340,13 +341,6 @@ def _on_composites(kernel, K: Lattice, P: np.ndarray, Q: np.ndarray):
     return kernel(K, K, P[a[:, None], Q[b]]), ids.reshape(len(P), len(Q))
 
 
-def _same_rows(X: np.ndarray, Y: np.ndarray, base: int):
-    """Ranks of the rows of X and of Y, entries below base, with equal
-    ranks exactly for equal rows."""
-    _, ids = _rank_rows(np.concatenate([X, Y]), base)
-    return ids[:len(X)], ids[len(X):]
-
-
 class _Gathered:
     """rows[ids] for `cd.row_witness`, read one entry at a time rather
     than gathered whole."""
@@ -420,7 +414,7 @@ def _axiom_laws(L: Lattice, M: Lattice, A: HomsetEnumeration, cap: int,
         """ref against alt over pairs (a, b) of members, each given as
         (rows, ids) with rows[ids[a, b]] its row at (a, b)."""
         (R, i), (S, j) = ref, alt
-        r, s = _same_rows(R, S, K.n)
+        _, (r, s) = _rank_rows(K.n, R, S)
         return r[i] == s[j], {
             names[0]: FA[:, None], names[1]: FA[None],
             "residual": _Gathered(R, i), "via_transform": _Gathered(S, j)}

@@ -316,7 +316,8 @@ def _t10_laws(ctx: SuiteContext, L: Lattice):
         """law(transform(d . g), d . transform(g)) at every point, for each
         distinct row d of left and each g in A, copied back to the repeats
         of d: a (len(left), len(A)) verdict."""
-        D, inverse = maps._distinct_rows(left, L.n)   # n <= SAMPLED_N fits
+        first, (inverse,) = maps._rank_rows(L.n, left)
+        D = left[first]
         T, ids = quantale._on_composites(maps._batch_raney_join, L, D, A)
         return law(T[ids], D[:, RA]).all(axis=-1)[inverse]
 
@@ -489,6 +490,10 @@ def run_suite(corpus: list[Lattice] | None = None,
     """Run the registry (or a subset) over the corpus (builtin by default)."""
     if corpus is None:
         corpus = builtin_corpus()
+    names = [L.name for L in corpus]
+    twice = [x for k, x in enumerate(names) if x in names[:k]]
+    if twice:    # a cell per (check, name): one carrier would hide another
+        raise ValueError(f"corpus has two carriers named {twice[0]!r}")
     registry = list(REGISTRY)
     if checks is not None:
         unknown = set(checks) - set(CHECK_IDS)
@@ -511,7 +516,7 @@ def run_suite(corpus: list[Lattice] | None = None,
                                           expected=False)
         results[chk.id] = row
     return SuiteReport(
-        corpus=[L.name for L in corpus],
+        corpus=names,
         checks=[c.id for c in registry],
         results=results,
         seed=seed,

@@ -431,6 +431,17 @@ def test_verify_json_on_directory_corpus(capsys, tmp_path, zoo):
     assert doc["results"]["T13"]["c3"]["status"] == "pass"
 
 
+def test_verify_refuses_two_carriers_of_one_name(capsys, tmp_path, zoo):
+    # the second carrier named c3 would take the first one's cells
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    docio.save_lattice(zoo["c3"], str(corpus / "c3.json"))
+    docio.save_lattice(zoo["m3"].rename("c3"), str(corpus / "m3.json"))
+    code, out, err = run(capsys, "verify", "--corpus", str(corpus))
+    assert (code, out) == (2, "")
+    assert err == "error: corpus has two carriers named 'c3'\n"
+
+
 def test_verify_bad_corpus(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--corpus",
                        str(tmp_path / "nowhere"))

@@ -37,6 +37,18 @@ def test_latmap_validation(zoo):
         f(7)
 
 
+@pytest.mark.parametrize("values", [
+    [0.5, 1.7, 2.2], [0.0, 1.0, 2.0], [True, False, True], ["0", "1", "2"],
+    [0, 1, None],
+])
+def test_latmap_refuses_values_that_are_not_integers(zoo, values):
+    c3 = zoo["c3"]
+    with pytest.raises(latq.IndexOutOfRange, match="must be integers"):
+        latq.LatMap(c3, c3, values)
+    f = latq.LatMap(c3, c3, np.array([0, 1, 2], dtype=np.uint8))
+    assert f.values.dtype == np.int32
+
+
 def test_latmap_equality_and_order(zoo):
     c3 = zoo["c3"]
     f = latq.LatMap(c3, c3, [0, 0, 1])
@@ -566,23 +578,6 @@ def test_deduplicated_kernels_match_loop_oracles(LF):
     _kernels_match_oracles(L, L, F)
 
 
-def test_distinct_rows_code_each_row_once():
-    rng = np.random.RandomState(4)
-    for base, width, rows in ((3, 4, 100), (3, 6, 100), (2, 8, 50)):
-        pool = rng.randint(0, base, size=(7, width))
-        F = pool[rng.randint(0, 7, size=rows)].astype(np.int32)
-        if base == 2:
-            F = F.astype(bool)
-        distinct, inverse = maps._distinct_rows(F, base)
-        assert distinct.dtype == F.dtype
-        assert len({tuple(r) for r in distinct.tolist()}) == len(distinct)
-        assert len(distinct) == len({tuple(r) for r in F.tolist()})
-        assert (distinct[inverse] == F).all()
-    # 62 bits or more per row: not coded
-    assert maps._distinct_rows(np.zeros((3, 31), dtype=np.int32), 4) is None
-    assert maps._distinct_rows(np.zeros((3, 30), dtype=np.int32), 4) is not None
-
-
 @pytest.mark.parametrize("A, B, n, m", [
     (5, 5, 4, 3), (7, 3, 2, 6), (2, 9, 5, 1), (0, 4, 3, 3), (4, 0, 3, 3),
     (0, 0, 2, 2),
@@ -606,6 +601,30 @@ def _ranks_by_loop(rows, base):
                       for row in rows], dtype=object)
     _, first, ids = np.unique(codes, return_index=True, return_inverse=True)
     return first, ids
+
+
+@pytest.mark.parametrize("base, width, sizes", [
+    (3, 4, (100,)),               # one block
+    (3, 6, (40, 0, 60)),          # an empty block between two
+    (2, 8, (30, 20)),             # bool rows
+    (30, 30, (9, 7, 5)),          # rows of 30 log2 30 > 62 bits
+    (4, 31, (3, 3)),              # 62 bits exactly
+])
+def test_rank_rows_ranks_several_blocks_as_one(base, width, sizes):
+    rng = np.random.RandomState(base + width)
+    pool = rng.randint(0, base, size=(7, width))
+    blocks = [pool[rng.randint(0, 7, size=k)].astype(np.int32)
+              for k in sizes]
+    if base == 2:
+        blocks = [F.astype(bool) for F in blocks]
+    rows = np.concatenate(blocks)
+    first, ids = maps._rank_rows(base, *blocks)
+    want_first, want_ids = _ranks_by_loop(rows, base)
+    assert first.tolist() == want_first.tolist()
+    assert [r.tolist() for r in ids] == \
+        [r.tolist() for r in np.split(want_ids, np.cumsum(sizes)[:-1])]
+    # equal rows, in one block or in two, get equal ranks
+    assert (rows[first][np.concatenate(ids)] == rows).all()
 
 
 @pytest.mark.parametrize("P_shape, Q_shape, base", [
@@ -654,13 +673,13 @@ def test_dedup_equals_np_unique(N, top):
 
 def test_kernels_deduplicate_from_two_rows_up(zoo, monkeypatch):
     coded = []
-    distinct_rows = maps._distinct_rows
+    rank_rows = maps._rank_rows
 
-    def spy(F, base):
-        coded.append(len(F))
-        return distinct_rows(F, base)
+    def spy(base, *blocks):
+        coded.append(sum(map(len, blocks)))
+        return rank_rows(base, *blocks)
 
-    monkeypatch.setattr(maps, "_distinct_rows", spy)
+    monkeypatch.setattr(maps, "_rank_rows", spy)
     c1, c3, b2 = zoo["c1"], zoo["c3"], zoo["b2"]
     for L in (c3, b2):
         _kernels_match_oracles(L, L, np.zeros((0, L.n), dtype=np.int32))
@@ -679,13 +698,13 @@ def test_kernels_deduplicate_from_two_rows_up(zoo, monkeypatch):
 def test_kernels_bypass_dedup_when_a_row_needs_62_bits(monkeypatch):
     c20 = latq.generate(latq.GeneratorSpec("chain", n=20))  # 20 log2 20 > 62
     coded = []
-    distinct_rows = maps._distinct_rows
+    rank_rows = maps._rank_rows
 
-    def spy(F, base):
-        coded.append(distinct_rows(F, base))
-        return coded[-1]
+    def spy(base, *blocks):
+        coded.append(sum(map(len, blocks)))
+        return rank_rows(base, *blocks)
 
-    monkeypatch.setattr(maps, "_distinct_rows", spy)
+    monkeypatch.setattr(maps, "_rank_rows", spy)
     rng = np.random.RandomState(5)
     F = rng.randint(0, c20.n, size=(6, c20.n)).astype(np.int32)
     F = np.concatenate([F, F[::2]])
@@ -697,4 +716,4 @@ def test_kernels_bypass_dedup_when_a_row_needs_62_bits(monkeypatch):
                                   if c20.leq[x, y]]) for x in range(c20.n)]
         want[c20.bottom] = c20.bottom
         assert out == want
-    assert len(coded) == 5 and all(c is None for c in coded)
+    assert coded == []

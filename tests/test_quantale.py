@@ -68,7 +68,6 @@ def test_homset_cap(zoo):
 def test_homset_membership_and_lattice_closure(zoo):
     L = zoo["b2"]
     Q = latq.enumerate_homset(L, L)
-    assert "index" not in vars(Q)   # built on the first membership query
     assert latq.special(L, "c", L.bottom) in Q
     assert latq.identity(L) in Q
     rng = np.random.RandomState(2)
@@ -79,6 +78,37 @@ def test_homset_membership_and_lattice_closure(zoo):
     assert alpha not in Q
     with pytest.raises(latq.DomainMismatch):
         Q.position(latq.identity(zoo["c3"]))
+
+
+def test_homset_positions_past_62_bits():
+    # a hand-built enumeration over c20, whose rows need 20 log2 20 > 62
+    # bits; its members agree on all but their last three columns
+    c20 = latq.generate(latq.GeneratorSpec("chain", n=20))
+    rng = np.random.RandomState(6)
+    F = np.tile(rng.randint(0, 20, size=20), (12, 1)).astype(np.int32)
+    tails = rng.choice(20 ** 3, size=12, replace=False)
+    F[:, -3:] = tails[:, None] // 20 ** np.arange(3) % 20
+    Q = quantale.HomsetEnumeration(c20, c20, F)
+    order = rng.permutation(len(Q))
+    assert Q.positions(F[order]).tolist() == order.tolist()
+    for k in order:
+        f = latq.LatMap(c20, c20, F[k])
+        assert f in Q and Q.position(f) == k
+    outside = F[:1].copy()    # a tail no member has
+    outside[0, -3:] = min(set(range(20 ** 3)) - set(tails)) // \
+        20 ** np.arange(3) % 20
+    assert Q.positions(np.concatenate([outside, F[order], outside])).tolist() \
+        == [-1, *order.tolist(), -1]
+    g = latq.LatMap(c20, c20, outside[0])
+    assert g not in Q
+    with pytest.raises(latq.NotContinuous,
+                       match="^map is not join-continuous for this homset$"):
+        Q.position(g)
+    foreign = latq.LatMap(c20.op, c20, F[0])
+    assert foreign not in Q
+    with pytest.raises(latq.DomainMismatch,
+                       match="^map belongs to a different homset$"):
+        Q.position(foreign)
 
 
 def test_units(zoo):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -167,8 +168,8 @@ def test_render_text_green(mini_report):
 
 
 GUARD = ("c1", "c3", "b2", "b3", "m3", "n5", "d3_2", "r03")
-VERIFY_REF = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / \
-    "verify_builtin.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+VERIFY_REF = PERFBENCH / "refs" / "verify_builtin.json"
 
 
 def test_cells_match_committed_verify_reference(corpus):
@@ -200,6 +201,38 @@ def test_sampled_cells_match_committed_verify_reference_at_seed_1(corpus):
                 docio.dumps(ref[check][name]), (check, name)
             cells += cell.status != "skip"
     assert cells > 0
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded by path: the benchmark's inputs."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_verify_large_cells_match_committed_reference(seed):
+    # the benchmark's large carriers, whose rows are too wide for the
+    # kernels to rank: every cell renders as in the reference document
+    workloads = _perfbench_workloads()
+    ref = workloads.load_ref("verify_large.json")["results"]
+    report = latq.run_suite(corpus=workloads.large_corpus(latq), seed=seed)
+    cells = ran = 0
+    for check, row in report.results.items():
+        for name, cell in row.items():
+            assert docio.dumps(cell.cell_doc()) == \
+                docio.dumps(ref[check][name]), (check, name)
+            cells += 1
+            ran += cell.status != "skip"
+    assert (cells, ran) == (288, 84)
+
+
+def test_run_suite_refuses_two_carriers_of_one_name(zoo):
+    with pytest.raises(ValueError, match="^corpus has two carriers named 'c3'$"):
+        latq.run_suite(corpus=[zoo["c3"], zoo["m3"].rename("c3")],
+                       checks=["T1"])
 
 
 def test_every_gate_decision_matches_committed_verify_reference(corpus):
