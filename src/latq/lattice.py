@@ -203,8 +203,10 @@ class Lattice:
         An incomparable pair x < y (as indices) binds when c[x v y] +
         c[x ^ y] > c[x] + c[y], c counting the join-irreducibles below: some
         join-irreducible below x v y is below neither.  A map x -> join of
-        its values on J below x preserves the join of every other pair, so
-        only these are checked.  Empty exactly on distributive lattices.
+        its values on J below x preserves the join of every other pair.
+        Empty exactly on distributive lattices.  This is the full table,
+        the definition `is_distributive` reads; the interior and the
+        enumeration check only its `minimal_binding_pairs`.
         """
         c = self.leq[list(self.join_irreducibles)].sum(axis=0)
         inc = np.argwhere(~(self.leq | self.leq.T))
@@ -213,6 +215,33 @@ class Lattice:
         binds = np.flatnonzero(c[ij] + c[self.meet[ix, iy]] > c[ix] + c[iy])
         binds = binds[np.argsort(ij[binds], kind="stable")]
         return ix[binds], iy[binds], ij[binds]
+
+    @cached_property
+    def minimal_binding_pairs(self) -> tuple[np.ndarray, ...]:
+        """The binding pairs that no pair one lower cover down replaces: no
+        lower cover c of ix has c v iy = ij, and none of iy has ix v c = ij.
+        Same layout and order as `interior_constraints`.
+
+        On a monotone row, such as one rebuilt from its values on J, the
+        pair (c, y) has f(c) v f(y) <= f(x) v f(y) <= f(x v y); and any
+        other pair below (x, y) with the same join lies below one of these
+        one-step pairs.  So a join test, or a meet of join values, over the kept
+        pairs decides the same as over all binding pairs, and every join
+        of a binding pair keeps at least one.  Lower covers are read one
+        padded column at a time, bottom the pad: bottom v y = y != ij.
+        """
+        ix, iy, ij = self.interior_constraints
+        lower, upper = np.array(self.poset.covers, np.intp).reshape(-1, 2).T
+        order = np.argsort(upper, kind="stable")
+        lower, upper = lower[order], upper[order]
+        counts = np.bincount(upper, minlength=self.n)
+        starts = np.cumsum(counts) - counts
+        table = np.full((self.n, counts.max(initial=0)), self.bottom, np.intp)
+        table[upper, np.arange(len(upper)) - starts[upper]] = lower
+        keep = np.ones(len(ij), dtype=bool)
+        for c in table.T:
+            keep &= (self.join[c[ix], iy] != ij) & (self.join[ix, c[iy]] != ij)
+        return ix[keep], iy[keep], ij[keep]
 
     def rename(self, name: str) -> "Lattice":
         """Same lattice object shape under a new name (shared arrays)."""

@@ -278,13 +278,16 @@ def _batch_interior(dom: Lattice, cod: Lattice, H: np.ndarray) -> np.ndarray:
     j in J(dom), the meet of the row over the up-set of j, and rebuilds the
     row by joining it into that up-set, as `quantale.enumerate_homset`
     builds rows; then it meets each binding pair's join value with the join
-    of its members' values (`Lattice.interior_constraints`).  Other pairs
-    hold on a rebuilt row, so passes stop once that step changes nothing,
-    after one on a distributive domain.  No step drops a jc map below the
-    start row, so the limit is the greatest.
+    of its members' values.  Other pairs hold on a rebuilt row, so passes
+    stop once that step changes nothing, after one on a distributive
+    domain.  No step drops a jc map below the start row, so the limit is
+    the greatest.  The step meets over `Lattice.minimal_binding_pairs`
+    only: a rebuilt row is monotone, so a pair whose join a lower cover
+    keeps has a join value at or above the smaller pair's, and leaving it
+    out changes no meet.
     """
     ups = [np.flatnonzero(dom.leq[j]) for j in dom.join_irreducibles]
-    ix, iy, ij = dom.interior_constraints
+    ix, iy, ij = dom.minimal_binding_pairs
     zs, first, runs = np.unique(ij, return_index=True, return_counts=True)
     ends = np.repeat(first + runs, runs)
     hops = 2 ** np.arange((int(runs.max(initial=1)) - 1).bit_length())

@@ -1,8 +1,8 @@
 """The quantale of join-continuous endomaps and its quantaloid structure.
 
 Homsets are enumerated as a breadth-first numpy frontier, one level per
-join-irreducible of the domain; each binding pair's join is checked at the
-first level where its three values are final.
+join-irreducible of the domain; each minimal binding pair's join is
+checked at the first level where its three values are final.
 The detectors (cyclic, central, dualizing, codualizing, involutive
 axioms) run on the stacked value matrix through the batch kernels in
 `maps`, with the single-map operations as their spot-checkable face.
@@ -130,14 +130,17 @@ def enumerate_homset(dom: Lattice, cod: Lattice,
     j_k.  Parents stay in order and values ascend, so the rows come out in
     lexicographic order of their values on J(dom).  Every row so built has
     f(x v y) == f(x) v f(y) except perhaps at a binding pair
-    (`Lattice.interior_constraints`, none when dom is distributive), and
-    each of those is checked at the level of the last join-irreducible
-    below x v y, the first level at which all three values are final.
+    (`Lattice.interior_constraints`, none when dom is distributive).  Only
+    the minimal ones are checked (`Lattice.minimal_binding_pairs`): a row
+    so built is monotone, so a pair whose join a lower cover keeps holds
+    once the smaller pair does.  Each is checked at the level of the last
+    join-irreducible below x v y, the first level at which all three
+    values are final.
     """
     irr = dom.join_irreducibles
     if homset_estimate(dom, cod) > cap:
         raise CapExceeded(f"estimate {cod.n}^{len(irr)} exceeds cap {cap}")
-    xs, ys, zs = dom.interior_constraints
+    xs, ys, zs = dom.minimal_binding_pairs
     ranks = np.arange(len(irr))[:, None]
     level = np.where(dom.leq[list(irr)], ranks, -1).max(axis=0, initial=-1)[zs]
     V = np.full((1, dom.n), cod.bottom, dtype=np.int32)
@@ -290,13 +293,18 @@ def is_dualizing(alpha: LatMap, Q: HomsetEnumeration) -> CheckResult:
 
 def is_codualizing(beta: LatMap, Q: HomsetEnumeration) -> CheckResult:
     """Every member is recovered as beta \\ (beta . member)."""
-    L = _require_endo(Q)
+    _require_endo(Q)
     Q.position(beta)
-    F = Q.matrix
-    rho_b = right_adjoint(beta).values
-    recovered = _batch_interior(L, L, rho_b[beta.values[F]])
-    return verdict("codualizing", (recovered == F).all(axis=1),
-                   {"x": F, "recovered": recovered})
+    recovered = _recovered(Q, beta.values, right_adjoint(beta).values)
+    return verdict("codualizing", (recovered == Q.matrix).all(axis=1),
+                   {"x": Q.matrix, "recovered": recovered})
+
+
+def _recovered(Q: HomsetEnumeration, b: np.ndarray,
+               rho_b: np.ndarray) -> np.ndarray:
+    """beta \\ (beta . f) for every member f of the endo homset Q, beta
+    given by its values b and its right adjoint's rho_b."""
+    return _batch_interior(Q.dom, Q.dom, rho_b[b[Q.matrix]])
 
 
 def cyclic_elements(Q: HomsetEnumeration) -> list[LatMap]:
@@ -324,7 +332,9 @@ def dualizing_elements(Q: HomsetEnumeration) -> list[LatMap]:
 
 def codualizing_elements(Q: HomsetEnumeration) -> list[LatMap]:
     _require_endo(Q)
-    return [f for f in Q.maps if is_codualizing(f, Q).holds]
+    F = Q.matrix
+    return Q.members(k for k in range(len(F))
+                     if (_recovered(Q, F[k], Q.rho[k]) == F).all())
 
 
 def cyclic_dualizing_elements(Q: HomsetEnumeration) -> list[LatMap]:

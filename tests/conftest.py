@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -33,3 +36,13 @@ def zoo():
 @pytest.fixture(scope="session")
 def corpus():
     return latq.builtin_corpus()
+
+
+@pytest.fixture(scope="session")
+def perfbench_workloads():
+    """perfbench/workloads.py, loaded by path: the benchmark's inputs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

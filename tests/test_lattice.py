@@ -144,18 +144,10 @@ def _assert_tables_match_the_pair_loop(leq):
     assert L.leq[L.bottom].all() and L.leq[:, L.top].all()
 
 
-def _large_corpus():
-    # the carriers of perfbench's verify_large workload
-    g = latq.GeneratorSpec
-    return [latq.generate(g("product", a=a, b=a)) for a in (20, 16, 12)] + [
-        latq.downset_lattice(latq.Poset(np.eye(8, dtype=bool)))] + [
-        latq.generate(g("random", seed=s, n=n))
-        for n in (10, 11, 12) for s in range(4)]
-
-
-def test_tables_match_the_pair_loop_on_both_corpora(corpus):
+def test_tables_match_the_pair_loop_on_both_corpora(
+        corpus, perfbench_workloads):
     # the built-ins and verify_large's carriers, each with its dual order
-    for L in list(corpus) + _large_corpus():
+    for L in list(corpus) + perfbench_workloads.large_corpus(latq):
         _assert_tables_match_the_pair_loop(L.leq)
         _assert_tables_match_the_pair_loop(L.leq.T)
 
@@ -306,13 +298,11 @@ def test_distributivity_witness_replays(zoo):
     assert latq.distributivity_witness(zoo["b3"]) is None
 
 
-def test_binding_pairs_decide_distributivity(corpus):
+def test_binding_pairs_decide_distributivity(corpus, perfbench_workloads):
     # the built-ins, and c12xc12 with the twelve random closure lattices of
     # perfbench's verify_large corpus, each with its dual
-    g = latq.GeneratorSpec
-    large = [latq.generate(g("product", a=12, b=12))] + [
-        latq.generate(g("random", seed=s, n=n))
-        for n in (10, 11, 12) for s in range(4)]
+    large = [L for L in perfbench_workloads.large_corpus(latq)
+             if L.name == "c12xc12" or L.name.startswith("r")]
     carriers = list(corpus) + large
     verdicts = []
     for L in carriers + [L.op for L in carriers]:
@@ -343,6 +333,40 @@ def test_binding_pairs_against_their_definition(corpus):
         ix, iy, ij = L.interior_constraints
         assert set(zip(ix.tolist(), iy.tolist())) == want, L.name
         assert (ij == L.join[ix, iy]).all() and (np.diff(ij) >= 0).all()
+
+
+def _assert_minimal_binding_pairs_match_their_definition(L):
+    # a binding pair is kept unless another pair with its join lies below
+    # it in the product order, in either orientation: an unordered pair
+    # {a, b} below {x, y} has a <= x and b <= y for one of its two
+    # orderings.  Every binding pair lies above a kept one with its join.
+    down = [np.flatnonzero(L.leq[:, x]) for x in range(L.n)]
+    ix, iy, ij = L.interior_constraints
+    want = set()
+    for x, y, z in zip(ix.tolist(), iy.tolist(), ij.tolist()):
+        if (L.join[np.ix_(down[x], down[y])] == z).sum() == 1:  # (x, y)
+            want.add((x, y))
+    kx, ky, kz = L.minimal_binding_pairs
+    assert set(zip(kx.tolist(), ky.tolist())) == want, L.name
+    assert len(kx) == len(want) and (kz == L.join[kx, ky]).all()
+    assert (np.diff(kz) >= 0).all()
+    for x, y, z in zip(ix.tolist(), iy.tolist(), ij.tolist()):
+        a, b = kx[kz == z], ky[kz == z]
+        assert ((L.leq[a, x] & L.leq[b, y])
+                | (L.leq[b, x] & L.leq[a, y])).any(), (L.name, x, y)
+
+
+def test_minimal_binding_pairs_against_their_definition(
+        corpus, perfbench_workloads):
+    for L in list(corpus) + perfbench_workloads.large_corpus(latq):
+        _assert_minimal_binding_pairs_match_their_definition(L)
+        _assert_minimal_binding_pairs_match_their_definition(L.op)
+
+
+@given(closure_lattices())
+def test_minimal_binding_pairs_against_their_definition_on_closures(L):
+    _assert_minimal_binding_pairs_match_their_definition(L)
+    _assert_minimal_binding_pairs_match_their_definition(L.op)
 
 
 def test_is_distributive_does_not_run_the_triple_scan(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -58,6 +59,22 @@ def test_homset_rows_ascend_on_the_join_irreducibles(corpus):
         Q = latq.enumerate_homset(L, L)
         rows = Q.matrix[:, list(L.join_irreducibles)].tolist()
         assert all(a < b for a, b in zip(rows, rows[1:])), L.name
+
+
+def test_endo_homset_bytes_are_pinned(corpus):
+    # every built-in endo homset within DEFAULT_CAP, its matrix bytes
+    # concatenated in corpus order: no row may be dropped, added or moved
+    digest, enumerated = hashlib.sha256(), 0
+    for L in corpus:
+        try:
+            Q = latq.enumerate_homset(L, L)
+        except latq.CapExceeded:
+            continue
+        digest.update(Q.matrix.tobytes())
+        enumerated += 1
+    assert enumerated == 74
+    assert digest.hexdigest() == (
+        "81e0ceca4504cbaf517c2ad50bcfafd5f523301aa36b94418e7e2c8839690b95")
 
 
 def test_homset_cap(zoo):

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 from pathlib import Path
 
@@ -203,22 +202,14 @@ def test_sampled_cells_match_committed_verify_reference_at_seed_1(corpus):
     assert cells > 0
 
 
-def _perfbench_workloads():
-    """perfbench/workloads.py, loaded by path: the benchmark's inputs."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("seed", [0, 1])
-def test_verify_large_cells_match_committed_reference(seed):
+def test_verify_large_cells_match_committed_reference(
+        seed, perfbench_workloads):
     # the benchmark's large carriers, whose rows are too wide for the
     # kernels to rank: every cell renders as in the reference document
-    workloads = _perfbench_workloads()
-    ref = workloads.load_ref("verify_large.json")["results"]
-    report = latq.run_suite(corpus=workloads.large_corpus(latq), seed=seed)
+    ref = perfbench_workloads.load_ref("verify_large.json")["results"]
+    report = latq.run_suite(
+        corpus=perfbench_workloads.large_corpus(latq), seed=seed)
     cells = ran = 0
     for check, row in report.results.items():
         for name, cell in row.items():
