@@ -9,6 +9,8 @@ complete distributivity, a registry of law checks over a built-in
 corpus, and a CLI (`latq`).
 """
 
+import types as _types
+
 from .cd import (
     CheckResult,
     LatticeProfile,
@@ -104,41 +106,13 @@ from .quantale import (
 from .suite import (
     CHECK_IDS,
     REGISTRY,
+    VERSION as __version__,
     SuiteReport,
     TheoremCheck,
     builtin_corpus,
     run_suite,
 )
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "CheckResult", "LatticeProfile", "classify_lattice",
-    "completely_join_primes", "criteria_agree", "distributive_oracle",
-    "is_smooth", "is_spatial",
-    "raney_join_criterion", "raney_meet_criterion",
-    "dumps", "lattice_from_doc", "lattice_to_doc", "load_lattice",
-    "load_map", "map_from_doc", "map_to_doc", "save_lattice", "save_map",
-    "CapExceeded", "CycleDetected", "DomainMismatch", "IndexOutOfRange",
-    "LatqError", "NotALattice", "NotContinuous", "NotEndoHomset",
-    "ParseError", "TooLarge",
-    "GeneratorSpec", "Lattice", "Poset", "all_posets", "build_lattice",
-    "build_poset", "distributivity_witness", "downset_lattice", "dual",
-    "generate", "is_chain",
-    "LatMap", "MapClass", "all_maps_array", "big_meet", "classify",
-    "compose", "identity", "interior", "is_join_continuous",
-    "is_meet_continuous", "is_monotone", "left_adjoint",
-    "monotone_maps_array", "pointwise_join", "pointwise_meet",
-    "raney_join", "raney_meet", "right_adjoint", "sample_monotone_maps",
-    "special",
-    "DEFAULT_CAP", "HomsetEnumeration", "UnitPair", "central_elements",
-    "check_involutive_axioms", "codualizing_elements",
-    "cyclic_dualizing_elements", "cyclic_elements", "dual_tensor",
-    "dualizing_elements", "enumerate_homset", "homset_estimate",
-    "homset_lattice",
-    "is_codualizing", "is_cyclic", "is_dualizing", "residual_left",
-    "residual_right", "star", "units",
-    "CHECK_IDS", "REGISTRY", "SuiteReport", "TheoremCheck",
-    "builtin_corpus", "run_suite",
-    "__version__",
-]
+__all__ = [name for name, value in list(globals().items()) if not (
+    name.startswith("_") or isinstance(value, _types.ModuleType))]
+__all__.append("__version__")

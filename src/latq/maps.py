@@ -6,20 +6,16 @@ one implementation of each nontrivial algorithm as a batch kernel over a
 and the bulk detectors in `quantale` reuse them directly.  Each meet-side
 operation is its join-side twin run between the order duals (`_op`).
 
-Every kernel computes each row from that row alone, and the matrices the
-detectors and sweeps pass in repeat rows heavily: their rows are maps in
-a homset of at most cod.n ** n members.  So the kernels run once per
-distinct row and copy the results back out (`_once_per_distinct_row`).
-They run on every row, as given, when a matrix has fewer than two rows
-or when a row needs 62 bits or more (n * log2(cod.n) >= 62).
-
 Rows are told apart by exact ranks (`_row_ids`): a run of columns is
 coded as sum of row[x] * base ** x, and `_dedup` ranks the codes with
 one sort of (code << k) | position keys, where np.unique would take
 three times as long.  A row too wide for one code is ranked run by run,
-each run's codes appended to the ranks of the columns above it.  Every
-caller ranks rows through `_rank_rows`, several blocks at once, or
-composites through `_composite_ids` (below).
+each run's codes appended to the ranks of the columns above it.  The
+kernels rank nothing: each computes a row from that row alone, and most
+callers' rows are distinct already.  Callers whose rows repeat rank
+them through `_rank_rows`, several blocks at once (T10's left factors,
+`HomsetEnumeration.positions`, the axiom sweep's formulas), or as
+composites through `_composite_ids` (`quantale._on_composites`, below).
 
 The pair sweeps in `quantale` rest on one pair kernel, `_pair_kernel`:
 out[a, b] = sum over x of W[a, x, F[b, x]], one matrix product with the
@@ -36,9 +32,7 @@ from an up-set table built once per call (`_upsets`).
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -255,22 +249,6 @@ def _composite_ids(P: np.ndarray, Q: np.ndarray, base: int):
     return _row_ids(codes, Q.shape[1], base, len(P) * len(Q))
 
 
-def _once_per_distinct_row(kernel: Callable[..., np.ndarray]):
-    """Run a rowwise kernel over (B, n) values in cod on distinct rows only,
-    and index its result by the ranks to put every row back."""
-
-    @functools.wraps(kernel)
-    def run(dom: Lattice, cod: Lattice, F: np.ndarray) -> np.ndarray:
-        F = np.asarray(F)
-        if len(F) < 2 or F.shape[1] * math.log2(cod.n) >= 62:
-            return kernel(dom, cod, F)
-        first, (ids,) = _rank_rows(cod.n, F)
-        return kernel(dom, cod, F[first])[ids]
-
-    return run
-
-
-@_once_per_distinct_row
 def _batch_interior(dom: Lattice, cod: Lattice, H: np.ndarray) -> np.ndarray:
     """Greatest pointwise-below join-continuous maps, rowwise.
 
@@ -306,7 +284,6 @@ def _batch_interior(dom: Lattice, cod: Lattice, H: np.ndarray) -> np.ndarray:
         H[:, zs] = K
 
 
-@_once_per_distinct_row
 def _batch_right_adjoint(dom: Lattice, cod: Lattice, F: np.ndarray) -> np.ndarray:
     """Rowwise y -> join of {x : F[k, x] <= y}; callers ensure rows are jc."""
     R = np.full((F.shape[0], cod.n), dom.bottom, dtype=np.int32)
@@ -320,7 +297,6 @@ def _batch_left_adjoint(dom: Lattice, cod: Lattice, G: np.ndarray) -> np.ndarray
     return _batch_right_adjoint(dom.op, cod.op, G)
 
 
-@_once_per_distinct_row
 def _batch_raney_join(dom: Lattice, cod: Lattice, F: np.ndarray) -> np.ndarray:
     """Rowwise x -> join of F[k, t] over t with x not<= t."""
     out = np.full(F.shape, cod.bottom, dtype=np.int32)

@@ -7,7 +7,7 @@ from hypothesis import assume, given, strategies as st
 
 import latq
 import oracles
-from latq import maps
+from latq import maps, quantale
 
 
 @st.composite
@@ -537,7 +537,7 @@ def test_meet_side_matches_loop_oracles(corpus):
         assert latq.raney_meet_criterion(L).holds == L.is_distributive
 
 
-# ------------------------------------------------- one run per distinct row
+# --------------------------------------- kernels on repeated rows, row ranks
 
 KERNEL_ORACLES = (
     (maps._batch_raney_join, oracles.raney_join),
@@ -671,40 +671,22 @@ def test_dedup_equals_np_unique(N, top):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
-def test_kernels_deduplicate_from_two_rows_up(zoo, monkeypatch):
-    coded = []
-    rank_rows = maps._rank_rows
-
-    def spy(base, *blocks):
-        coded.append(sum(map(len, blocks)))
-        return rank_rows(base, *blocks)
-
-    monkeypatch.setattr(maps, "_rank_rows", spy)
+def test_kernels_match_oracles_from_zero_rows_up(zoo):
     c1, c3, b2 = zoo["c1"], zoo["c3"], zoo["b2"]
     for L in (c3, b2):
         _kernels_match_oracles(L, L, np.zeros((0, L.n), dtype=np.int32))
         one = np.full((1, L.n), L.top, dtype=np.int32)
         _kernels_match_oracles(L, L, one)
-    assert coded == []
-    # over a one-element codomain every row has the code 0
+    # over a one-element codomain every row is the same
     for dom in (c1, c3, b2):
         _kernels_match_oracles(dom, c1, np.zeros((5, dom.n), dtype=np.int32))
-    assert coded == [5] * 15
     # every map c3 -> c3, twice over
     A = maps.all_maps_array(c3, c3)
     _kernels_match_oracles(c3, c3, np.concatenate([A, A[::-1]]))
 
 
-def test_kernels_bypass_dedup_when_a_row_needs_62_bits(monkeypatch):
+def test_kernels_match_oracles_on_rows_of_62_bits_or_more():
     c20 = latq.generate(latq.GeneratorSpec("chain", n=20))  # 20 log2 20 > 62
-    coded = []
-    rank_rows = maps._rank_rows
-
-    def spy(base, *blocks):
-        coded.append(sum(map(len, blocks)))
-        return rank_rows(base, *blocks)
-
-    monkeypatch.setattr(maps, "_rank_rows", spy)
     rng = np.random.RandomState(5)
     F = rng.randint(0, c20.n, size=(6, c20.n)).astype(np.int32)
     F = np.concatenate([F, F[::2]])
@@ -716,4 +698,34 @@ def test_kernels_bypass_dedup_when_a_row_needs_62_bits(monkeypatch):
                                   if c20.leq[x, y]]) for x in range(c20.n)]
         want[c20.bottom] = c20.bottom
         assert out == want
-    assert coded == []
+
+
+def test_kernels_rank_nothing_and_composites_reach_them_distinct(
+        zoo, monkeypatch):
+    # the kernels run on the rows they are given, repeats and all; the
+    # sweeps rank composites once, in `quantale._on_composites`
+    L = zoo["b2"]
+    A = maps.all_maps_array(L, L)
+    F = np.concatenate([A, A, A[::-1]])
+
+    def refuse(*args):
+        raise AssertionError("a kernel ranked its rows")
+
+    with monkeypatch.context() as m:
+        m.setattr(maps, "_rank_rows", refuse)
+        m.setattr(maps, "_dedup", refuse)
+        _kernels_match_oracles(L, L, F)
+    seen = []
+
+    def spy(dom, cod, rows):
+        seen.append(rows)
+        return maps._batch_interior(dom, cod, rows)
+
+    Q = latq.enumerate_homset(L, L)
+    _, ids = quantale._on_composites(spy, L, Q.rho, Q.matrix)
+    (rows,) = seen
+    assert len(np.unique(rows, axis=0)) == len(rows) < len(Q) ** 2
+    assert ids.shape == (len(Q), len(Q))
+    for a in range(len(Q)):
+        for b in range(len(Q)):
+            assert (rows[ids[a, b]] == Q.rho[a][Q.matrix[b]]).all()

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "latq"
@@ -60,3 +61,14 @@ def test_library_modules_print_nothing():
         if _writes_to_console(node)
     ]
     assert found == []
+
+
+def test_star_import_names_are_pinned():
+    # sha256 of the sorted names `from latq import *` binds, joined by
+    # newlines: no import may add or drop a public name unnoticed
+    names = {}
+    exec("from latq import *", names)
+    names.pop("__builtins__")
+    joined = "\n".join(sorted(names)).encode()
+    assert hashlib.sha256(joined).hexdigest() == \
+        "e4225881c8ed29cf3a68e67c0255005c2f9352af7a63b756798d532edd624d43"

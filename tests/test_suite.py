@@ -205,8 +205,8 @@ def test_sampled_cells_match_committed_verify_reference_at_seed_1(corpus):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_verify_large_cells_match_committed_reference(
         seed, perfbench_workloads):
-    # the benchmark's large carriers, whose rows are too wide for the
-    # kernels to rank: every cell renders as in the reference document
+    # the benchmark's large carriers, of 42 to 400 elements: every cell
+    # renders as in the reference document
     ref = perfbench_workloads.load_ref("verify_large.json")["results"]
     report = latq.run_suite(
         corpus=perfbench_workloads.large_corpus(latq), seed=seed)
