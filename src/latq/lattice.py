@@ -129,8 +129,8 @@ def build_poset(n: int, covers: Iterable[tuple[int, int]]) -> Poset:
         if i == j:
             raise CycleDetected(f"cover ({i}, {j}) is a self-loop")
         leq[i, j] = True
-    for k in range(n):
-        leq |= np.outer(leq[:, k], leq[k, :])
+    for k in range(n):             # Warshall: the rows below k take row k
+        leq[leq[:, k]] |= leq[k]
     sym = leq & leq.T & ~np.eye(n, dtype=bool)
     if sym.any():
         i, j = map(int, np.argwhere(sym)[0])

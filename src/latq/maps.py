@@ -13,9 +13,10 @@ three times as long.  A row too wide for one code is ranked run by run,
 each run's codes appended to the ranks of the columns above it.  The
 kernels rank nothing: each computes a row from that row alone, and most
 callers' rows are distinct already.  Callers whose rows repeat rank
-them through `_rank_rows`, several blocks at once (T10's left factors,
-`HomsetEnumeration.positions`, the axiom sweep's formulas), or as
-composites through `_composite_ids` (`quantale._on_composites`, below).
+them through `_rank_rows`, several blocks at once (T10's left factors
+and point keys, `HomsetEnumeration.positions`, the axiom sweep's
+formulas), or as composites through `_composite_ids`
+(`quantale._on_composites`, below).
 
 The pair sweeps in `quantale` rest on one pair kernel, `_pair_kernel`:
 out[a, b] = sum over x of W[a, x, F[b, x]], one matrix product with the

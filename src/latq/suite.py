@@ -312,14 +312,20 @@ def _t10_laws(ctx: SuiteContext, L: Lattice):
                                  | quantale._pointwise_leq(L, RA, RA)), {
         "f": A[:, None], "g": A[None]}
 
+    S, RA_k, counts = _t10_point_keys(L, A, RA)
+
     def per_left_factor(left: np.ndarray, law) -> np.ndarray:
         """law(transform(d . g), d . transform(g)) at every point, for each
-        distinct row d of left and each g in A, copied back to the repeats
-        of d: a (len(left), len(A)) verdict."""
+        distinct row d of left and each g in A, from one table per d over
+        the point keys, copied back to the repeats of d: a (len(left),
+        len(A)) verdict."""
         first, (inverse,) = maps._rank_rows(L.n, left)
         D = left[first]
-        T, ids = quantale._on_composites(maps._batch_raney_join, L, D, A)
-        return law(T[ids], D[:, RA]).all(axis=-1)[inverse]
+        lhs = np.full((len(D), len(S)), L.bottom, dtype=np.int32)
+        for v in range(L.n):
+            lhs = np.where(S[:, v], L.join[lhs, D[:, v, None]], lhs)
+        bad = ~law(lhs, D[:, RA_k])
+        return ((bad.astype(np.float32) @ counts) == 0)[inverse]
 
     # lax composition law: transform(m . g) <= m . transform(g), m monotone
     yield "lax_composition", per_left_factor(
@@ -335,6 +341,30 @@ def _t10_laws(ctx: SuiteContext, L: Lattice):
         "f": J,
         "left_adjoint_of_meet_transform": lhs,
         "join_transform_of_right_adjoint": rhs}
+
+
+def _t10_point_keys(L: Lattice, A: np.ndarray, RA: np.ndarray):
+    """The distinct keys (S, RA[g, x]) over the points (g, x) of the rows g
+    of A, with S = {A[g, t] : x not<= t} the value set of g over
+    U_x = {t : x not<= t}: the (K, n) 0/1 rows of S, the (K,) values of
+    RA, and the (K, len(A)) float32 count of each key among g's points.
+
+    Both sides of T10's composition laws at a point depend on its key
+    alone: transform(d . g)(x) is the join of d over g(U_x) = S, and
+    d(transform(g)(x)) is d at RA[g, x].  So a law holds for (d, g)
+    exactly when the keys where it fails for d have count 0 at g, and a
+    0/1 table over the keys times the counts gives that count; the counts
+    are at most n, which float32 holds exactly.  RA is the kernel's
+    transform of A, so every comparison still runs through it."""
+    onehot = np.eye(L.n, dtype=np.float32)[A]            # [g, t, v]
+    S = ((~L.leq).astype(np.float32) @ onehot > 0).reshape(-1, L.n)
+    RA = RA.ravel()
+    # the 0/1 rows of S and the values of RA are all below n + 1
+    first, (ids,) = maps._rank_rows(L.n + 1, np.column_stack([S, RA]))
+    K = len(first)
+    counts = np.bincount(np.arange(len(ids)) // L.n * K + ids,
+                         minlength=len(A) * K).reshape(len(A), K).T
+    return S[first], RA[first], counts.astype(np.float32)
 
 
 @_check("T11")

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import latq
-from latq import docio, maps, suite
-from latq.cd import CheckResult
+from latq import docio, maps, quantale, suite
+from latq.cd import CheckResult, first_failing_law
 from latq.suite import SuiteReport
 
 
@@ -275,66 +275,143 @@ def test_t12_batch_matches_per_pair_loop(corpus):
     assert failed == 8
 
 
-def _t10_samples(monkeypatch, L):
-    """The rows g (A) and the monotone left factors (Mo) that _t10 samples
-    on L, read off the calls it makes."""
+def _t10_spied(monkeypatch, L, run=suite._t10, **spoils):
+    """run(ctx, L) with the first output of each maps function named in
+    spoils passed through it.  Returns run's result and, for each of
+    sample_monotone_maps, _batch_interior and _batch_raney_join, the
+    arguments and (spoiled) output of its first call: on a sampled carrier
+    these are the monotone left factors Mo, the jc left factors J, and the
+    rows g (A) with their transforms (RA)."""
     seen = {}
-    sample, join = maps.sample_monotone_maps, maps._batch_raney_join
 
-    def spy_sample(*args):
-        seen["Mo"] = sample(*args)
-        return seen["Mo"]
+    def spy(name):
+        real = getattr(maps, name)
 
-    def spy_join(dom, cod, F):
-        seen.setdefault("A", np.array(F))
-        return join(dom, cod, F)
+        def call(*args):
+            out = real(*args)
+            if name not in seen:
+                out = spoils.get(name, lambda o: o)(out)
+                seen[name] = args, out
+            return out
+        return call
 
     with monkeypatch.context() as m:
-        m.setattr(maps, "sample_monotone_maps", spy_sample)
-        m.setattr(maps, "_batch_raney_join", spy_join)
-        assert suite._t10(suite.SuiteContext(), L).holds
-    return seen["A"], seen["Mo"]
+        for name in ("sample_monotone_maps", "_batch_interior",
+                     "_batch_raney_join"):
+            m.setattr(maps, name, spy(name))
+        got = run(suite.SuiteContext(), L)
+    return got, seen
+
+
+def _t10_left(seen, lax):
+    """T10's left factors for the lax or the exact composition law."""
+    return seen["sample_monotone_maps" if lax else "_batch_interior"][1]
+
+
+def _t10_composites(L, left, A):
+    """transform(d . g) for every left factor d and g in A, with every
+    composite run through the kernel: no ranking, no keys."""
+    comp = left[:, A]
+    return maps._batch_raney_join(L, L, comp.reshape(-1, L.n)).reshape(
+        comp.shape)
+
+
+def _t10_holds(L, lhs, rhs, lax):
+    return (L.leq[lhs, rhs] if lax else lhs == rhs).all(axis=-1)
+
+
+def _t10_witness(law, left, A, ok):
+    i, j = np.argwhere(~ok)[0]
+    key = "monotone" if law == "lax_composition" else "jc"
+    return {"law": law, key: left[i].tolist(), "g": A[j].tolist()}
 
 
 @pytest.mark.parametrize("law", ["lax_composition", "exact_composition"])
-def test_t10_composition_witness_on_distinct_left_factors(monkeypatch, zoo,
-                                                          law):
+def test_t10_witness_on_a_repeated_bad_left_factor(monkeypatch, zoo, law):
     L = zoo["n5"]                     # n > EXHAUSTIVE_N: sampled factors
-    A, Mo = _t10_samples(monkeypatch, L)
-    join = maps._batch_raney_join
-    RA = join(L, L, A)
     lax = law == "lax_composition"
-    key, left = (("monotone", Mo) if lax
-                 else ("jc", maps._batch_interior(L, L, Mo)))
-    # the composite d . g of a repeated left factor d gets a transform that
-    # breaks the law: top breaks the lax bound, bottom breaks exactness
-    # while keeping the lax bound
-    rows, first, counts = np.unique(left, axis=0, return_index=True,
-                                    return_counts=True)
-    bad = L.top if lax else L.bottom
-    d, g = next((i, j) for i in sorted(first[counts > 1], reverse=True)
-                for j in range(len(A))
-                if (left[i][RA[j]] != bad).any()
-                and (lax or (join(L, L, left[i][A[j]][None])[0] != bad).any()))
-    target = left[d][A[g]]
+    # rows 3 and 7 of the left factors become one map that breaks the law:
+    # bottom to top and the rest to bottom is not monotone; top to top and
+    # the rest to bottom is monotone but not jc (a v b = top in n5)
+    bad = np.full(L.n, L.bottom, dtype=np.int32)
+    bad[L.bottom if lax else L.top] = L.top
 
-    def broken(dom, cod, F):
-        out = join(dom, cod, F)
-        if len(F) > len(A):           # a composition law's batch
-            out = np.where((F == target).all(axis=1)[:, None], bad, out)
-        return out
+    def spoil(F):
+        F = F.copy()
+        F[[3, 7]] = bad
+        return F
 
-    with monkeypatch.context() as m:
-        m.setattr(maps, "_batch_raney_join", broken)
-        got = suite._t10(suite.SuiteContext(), L)
-        # the full left-factor by g sweep, before deduplication
-        comp = left[:, A]
-        lhs = maps._batch_raney_join(L, L, comp.reshape(-1, L.n)).reshape(
-            comp.shape)
-        rhs = left[:, RA]
-    ok = L.leq[lhs, rhs].all(axis=-1) if lax else (lhs == rhs).all(axis=-1)
-    i, j = np.argwhere(~ok)[0]
-    assert got.witness == {"law": law, key: left[i].tolist(),
-                           "g": A[j].tolist()}
-    assert (left == left[i]).all(axis=1).sum() > 1
-    assert first[(rows == left[i]).all(axis=1)][0] == i
+    got, seen = _t10_spied(monkeypatch, L, **{
+        "sample_monotone_maps" if lax else "_batch_interior": spoil})
+    (_, _, A), RA = seen["_batch_raney_join"]
+    left = _t10_left(seen, lax)
+    ok = _t10_holds(L, _t10_composites(L, left, A), left[:, RA], lax)
+    assert got.witness == _t10_witness(law, left, A, ok)
+    assert np.argwhere(~ok)[0][0] == 3 and not ok[7].all()
+
+
+@pytest.mark.parametrize("law", ["lax_composition", "exact_composition"])
+def test_t10_witness_on_a_spoiled_transform_row(monkeypatch, zoo, law):
+    L = zoo["n5"]
+    lax = law == "lax_composition"
+    _, seen = _t10_spied(monkeypatch, L)
+    (_, _, A), RA = seen["_batch_raney_join"]
+    left = _t10_left(seen, lax)
+    lhs = _t10_composites(L, left, A)
+
+    def spoiled_at(g, x, v):
+        """RA with RA[g, x] moved down to v (the lax law cannot see a move
+        up), when that breaks the law at g for some left factor; else
+        None."""
+        if v == RA[g, x] or (lax and not L.leq[v, RA[g, x]]):
+            return None
+        R = RA.copy()
+        R[g, x] = v
+        return None if _t10_holds(L, lhs[:, g], left[:, R[g]], lax).all() \
+            else R
+
+    R = next(R for g in range(len(A)) for x in range(L.n)
+             for v in range(L.n) if (R := spoiled_at(g, x, v)) is not None)
+    # the spoil may break transform_monotone first, so the witness is the
+    # composition law's own
+    got, _ = _t10_spied(
+        monkeypatch, L, run=lambda ctx, L: first_failing_law(
+            v for v in suite._t10_laws(ctx, L) if v[0] == law),
+        _batch_raney_join=lambda out: R.copy())
+    ok = _t10_holds(L, lhs, left[:, R], lax)
+    assert (~ok).any(axis=0).sum() == 1                   # one g fails
+    assert got == _t10_witness(law, left, A, ok)
+
+
+def test_t10_composition_laws_match_the_full_sweep_beyond_the_gate(
+        monkeypatch, corpus):
+    # carriers of 7 and 8 elements, past T10's gate; a non-monotone left
+    # factor among the monotone ones and a monotone non-jc one among the jc
+    # ones give the lax and the exact law False entries as well as True.
+    # The sweep runs the kernel once per distinct composite, as T10 did
+    # before its value-set tables
+    big = [L for L in corpus if L.n in (7, 8)]
+    assert len(big) == 13
+
+    def mixed(F, row):
+        F = F.copy()
+        F[5] = row
+        return F
+
+    for L in big:
+        down = np.full(L.n, L.top, dtype=np.int32)
+        down[L.top] = L.bottom
+        got, seen = _t10_spied(
+            monkeypatch, L, run=lambda ctx, L: {
+                law: ok for law, ok, _ in suite._t10_laws(ctx, L)},
+            sample_monotone_maps=lambda F: mixed(F, down),
+            _batch_interior=lambda F: mixed(F, np.full(L.n, L.top)))
+        (_, _, A), RA = seen["_batch_raney_join"]
+        for law, lax in (("lax_composition", True),
+                         ("exact_composition", False)):
+            left = _t10_left(seen, lax)
+            T, ids = quantale._on_composites(maps._batch_raney_join, L,
+                                             left, A)
+            ok = _t10_holds(L, T[ids], left[:, RA], lax)
+            assert ok.all(axis=1).any() and not ok[5].all(), (L.name, law)
+            assert np.array_equal(got[law], ok), (L.name, law)
