@@ -244,6 +244,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        # a cap below 1 would refuse every homset, and verify would count
+        # each refusal as an expected skip
+        if getattr(args, "cap", 1) < 1:
+            raise LatqError(f"--cap must be at least 1, got {args.cap}")
         return args.run(args)
     except (LatqError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

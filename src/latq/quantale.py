@@ -16,7 +16,11 @@ from `maps._pair_kernel`; the axiom sweep's residual formulas and the
 cyclic and dualizing searches code every composite exactly
 (`maps._composite_ids`), run the kernels on the distinct composites
 alone (`_on_composites`), and compare results by rank.  The composite
-codes take 8 bytes a pair, so the axiom sweep holds O(B^2) memory.  A
+codes take 8 bytes a pair.  The axiom sweep runs its pair laws on the
+rank-one generators G of an endo homset that they generate, which is
+one over a completely distributive lattice, so it holds memory linear
+in B there (the one-hot codes of the members, B n^2 floats, and
+|G| <= n^2), and O(B^2) on any other homset.  A
 row's position among the members comes from ranking both together
 (`HomsetEnumeration.positions`), for `position`, `in` and the residuals
 of the cyclic and dualizing searches (`_residual_members`): a residual
@@ -394,16 +398,58 @@ def check_involutive_axioms(L: Lattice, M: Lattice,
     residual-via-transform formulas on triangles (L,L,M) and (L,M,M);
     and the triangle rotation over Q(L,L) x Q(L,M)^2 when that triple
     count fits ROTATION_CAP (recorded in .info["rotation_checked"]).
+    An endo homset that its rank-one maps generate sweeps the pair laws
+    on generators only (`_axiom_laws`); .info["generators"] counts them,
+    None on the full sweep, and .info["pairs"] is the pairs each pair law
+    swept.  A failure there is reported as the full sweep's first.
     """
     A = enumerate_homset(L, M, cap)
-    info = {"homset_size": len(A), "rotation_checked": False}
-    w = first_failing_law(_axiom_laws(L, M, A, cap, info))
+    info = {"homset_size": len(A), "generators": None, "pairs": 0,
+            "rotation_checked": False}
+    w = first_failing_law(_axiom_laws(L, M, A, cap, info, reduced=True))
+    if w is not None and info["generators"] is not None:
+        w = first_failing_law(_axiom_laws(L, M, A, cap, info)) or w
     return CheckResult("involutive_axioms", w is None, w, info=info)
 
 
+def _rank_one_generators(L: Lattice, A: HomsetEnumeration):
+    """Positions in the endo homset A of the distinct rank-one maps
+    e_{a,b}: x -> b if x is not below a, else bottom, when every member
+    is the pointwise join of those below it; else None."""
+    E = np.where(~L.leq.T[:, None, :], np.arange(L.n)[:, None], L.bottom)
+    G = np.unique(A.positions(E.reshape(L.n * L.n, L.n)))
+    if G[0] < 0:
+        return None
+    FA = A.matrix
+    joined = np.full_like(FA, L.bottom)
+    for g, below in zip(FA[G], _pointwise_leq(L, FA[G], FA)):
+        joined[below] = L.join[joined[below], g]
+    return G if (joined == FA).all() else None
+
+
 def _axiom_laws(L: Lattice, M: Lattice, A: HomsetEnumeration, cap: int,
-                info: dict):
-    """The laws of `check_involutive_axioms` as (law, ok, rows), in order."""
+                info: dict, reduced: bool = False):
+    """The laws of `check_involutive_axioms` as (law, ok, rows), in order.
+
+    The pair laws sweep every pair of members, or, when reduced is set
+    and the rank-one maps G of an endo homset generate it
+    (`_rank_one_generators`, tried once the double transform holds), the
+    first argument over G and the second over G*, the stars of G.  That
+    is exact on Q = Q(L, L):
+    - the star is order-reversing, as rho reverses the order and the
+      join transform keeps it; it is an involution once the double
+      transform holds, so an anti-automorphism of the lattice Q.  So G*
+      meet-generates Q, and a star turns joins into meets and back;
+    - joins in Q are pointwise, and composition preserves them in
+      either argument, pointwise; residuals turn joins in their
+      divisor into meets and keep meets in their numerator;
+    - so f <= g, f.g* <= zero and g*.f <= zero each turn joins in f
+      and meets in g into "for all", and each side of g \\ h ==
+      star(h*.g) and of h / f == star(f.h*) turns joins in g (f) and
+      meets in h into meets.  A law that holds on G x G* holds on all
+      of Q x Q.
+    The double transform and the triangle rotation are not reduced.
+    """
     FA = A.matrix
     B = len(A)
     oL = special(L, "o").values
@@ -413,35 +459,46 @@ def _axiom_laws(L: Lattice, M: Lattice, A: HomsetEnumeration, cap: int,
     SS = _stars(M, L, SA)
     yield "double_transform", (SS == FA).all(axis=1), {"f": FA, "twice": SS}
 
-    LE = _pointwise_leq(M, FA, FA)                    # f_i <= f_j
-    C1 = _composites_below(M, FA, SA, oM)             # f_i . s_j <= zero_M
-    C2 = _composites_below(L, SA, FA, oL).T           # s_j . f_i <= zero_L
+    # first arguments X with right adjoints RX; second Y with stars SY
+    # and right adjoints RY
+    X, RX, Y, SY, RY = FA, A.rho, FA, SA, A.rho
+    G = _rank_one_generators(L, A) if reduced and M == L else None
+    if G is not None:
+        X, RX, Y, SY = FA[G], A.rho[G], SA[G], FA[G]
+        RY = _batch_right_adjoint(L, L, Y)
+    info["generators"] = None if G is None else len(G)
+    info["pairs"] = len(X) * len(Y)
+
+    LE = _pointwise_leq(M, X, Y)                      # f <= g
+    C1 = _composites_below(M, X, SY, oM)              # f . g* <= zero_M
+    C2 = _composites_below(L, SY, X, oL).T            # g* . f <= zero_L
     yield "order_reversal", (LE == C1) & (LE == C2), {
-        "f": FA[:, None], "g": FA[None], "leq": LE,
+        "f": X[:, None], "g": Y[None], "leq": LE,
         "right_compose_below_zero": C1, "left_compose_below_zero": C2}
 
-    def formula(names: tuple[str, str], K: Lattice, ref, alt):
-        """ref against alt over pairs (a, b) of members, each given as
-        (rows, ids) with rows[ids[a, b]] its row at (a, b)."""
+    def formula(names: tuple[str, str], K: Lattice, first, second, ref,
+                alt):
+        """ref against alt over pairs (a, b) of rows first_a, second_b,
+        each given as (rows, ids) with rows[ids[a, b]] its row at (a, b)."""
         (R, i), (S, j) = ref, alt
         _, (r, s) = _rank_rows(K.n, R, S)
         return r[i] == s[j], {
-            names[0]: FA[:, None], names[1]: FA[None],
+            names[0]: first[:, None], names[1]: second[None],
             "residual": _Gathered(R, i), "via_transform": _Gathered(S, j)}
 
     def swapped(rows_ids):
         return rows_ids[0], rows_ids[1].T
 
-    # g \ h == star(h* . g) over pairs g, h from Q(L, M)
+    # g \ h == star(h* . g) over g in X, h in Y
     yield "left_residual_formula", *formula(
-        ("g", "h"), L, _on_composites(_batch_interior, L, A.rho, FA),
-        swapped(_on_composites(_stars, L, SA, FA)))
+        ("g", "h"), L, X, Y, _on_composites(_batch_interior, L, RX, Y),
+        swapped(_on_composites(_stars, L, SY, X)))
 
-    # h / f == star(f . h*) over pairs h, f from Q(L, M)
+    # h / f == star(f . h*) over h in Y, f in X
     yield "right_residual_formula", *formula(
-        ("h", "f"), M,
-        swapped(_on_composites(_batch_residual_right, M, FA, A.rho)),
-        swapped(_on_composites(_stars, M, FA, SA)))
+        ("h", "f"), M, Y, X,
+        swapped(_on_composites(_batch_residual_right, M, X, RY)),
+        swapped(_on_composites(_stars, M, X, SY)))
 
     E = A if M == L else enumerate_homset(L, L, cap)
     if len(E) * B * B <= ROTATION_CAP:

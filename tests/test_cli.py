@@ -298,6 +298,20 @@ def test_q_enumerate_cap(capsys, c3_file):
     assert code == 2 and "cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--cap", "0"),
+    ("verify", "--checks", "T6", "--cap", "-3"),
+    ("q", "enumerate", "missing.json", "--cap", "0"),
+    ("q", "dualizing", "missing.json", "--cap", "-1"),
+])
+def test_cap_below_one_is_refused_up_front(capsys, argv):
+    # before any file is read or any cell runs: a zero cap would make
+    # every homset-gated cell an expected skip
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: --cap must be at least 1, got {argv[-1]}\n"
+
+
 def test_q_element_classes(capsys, c3_file):
     code, out, _ = run(capsys, "q", "cyclic", c3_file)
     assert code == 0

@@ -9,8 +9,9 @@ import latq
 import oracles
 from latq import quantale
 from latq.cd import first_failing_law
-from latq.errors import NotContinuous
+from latq.errors import NotALattice, NotContinuous
 from latq.lattice import Poset, build_lattice
+from latq.suite import PAIR_HOMSET_CAP
 
 
 # ------------------------------------------------------------- enumeration
@@ -826,6 +827,107 @@ def test_failing_residual_formula_names_the_first_failing_pair(
             _axiom_laws_by_gathers(L, L, A, quantale.DEFAULT_CAP)), name
 
 
+def _bounded_small_lattices():
+    """The lattices among the posets of at most 6 elements with a new
+    bottom and a new top, so of at most 8 elements."""
+    out = []
+    for k, p in enumerate(latq.all_posets(6)):
+        leq = np.zeros((p.n + 2, p.n + 2), dtype=bool)
+        leq[0], leq[:, -1], leq[1:-1, 1:-1] = True, True, p.leq
+        try:
+            out.append(build_lattice(Poset(leq), f"bounded{k}"))
+        except NotALattice:
+            pass
+    return out
+
+
+def test_reduced_axiom_sweep_matches_the_full_sweep(corpus):
+    # every CD endo homset whose full sweep fits the suite's pair cap
+    carriers = [L for L in corpus + _bounded_small_lattices()
+                if latq.raney_join_criterion(L).holds
+                and quantale.homset_estimate(L, L) <= quantale.DEFAULT_CAP]
+    swept = 0
+    for L in carriers:
+        A = latq.enumerate_homset(L, L)
+        if len(A) > PAIR_HOMSET_CAP:
+            continue
+        info = {}
+        reduced = first_failing_law(quantale._axiom_laws(
+            L, L, A, quantale.DEFAULT_CAP, info, reduced=True))
+        full = first_failing_law(quantale._axiom_laws(
+            L, L, A, quantale.DEFAULT_CAP, {}))
+        assert info["generators"] is not None, L.name
+        assert info["pairs"] == info["generators"] ** 2, L.name
+        assert (reduced is None) == (full is None), L.name
+        swept += 1
+    assert swept == 46 + 22
+
+
+def _loop_endomaps(leq, join, bottom):
+    """The join-continuous endomaps of the lattice with these tables, by
+    plain loops: a monotone choice of values on the join-irreducibles,
+    extended by joins, kept when it preserves binary joins."""
+    n = len(leq)
+
+    def sup(xs):
+        out = bottom
+        for x in xs:
+            out = join[out][x]
+        return out
+
+    below = [[y for y in range(n) if leq[y][x] and y != x] for x in range(n)]
+    irr = sorted((x for x in range(n) if x != bottom and sup(below[x]) != x),
+                 key=lambda x: len(below[x]))
+    found, values = [], {}
+
+    def choose(k):
+        if k == len(irr):
+            f = tuple(sup(values[j] for j in irr if leq[j][x])
+                      for x in range(n))
+            if all(f[join[x][y]] == join[f[x]][f[y]]
+                   for x in range(n) for y in range(x)):
+                found.append(f)
+            return
+        floor = sup(values[j] for j in irr[:k] if leq[j][irr[k]])
+        for v in range(n):
+            if leq[floor][v]:
+                values[irr[k]] = v
+                choose(k + 1)
+
+    choose(0)
+    return found
+
+
+def test_rank_one_maps_generate_exactly_the_cd_endo_homsets(corpus):
+    # plain loops over the lattice tables, apart from choosing the carriers
+    verdicts = []
+    for L in corpus:
+        if (quantale.homset_estimate(L, L) > quantale.DEFAULT_CAP
+                or len(latq.enumerate_homset(L, L)) > PAIR_HOMSET_CAP):
+            continue
+        n, bottom = L.n, L.bottom
+        leq, join = L.leq.tolist(), L.join.tolist()
+        members = _loop_endomaps(leq, join, bottom)
+        assert len(members) == len(latq.enumerate_homset(L, L)), L.name
+        # e_{a,b}: x -> b where x is not below a, else bottom
+        rank_one = {tuple(bottom if leq[x][a] else b for x in range(n))
+                    for a in range(n) for b in range(n)}
+        assert rank_one <= set(members), L.name
+
+        def regenerated(f):
+            out = [bottom] * n
+            for e in rank_one:
+                if all(leq[e[x]][f[x]] for x in range(n)):
+                    out = [join[u][v] for u, v in zip(out, e)]
+            return tuple(out) == f
+
+        generated = all(regenerated(f) for f in members)
+        cd = latq.classify_lattice(L).completely_distributive
+        assert generated == cd, L.name
+        verdicts.append(cd)
+    assert verdicts.count(True) == 46 and False in verdicts
+
+
 def test_axiom_sweep_peak_memory_on_d4_7(corpus):
     # the (B, B, n) gathers peaked at 124.8 MB on d4_7 (B = 746)
     L = {L.name: L for L in corpus}["d4_7"]
@@ -837,6 +939,21 @@ def test_axiom_sweep_peak_memory_on_d4_7(corpus):
         tracemalloc.stop()
     assert res.holds and res.info["homset_size"] == 746
     assert peak <= 124.8 / 2 * 2 ** 20
+
+
+def test_axiom_sweep_on_generators_peak_memory_on_d4_1(corpus):
+    # the full sweep over all B^2 pairs peaks at about 3.4 GB on d4_1
+    # (B = 7,776); the sweep on its 122 rank-one generators does not
+    L = {L.name: L for L in corpus}["d4_1"]
+    tracemalloc.start()
+    try:
+        res = latq.check_involutive_axioms(L, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.holds and res.info["homset_size"] == 7776
+    assert res.info["generators"] == 122 and res.info["pairs"] == 122 ** 2
+    assert peak <= 32 * 2 ** 20
 
 
 def test_dualizing_search_peak_memory_on_d4_7(corpus):
