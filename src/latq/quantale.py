@@ -13,24 +13,27 @@ map above `f . rho(h)`.
 The pair sweeps never form a (B, B, n) array of composites.  The
 pointwise order and the order-reversal tests `f . g <= zero` are counts
 from `maps._pair_kernel`; the axiom sweep's residual formulas and the
-cyclic and dualizing searches code every composite exactly
+cyclic, dualizing and codualizing searches code every composite exactly
 (`maps._composite_ids`), run the kernels on the distinct composites
-alone (`_on_composites`), and compare results by rank.  The composite
-codes take 8 bytes a pair.  The axiom sweep runs its pair laws on the
-rank-one generators G of an endo homset that they generate, which is
-one over a completely distributive lattice, so it holds memory linear
+alone (`_on_composites`), and compare results by rank or value.  The
+composite codes take 8 bytes a pair.  The axiom sweep runs its pair laws
+on the rank-one generators G of an endo homset that they generate, which
+is one over a completely distributive lattice, so it holds memory linear
 in B there (the one-hot codes of the members, B n^2 floats, and
-|G| <= n^2), and O(B^2) on any other homset.  A
-row's position among the members comes from ranking both together
+|G| <= n^2), and O(B^2) on any other homset.  A row's position among
+the members comes from ranking both together
 (`HomsetEnumeration.positions`), for `position`, `in` and the residuals
 of the cyclic and dualizing searches (`_residual_members`): a residual
 of members is a member, so residuating twice is a lookup of positions,
 and `is_cyclic` and `is_dualizing` are the same pass for one candidate.
-The cyclic and central searches narrow (`_narrowed`): the candidates
-meet the members a block at a time, and each is dropped at its first
-failing block.  The dualizing test reads whole columns of positions, so
-that search keeps chunks of candidates against all the members.  No
-search lists more than the members it returns.
+The cyclic, central and codualizing searches narrow (`_narrowed`): the
+candidates meet the members a block at a time, and each is dropped at
+its first failing block; `beta \\ (beta . f)` is the interior of the
+composite (rho beta . beta) . f, run once per distinct composite
+(`_recovered`).  The dualizing test residuates twice, and the second
+residual is read at the position the first one names, anywhere in the
+candidate's column; so that search keeps chunks of candidates against
+all the members.  No search lists more than the members it returns.
 """
 
 from __future__ import annotations
@@ -298,17 +301,19 @@ def is_dualizing(alpha: LatMap, Q: HomsetEnumeration) -> CheckResult:
 def is_codualizing(beta: LatMap, Q: HomsetEnumeration) -> CheckResult:
     """Every member is recovered as beta \\ (beta . member)."""
     _require_endo(Q)
-    Q.position(beta)
-    recovered = _recovered(Q, beta.values, right_adjoint(beta).values)
+    recovered = _recovered(Q, [Q.position(beta)])[:, 0]
     return verdict("codualizing", (recovered == Q.matrix).all(axis=1),
                    {"x": Q.matrix, "recovered": recovered})
 
 
-def _recovered(Q: HomsetEnumeration, b: np.ndarray,
-               rho_b: np.ndarray) -> np.ndarray:
-    """beta \\ (beta . f) for every member f of the endo homset Q, beta
-    given by its values b and its right adjoint's rho_b."""
-    return _batch_interior(Q.dom, Q.dom, rho_b[b[Q.matrix]])
+def _recovered(Q: HomsetEnumeration, C, K=slice(None)) -> np.ndarray:
+    """(len(K), len(C), n): beta_c \\ (beta_c . f_k) for members beta_c,
+    c in C, and f_k, k in K, the interior of (rho beta_c . beta_c) . f_k,
+    run on the distinct composites (`_on_composites`)."""
+    L = _require_endo(Q)
+    R = np.take_along_axis(Q.rho[C], Q.matrix[C], axis=1)
+    rows, ids = _on_composites(_batch_interior, L, R, Q.matrix[K])
+    return rows[ids.T]
 
 
 def cyclic_elements(Q: HomsetEnumeration) -> list[LatMap]:
@@ -326,7 +331,11 @@ def central_elements(Q: HomsetEnumeration) -> list[LatMap]:
 
 def dualizing_elements(Q: HomsetEnumeration) -> list[LatMap]:
     """Candidates in chunks of step rows, step * F.nbytes at most
-    _CHUNK_BYTES, which bounds a chunk's B * step composites."""
+    _CHUNK_BYTES, which bounds a chunk's B * step composites.  The one
+    search that does not narrow: its test reads residuals of residuals by
+    position, (alpha_j / f_k) \\ alpha_j at left[right[k, j], j], a row
+    of the candidate's column that any member may name, so each candidate
+    needs its residuals against all the members at once."""
     F = Q.matrix
     step = max(1, _CHUNK_BYTES // max(1, F.nbytes))
     return Q.members(s + k for s in range(0, len(F), step)
@@ -335,10 +344,8 @@ def dualizing_elements(Q: HomsetEnumeration) -> list[LatMap]:
 
 
 def codualizing_elements(Q: HomsetEnumeration) -> list[LatMap]:
-    _require_endo(Q)
-    F = Q.matrix
-    return Q.members(k for k in range(len(F))
-                     if (_recovered(Q, F[k], Q.rho[k]) == F).all())
+    return _narrowed(Q, lambda K, C: (
+        _recovered(Q, C, K) == Q.matrix[K, None]).all(axis=(0, 2)))
 
 
 def cyclic_dualizing_elements(Q: HomsetEnumeration) -> list[LatMap]:
@@ -397,7 +404,10 @@ def check_involutive_axioms(L: Lattice, M: Lattice,
     biconditional f <= g iff f.g* <= zero_M iff g*.f <= zero_L; both
     residual-via-transform formulas on triangles (L,L,M) and (L,M,M);
     and the triangle rotation over Q(L,L) x Q(L,M)^2 when that triple
-    count fits ROTATION_CAP (recorded in .info["rotation_checked"]).
+    count fits ROTATION_CAP (recorded in .info["rotation_checked"]).  On
+    a rectangular homset of B maps the rotation runs only when Q(L,L)
+    can be enumerated under cap and |Q(L,L)| * B^2 fits ROTATION_CAP;
+    Q(L,L) is not enumerated when B^2 alone exceeds it.
     An endo homset that its rank-one maps generate sweeps the pair laws
     on generators only (`_axiom_laws`); .info["generators"] counts them,
     None on the full sweep, and .info["pairs"] is the pairs each pair law
@@ -500,8 +510,13 @@ def _axiom_laws(L: Lattice, M: Lattice, A: HomsetEnumeration, cap: int,
         swapped(_on_composites(_batch_residual_right, M, X, RY)),
         swapped(_on_composites(_stars, M, X, SY)))
 
-    E = A if M == L else enumerate_homset(L, L, cap)
-    if len(E) * B * B <= ROTATION_CAP:
+    E = A if M == L else None
+    if E is None and B * B <= ROTATION_CAP:
+        try:
+            E = enumerate_homset(L, L, cap)
+        except CapExceeded:
+            pass
+    if E is not None and len(E) * B * B <= ROTATION_CAP:
         info["rotation_checked"] = True
         FE = E.matrix
         SE = _batch_raney_join(L, L, E.rho)

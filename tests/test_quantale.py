@@ -597,6 +597,35 @@ def test_narrowing_blocks_tile_the_members_within_budget(corpus, monkeypatch):
     assert len(blocks) == 11
 
 
+def test_codualizing_search_matches_loop_and_definition(
+        corpus, zoo, monkeypatch):
+    # the narrowed search against is_codualizing on each member, over the
+    # built-ins with |Q| <= 128 and d4_7, whose blocks tile its members
+    # within the detector budget; and against the plain-loop definition
+    checked = []
+    for L in corpus:
+        if latq.quantale.homset_estimate(L, L) > 1 << 14:
+            continue
+        Q = latq.enumerate_homset(L, L)
+        if len(Q) > 128 and L.name != "d4_7":
+            continue
+        assert latq.codualizing_elements(Q) == \
+            [f for f in Q.maps if latq.is_codualizing(f, Q).holds], L.name
+        checked.append(L.name)
+    assert len(checked) == 35 and "d4_7" in checked
+    L = {L.name: L for L in corpus}["d4_7"]
+    Q = latq.enumerate_homset(L, L)
+    blocks = _logged_blocks(monkeypatch, len(Q))
+    assert len(latq.codualizing_elements(Q)) == 1
+    _tile_within(blocks, len(Q), quantale._CHUNK_BYTES, Q.matrix[0].nbytes)
+    assert len(blocks) > 1
+    for name in ("c1", "c2", "c3", "c4", "b2", "m3", "n5"):
+        L = zoo[name]
+        Q = latq.enumerate_homset(L, L)
+        assert [f.key for f in latq.codualizing_elements(Q)] == \
+            [f.key for f in Q.maps if _def_codualizing(L, Q, f)], name
+
+
 def test_detectors_list_no_whole_homset(corpus):
     L = {L.name: L for L in corpus}["d4_7"]
     Q = latq.enumerate_homset(L, L)
@@ -712,6 +741,30 @@ def test_involutive_axioms_cross_homsets(zoo):
     for a, b in (("c2", "b2"), ("c3", "b2")):
         res = latq.check_involutive_axioms(zoo[a], zoo[b])
         assert res.holds, (a, b, res.witness)
+
+
+def test_involutive_axioms_with_a_refused_rotation_factor(monkeypatch):
+    # Q(c12, c12) is over the enumeration cap, so the rotation over it
+    # does not run, and the pair laws on Q(c12, c2)'s 12 members still do
+    c12, c2 = (latq.generate(latq.GeneratorSpec("chain", n=n))
+               for n in (12, 2))
+    res = latq.check_involutive_axioms(c12, c2)
+    assert res.holds, res.witness
+    assert res.info["homset_size"] == 12
+    assert not res.info["rotation_checked"]
+    # when B^2 alone exceeds ROTATION_CAP, the factor is not enumerated
+    calls = []
+    real = quantale.enumerate_homset
+
+    def counted(dom, cod, cap=quantale.DEFAULT_CAP):
+        calls.append((dom.n, cod.n))
+        return real(dom, cod, cap)
+
+    monkeypatch.setattr(quantale, "enumerate_homset", counted)
+    monkeypatch.setattr(quantale, "ROTATION_CAP", 12 * 12 - 1)
+    res = latq.check_involutive_axioms(c12, c2)
+    assert res.holds and not res.info["rotation_checked"]
+    assert calls == [(12, 2)]
 
 
 def test_involutive_axioms_fail_off_cd(zoo):
