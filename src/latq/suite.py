@@ -60,7 +60,7 @@ def builtin_corpus() -> list[Lattice]:
 
 class SuiteContext:
     """Per-run caches: profiles, endo homsets, axioms, cyclic members,
-    dualizing verdicts, seeded generators."""
+    dualizing verdicts, and each carrier's map family (`family`)."""
 
     def __init__(self, seed: int = 0, cap: int = quantale.DEFAULT_CAP):
         self.seed = seed
@@ -75,10 +75,27 @@ class SuiteContext:
             lambda L: quantale.cyclic_elements(self.homset(L)))
         self.dualizing = functools.cache(
             lambda f: quantale.is_dualizing(f, self.homset(f.dom)).holds)
+        self._family = functools.cache(self._draw_family)
 
-    def rng(self, L: Lattice, check_id: str) -> np.random.RandomState:
-        tag = f"{self.seed}:{check_id}:{L.name}".encode()
-        return np.random.RandomState(zlib.crc32(tag) & 0xFFFFFFFF)
+    def family(self, L: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A, Mo, J), the maps, monotone maps and jc maps L -> L that T8,
+        T9 and T10 quantify over (Mo and J are T10's left factors): all of
+        them up to EXHAUSTIVE_N elements, else SAMPLE_COUNT of each from one
+        stream seeded by the run seed and L's name, so equal carriers under
+        two names draw apart."""
+        return self._family(L.name, L)
+
+    def _draw_family(self, name: str, L: Lattice):
+        if L.n <= EXHAUSTIVE_N:
+            return (maps.all_maps_array(L, L), maps.monotone_maps_array(L, L),
+                    self.homset(L).matrix)
+        tag = f"{self.seed}:{name}".encode()
+        rng = np.random.RandomState(zlib.crc32(tag) & 0xFFFFFFFF)
+        G = rng.randint(0, L.n, size=(SAMPLE_COUNT // 2, L.n)).astype(np.int32)
+        # partner maps pointwise below G, so T10's first law has real pairs
+        A = np.concatenate([G, maps._draw_above(maps._upsets(L.op), G, rng)])
+        Mo = maps.sample_monotone_maps(L, L, SAMPLE_COUNT, rng)
+        return A, Mo, maps._batch_interior(L, L, Mo)
 
 
 @dataclass(frozen=True)
@@ -138,20 +155,6 @@ def _refuted(check_id: str, tag: str, held: bool) -> CheckResult:
     """The verdict of a check that a statement fails: it holds when the
     statement did not, and the witness records that it did."""
     return CheckResult(check_id, not held, {tag: True} if held else None)
-
-
-def _jc_matrix(ctx: SuiteContext, L: Lattice, check_id: str) -> np.ndarray:
-    """Exhaustive jc maps for small carriers, seeded jc samples otherwise."""
-    if L.n <= EXHAUSTIVE_N:
-        return ctx.homset(L).matrix
-    S = maps.sample_monotone_maps(L, L, SAMPLE_COUNT, ctx.rng(L, check_id))
-    return maps._batch_interior(L, L, S)
-
-
-def _monotone_matrix(ctx: SuiteContext, L: Lattice, check_id: str) -> np.ndarray:
-    if L.n <= EXHAUSTIVE_N:
-        return maps.monotone_maps_array(L, L)
-    return maps.sample_monotone_maps(L, L, SAMPLE_COUNT, ctx.rng(L, check_id))
 
 
 # ------------------------------------------------------------- the checks
@@ -246,7 +249,7 @@ def _t7(ctx: SuiteContext, L: Lattice) -> CheckResult:
 def _t8(ctx: SuiteContext, L: Lattice) -> CheckResult:
     """meet transform then join transform is the identity on jc maps over
     completely distributive carriers"""
-    F = _jc_matrix(ctx, L, "T8")
+    F = ctx.family(L)[2]
     back = maps._batch_raney_join(L, L, maps._batch_raney_meet(L, L, F))
     return verdict("T8", (back == F).all(axis=1), {"f": F, "roundtrip": back})
 
@@ -264,7 +267,7 @@ def _t8n(ctx: SuiteContext, L: Lattice) -> CheckResult:
 def _t9(ctx: SuiteContext, L: Lattice) -> CheckResult:
     """interior equals join transform after omega, and join transform
     equals interior after o, for monotone maps over CD carriers"""
-    F = _monotone_matrix(ctx, L, "T9")
+    F = ctx.family(L)[1]
     o = maps.special(L, "o").values
     om = maps.special(L, "omega").values
     ints = maps._batch_interior(L, L, F)
@@ -297,17 +300,7 @@ def _t10(ctx: SuiteContext, L: Lattice) -> CheckResult:
 
 def _t10_laws(ctx: SuiteContext, L: Lattice):
     """T10's laws as (law, ok, rows), in order."""
-    if L.n <= EXHAUSTIVE_N:
-        A = maps.all_maps_array(L, L)
-        Mo = maps.monotone_maps_array(L, L)
-        J = ctx.homset(L).matrix
-    else:
-        rng = ctx.rng(L, "T10")
-        G = rng.randint(0, L.n, size=(SAMPLE_COUNT // 2, L.n)).astype(np.int32)
-        # partner maps pointwise below G, so law 1 has real pairs to see
-        A = np.concatenate([G, maps._draw_above(maps._upsets(L.op), G, rng)])
-        Mo = maps.sample_monotone_maps(L, L, SAMPLE_COUNT // 2, rng)
-        J = maps._batch_interior(L, L, Mo)
+    A, Mo, J = ctx.family(L)
     RA = maps._batch_raney_join(L, L, A)
     yield "transform_monotone", (~quantale._pointwise_leq(L, A, A)
                                  | quantale._pointwise_leq(L, RA, RA)), {
@@ -521,6 +514,8 @@ def run_suite(corpus: list[Lattice] | None = None,
     if corpus is None:
         corpus = builtin_corpus()
     names = [L.name for L in corpus]
+    if None in names:    # cells and sampled maps are keyed by the name
+        raise ValueError("corpus has an unnamed carrier")
     twice = [x for k, x in enumerate(names) if x in names[:k]]
     if twice:    # a cell per (check, name): one carrier would hide another
         raise ValueError(f"corpus has two carriers named {twice[0]!r}")

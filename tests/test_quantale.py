@@ -351,22 +351,24 @@ def test_batched_detectors_match_definitions(zoo):
             [f.key for f in Q.maps if _def_dualizing(L, Q, f)], name
 
 
-def test_batched_detectors_match_per_member_loop(corpus):
+def test_batched_detectors_match_per_member_loop(corpus, monkeypatch):
     # every built-in carrier with |Q| <= 128, and d4_7, whose 746 members
-    # take more than one chunk
-    checked = []
+    # each search meets in more than one block
+    checked, blocks = [], _logged_blocks(monkeypatch, 1 << 14)
     for L in corpus:
         if latq.quantale.homset_estimate(L, L) > 1 << 14:
             continue
         Q = latq.enumerate_homset(L, L)
         if len(Q) > 128 and L.name != "d4_7":
             continue
-        if L.name == "d4_7":
-            assert len(Q) * Q.matrix.nbytes > latq.quantale._CHUNK_BYTES
+        blocks.clear()
         assert latq.cyclic_elements(Q) == \
             [f for f in Q.maps if latq.is_cyclic(f, Q).holds], L.name
+        cyclic_blocks = len(blocks)
         assert latq.dualizing_elements(Q) == \
             [f for f in Q.maps if latq.is_dualizing(f, Q).holds], L.name
+        if L.name == "d4_7":
+            assert cyclic_blocks > 1 and len(blocks) - cyclic_blocks > 1
         checked.append(L.name)
     assert len(checked) == 35 and "d4_7" in checked
 
@@ -387,18 +389,20 @@ def _residuals_by_search(L, Q, a, f):
     return left, right
 
 
-def test_batched_detectors_match_search_on_chunks(corpus):
-    # d4_7's 746 members take three chunks; members from each chunk,
-    # both sides of each boundary, and every member the pass keeps are
-    # checked against residuals found by filtering the homset
+def test_batched_detectors_match_search_on_chunks(corpus, monkeypatch):
+    # the narrowed searches meet d4_7's 746 members in blocks; members on
+    # both sides of every block start, every 97th member, and every member
+    # the searches keep are checked against residuals found by filtering
+    # the homset
     L = next(c for c in corpus if c.name == "d4_7")
     Q = latq.enumerate_homset(L, L)
-    step = latq.quantale._CHUNK_BYTES // Q.matrix.nbytes
-    assert len(Q) > 2 * step
+    blocks = _logged_blocks(monkeypatch, len(Q))
     cyclic = {Q.position(f) for f in latq.cyclic_elements(Q)}
     dualizing = {Q.position(f) for f in latq.dualizing_elements(Q)}
     assert cyclic and dualizing
-    edges = {0, step - 1, step, 2 * step - 1, 2 * step, len(Q) - 1}
+    starts = {start for start, _, _ in blocks}
+    assert len(starts) > 2
+    edges = {j for s in starts for j in (s - 1, s) if j >= 0} | {len(Q) - 1}
     for j in sorted(edges | set(range(0, len(Q), 97)) | cyclic | dualizing):
         a = Q.matrix[j]
         is_cyclic = is_dualizing = True

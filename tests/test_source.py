@@ -2,7 +2,8 @@ import ast
 import hashlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "latq"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "latq"
 
 
 def test_no_assert_statements_in_src():
@@ -72,3 +73,16 @@ def test_star_import_names_are_pinned():
     joined = "\n".join(sorted(names)).encode()
     assert hashlib.sha256(joined).hexdigest() == \
         "22de6046b22b63825543efb1746c1583a7f3d13b725e1cc1cbef2063acc92520"
+
+
+def test_every_python_file_parses_as_python_3_10():
+    # the package supports Python 3.10, so no file may use later syntax
+    # (a `match` is fine, a PEP 695 `type` alias or an `except*` is not).
+    # This checks syntax only: a library call added after 3.10 still
+    # parses, and only a 3.10 interpreter finds it
+    files = [path for top in ("src", "tests", "scripts", "perfbench")
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path),
+                  feature_version=(3, 10))
