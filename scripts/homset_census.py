@@ -3,7 +3,9 @@
 
 For every corpus member small enough to enumerate, print the carrier
 profile, the homset size, and the sizes of the cyclic / central /
-dualizing element classes.  A quick way to see the rigidity results:
+dualizing element classes.  A homset that `enumerate_homset` refuses
+under DEFAULT_CAP shows `(> cap)`; one larger than --max-homset shows
+its size and no classes.  A quick way to see the rigidity results:
 the center never grows past two members, and the cyclic class collapses
 onto {constant-top, o}.
 """
@@ -36,12 +38,12 @@ def main() -> None:
             "s" if profile.smooth else "-",
             "p" if profile.spatial else "-",
         ))
-        estimate = latq.homset_estimate(L, L)
-        if estimate > args.max_homset:
+        try:
+            Q = latq.enumerate_homset(L, L, latq.DEFAULT_CAP)
+        except latq.CapExceeded:
             print(f"{L.name:<10}{L.n:>3}  {flags:<7}"
                   f"{'(> cap)':>7}{'':>8}{'':>9}{'':>11}")
             continue
-        Q = latq.enumerate_homset(L, L)
         if len(Q) > args.max_homset:
             print(f"{L.name:<10}{L.n:>3}  {flags:<7}"
                   f"{len(Q):>7}{'(> cap)':>8}{'':>9}{'':>11}")

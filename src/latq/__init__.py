@@ -92,7 +92,6 @@ from .quantale import (
     dual_tensor,
     dualizing_elements,
     enumerate_homset,
-    homset_estimate,
     homset_lattice,
     is_codualizing,
     is_cyclic,

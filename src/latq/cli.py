@@ -63,7 +63,7 @@ def _cmd_check(args) -> int:
             cd.raney_meet_criterion,
             cd.distributive_oracle)
     ]
-    profile = cd.classify_lattice(L, checks[0])
+    profile = cd.classify_lattice(L)
     agree = len({c.holds for c in checks}) == 1
     if args.json:
         doc = {

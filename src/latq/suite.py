@@ -82,19 +82,20 @@ class SuiteContext:
         T9 and T10 quantify over (Mo and J are T10's left factors): all of
         them up to EXHAUSTIVE_N elements, else SAMPLE_COUNT of each from one
         stream seeded by the run seed and L's name, so equal carriers under
-        two names draw apart."""
+        two names draw apart.  J is the interior of Mo: a jc map is its own
+        interior, so all of Mo gives the endo homset, with repeats."""
         return self._family(L.name, L)
 
     def _draw_family(self, name: str, L: Lattice):
         if L.n <= EXHAUSTIVE_N:
-            return (maps.all_maps_array(L, L), maps.monotone_maps_array(L, L),
-                    self.homset(L).matrix)
-        tag = f"{self.seed}:{name}".encode()
-        rng = np.random.RandomState(zlib.crc32(tag) & 0xFFFFFFFF)
-        G = rng.randint(0, L.n, size=(SAMPLE_COUNT // 2, L.n)).astype(np.int32)
-        # partner maps pointwise below G, so T10's first law has real pairs
-        A = np.concatenate([G, maps._draw_above(maps._upsets(L.op), G, rng)])
-        Mo = maps.sample_monotone_maps(L, L, SAMPLE_COUNT, rng)
+            A, Mo = maps.all_maps_array(L, L), maps.monotone_maps_array(L, L)
+        else:
+            tag = f"{self.seed}:{name}".encode()
+            rng = np.random.RandomState(zlib.crc32(tag) & 0xFFFFFFFF)
+            G = rng.randint(0, L.n, (SAMPLE_COUNT // 2, L.n)).astype(np.int32)
+            # partners pointwise below G, so T10's first law has real pairs
+            A = np.vstack([G, maps._draw_above(maps._upsets(L.op), G, rng)])
+            Mo = maps.sample_monotone_maps(L, L, SAMPLE_COUNT, rng)
         return A, Mo, maps._batch_interior(L, L, Mo)
 
 
@@ -115,9 +116,10 @@ def _gate(cd: bool | None = None, min_n: int = 1, max_n: int | None = None,
           max_q: int | None = None):
     """Applicability: at least min_n (below 10) elements, completely
     distributive when cd is True and not when it is False, at most max_n
-    elements, and an endo homset whose estimate fits the enumeration cap
-    and which has at most max_q members.  They are tested in that order,
-    and the first that fails gives the skip reason."""
+    elements, and an endo homset that `enumerate_homset` admits under the
+    run's cap and which has at most max_q members.  They are tested in
+    that order, and the first that fails gives the skip reason: for a
+    refused homset, the refusal's own message."""
     def applies(ctx: SuiteContext, L: Lattice) -> str | None:
         if L.n < min_n:
             return f"needs at least {_WORDS[min_n]} elements"
@@ -127,10 +129,11 @@ def _gate(cd: bool | None = None, min_n: int = 1, max_n: int | None = None,
         if max_n is not None and L.n > max_n:
             return f"carrier too large (n={L.n} > {max_n})"
         if max_q is not None:
-            est = quantale.homset_estimate(L, L)
-            if est > ctx.cap:
-                return f"homset estimate {est} beyond enumeration cap"
-            if len(ctx.homset(L)) > max_q:
+            try:
+                Q = ctx.homset(L)
+            except CapExceeded as e:
+                return str(e)
+            if len(Q) > max_q:
                 return f"homset too large (|Q| > {max_q})"
         return None
     return applies

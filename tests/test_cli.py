@@ -294,8 +294,10 @@ def test_q_enumerate_list_rows_in_homset_order(capsys, tmp_path, name, spec,
 
 
 def test_q_enumerate_cap(capsys, c3_file):
-    code, _, err = run(capsys, "q", "enumerate", c3_file, "--cap", "4")
-    assert code == 2 and "cap" in err
+    # c3 has two join-irreducibles: 3^2 = 9 maps at most, above the cap
+    code, out, err = run(capsys, "q", "enumerate", c3_file, "--cap", "4")
+    assert code == 2 and out == ""
+    assert err == "error: homset estimate 9 beyond enumeration cap\n"
 
 
 @pytest.mark.parametrize("argv", [

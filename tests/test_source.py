@@ -72,7 +72,7 @@ def test_star_import_names_are_pinned():
     names.pop("__builtins__")
     joined = "\n".join(sorted(names)).encode()
     assert hashlib.sha256(joined).hexdigest() == \
-        "22de6046b22b63825543efb1746c1583a7f3d13b725e1cc1cbef2063acc92520"
+        "d65e2377c27ef07396c01c6eabbc710e8dfbdd1d031c4e80e1fcee287e1159af"
 
 
 def test_every_python_file_parses_as_python_3_10():

@@ -251,6 +251,41 @@ def test_one_run_draws_each_sampled_carrier_once(monkeypatch, corpus):
     assert sorted(drawn) == sorted(L.name for L in corpus if L.n in (5, 6))
 
 
+def test_family_covers_exactly_the_endo_homset_when_exhaustive(corpus):
+    # up to EXHAUSTIVE_N elements J is the interior of every monotone map:
+    # its distinct rows are the enumerated homset, with no enumeration
+    checked = 0
+    for L in corpus:
+        if L.n > suite.EXHAUSTIVE_N:
+            continue
+        J = suite.SuiteContext().family(L)[2]
+        Q = latq.enumerate_homset(L, L)
+        assert {r.tobytes() for r in J} == {r.tobytes() for r in Q.matrix}, \
+            L.name
+        checked += 1
+    assert checked == 19
+
+
+def test_cap_refusals_are_expected_skips_in_the_refusals_words(corpus):
+    # at cap 3 the gates skip on enumerate_homset's own refusal, and T8,
+    # T9 and T10 read no homset, so no cell skips unexpectedly
+    report = latq.run_suite(corpus=corpus, cap=3)
+    assert report.summary["unexpected_skip"] == 0
+    by_name = {L.name: L for L in corpus}
+    refused = 0
+    for row in report.results.values():
+        for name, cell in row.items():
+            if cell.status != "skip" or "beyond enumeration cap" not in (
+                    cell.reason or ""):
+                continue
+            L = by_name[name]
+            with pytest.raises(latq.CapExceeded) as e:
+                latq.enumerate_homset(L, L, 3)
+            assert cell.reason == str(e.value), name
+            refused += 1
+    assert refused == 379
+
+
 def _same_family(a, b):
     return all(np.array_equal(x, y) for x, y in zip(a, b))
 
@@ -318,13 +353,16 @@ def test_t12_batch_matches_per_pair_loop(corpus):
     ctx = suite.SuiteContext()
     failed = 0
     for L in corpus:
-        if ctx.profile(L).completely_distributive or \
-                latq.homset_estimate(L, L) > ctx.cap or \
-                len(ctx.homset(L)) > 300:
+        if ctx.profile(L).completely_distributive:
+            continue
+        try:
+            Q = ctx.homset(L)
+        except latq.CapExceeded:
+            continue
+        if len(Q) > 300:
             continue
         res = suite._t12(ctx, L)
-        assert (res.holds, res.witness) == _t12_per_pair(L, ctx.homset(L)), \
-            L.name
+        assert (res.holds, res.witness) == _t12_per_pair(L, Q), L.name
         failed += not res.holds
     assert failed == 8
 
