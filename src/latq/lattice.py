@@ -197,6 +197,11 @@ class Lattice:
         return not len(self.interior_constraints[0])
 
     @cached_property
+    def derived(self) -> dict:
+        """Maps built from this carrier alone, kept by `maps.special`."""
+        return {}
+
+    @cached_property
     def interior_constraints(self) -> tuple[np.ndarray, ...]:
         """The binding pairs (ix, iy, ij = ix v iy), sorted by ij.
 

@@ -359,21 +359,24 @@ def special(L: Lattice, kind: str, x: int | None = None) -> LatMap:
     nu(x): bottom on elements below x, identity elsewhere.
     """
     n = L.n
+    if kind in ("o", "omega"):      # built once per carrier, and read-only
+        if kind not in L.derived:
+            L.derived[kind] = (raney_join(identity(L)) if kind == "o"
+                               else _op(special(L.op, "o")))
+        return L.derived[kind]
     if kind in ("c", "a", "alpha", "nu"):
         if x is None:
             raise ValueError(f"special {kind!r} needs an element")
         if not 0 <= x < n:
             raise IndexOutOfRange(f"{x} outside range({n})")
-    if kind in ("alpha", "omega"):
-        return _op(special(L.op, "a" if kind == "alpha" else "o", x))
+    if kind == "alpha":
+        return _op(special(L.op, "a", x))
     if kind == "c":
         vals = np.full(n, x, dtype=np.int32)
         vals[L.bottom] = L.bottom
         return LatMap(L, L, vals)
     if kind == "a":
         return LatMap(L, L, np.where(L.leq[:, x], L.bottom, L.top))
-    if kind == "o":
-        return raney_join(identity(L))
     if kind == "nu":
         return LatMap(L, L, np.where(L.leq[:, x], L.bottom, np.arange(n)))
     raise ValueError(f"unknown special kind {kind!r}")

@@ -17,10 +17,13 @@ cyclic, dualizing and codualizing searches code every composite exactly
 (`maps._composite_ids`), run the kernels on the distinct composites
 alone (`_on_composites`), and compare results by rank or value.  The
 composite codes take 8 bytes a pair.  The axiom sweep runs its pair laws
-on the rank-one generators G of an endo homset that they generate, which
-is one over a completely distributive lattice, so it holds memory linear
-in B there (the one-hot codes of the members, B n^2 floats, and
-|G| <= n^2), and O(B^2) on any other homset.
+on rank-one generators wherever that is exact (`_axiom_laws`): on
+Q(L, M) with L and M distributive, endo or rectangular, once Q(M, L)
+enumerates under the cap, the first argument runs over the rank-one
+maps of Q(L, M) and the second over the stars of those of Q(M, L).  So
+it holds memory linear in B there (the one-hot codes of the members,
+B |L| |M| floats, and at most |L| |M| generators a side), and O(B^2) on
+any other homset.
 
 Each detector (`_cyclic`, `_dualizing`, `_codualizing`, `_central`)
 takes candidate positions C and member positions K and gives ok[k, c]
@@ -398,9 +401,11 @@ def check_involutive_axioms(L: Lattice, M: Lattice,
     a rectangular homset of B maps the rotation runs only when Q(L,L)
     can be enumerated under cap and |Q(L,L)| * B^2 fits ROTATION_CAP;
     Q(L,L) is not enumerated when B^2 alone exceeds it.
-    An endo homset that its rank-one maps generate sweeps the pair laws
-    on generators only (`_axiom_laws`); .info["generators"] counts them,
-    None on the full sweep, and .info["pairs"] is the pairs each pair law
+    Over distributive L and M, endo or rectangular, the pair laws run on
+    rank-one generators when that is exact, which also needs Q(M, L)
+    under cap (`_axiom_laws`, which holds the proof).
+    .info["generators"] counts the rank-one maps of Q(L, M) then, None
+    on the full sweep, and .info["pairs"] is the pairs each pair law
     swept.  A failure there is reported as the full sweep's first.
     """
     A = enumerate_homset(L, M, cap)
@@ -412,42 +417,90 @@ def check_involutive_axioms(L: Lattice, M: Lattice,
     return CheckResult("involutive_axioms", w is None, w, info=info)
 
 
-def _rank_one_generators(L: Lattice, A: HomsetEnumeration):
-    """Positions in the endo homset A of the distinct rank-one maps
-    e_{a,b}: x -> b if x is not below a, else bottom, when every member
-    is the pointwise join of those below it; else None."""
-    E = np.where(~L.leq.T[:, None, :], np.arange(L.n)[:, None], L.bottom)
-    G = np.unique(A.positions(E.reshape(L.n * L.n, L.n)))
+def _rank_one_generators(A: HomsetEnumeration):
+    """Positions in the homset A of the distinct rank-one maps e_{a,b}:
+    x -> b if x is not below a, else bottom, when every member is the
+    pointwise join of those below it; else None."""
+    L, M = A.dom, A.cod
+    E = np.where(~L.leq.T[:, None, :], np.arange(M.n)[:, None], M.bottom)
+    G = np.unique(A.positions(E.reshape(L.n * M.n, L.n)))
     if G[0] < 0:
         return None
     FA = A.matrix
-    joined = np.full_like(FA, L.bottom)
-    for g, below in zip(FA[G], _pointwise_leq(L, FA[G], FA)):
-        joined[below] = L.join[joined[below], g]
+    joined = np.full_like(FA, M.bottom)
+    for g, below in zip(FA[G], _pointwise_leq(M, FA[G], FA)):
+        joined[below] = M.join[joined[below], g]
     return G if (joined == FA).all() else None
+
+
+def _generators(L: Lattice, M: Lattice, A: HomsetEnumeration,
+                SA: np.ndarray, cap: int):
+    """(G, Y, H) for `_axiom_laws`' reduced sweep of A = Q(L, M), given
+    the stars SA of its members and once the double transform holds on
+    A: G the positions of A's rank-one maps, H the rank-one maps of
+    D = Q(M, L), which is A when M == L, and Y their stars.  None unless
+    L and M are distributive, D enumerates under cap with the double
+    transform holding on it, and G and H generate A and D."""
+    if not (L.is_distributive and M.is_distributive):
+        return None
+    D, SD = A, SA
+    if M != L:
+        try:
+            D = enumerate_homset(M, L, cap)
+        except CapExceeded:
+            return None
+        SD = _stars(M, L, D.matrix)
+        if not (_stars(L, M, SD) == D.matrix).all():
+            return None
+    G = _rank_one_generators(A)
+    H = G if D is A else _rank_one_generators(D)
+    if G is None or H is None:
+        return None
+    return G, SD[H], D.matrix[H]
 
 
 def _axiom_laws(L: Lattice, M: Lattice, A: HomsetEnumeration, cap: int,
                 info: dict, reduced: bool = False):
     """The laws of `check_involutive_axioms` as (law, ok, rows), in order.
 
-    The pair laws sweep every pair of members, or, when reduced is set
-    and the rank-one maps G of an endo homset generate it
-    (`_rank_one_generators`, tried once the double transform holds), the
-    first argument over G and the second over G*, the stars of G.  That
-    is exact on Q = Q(L, L):
+    The pair laws sweep every pair of members of A = Q(L, M), or, when
+    reduced is set, the first argument over the rank-one maps G of A and
+    the second over the stars Y of the rank-one maps H of D = Q(M, L),
+    which is A when M == L, once all of these hold (`_generators`):
+    (a) L and M are distributive, tested first, as it is free;
+    (b) the double transform holds on A: the first law;
+    (c) D enumerates under cap and the double transform holds on it;
+    (d) G generates A, and H generates D, under pointwise joins.
+    That is exact:
     - the star is order-reversing, as rho reverses the order and the
-      join transform keeps it; it is an involution once the double
-      transform holds, so an anti-automorphism of the lattice Q.  So G*
-      meet-generates Q, and a star turns joins into meets and back;
-    - joins in Q are pointwise, and composition preserves them in
+      join transform keeps it.  By (b) and (c) the stars A -> D and
+      D -> A are inverse bijections, so anti-isomorphisms, and turn
+      joins into meets and back.  By (d), Y meet-generates A, and
+      Y* = H;
+    - joins in a homset are pointwise, and composition preserves them in
       either argument, pointwise; residuals turn joins in their
       divisor into meets and keep meets in their numerator;
+    - the formulas also star maps of Q(L, L) and Q(M, M), which are not
+      enumerated, so not known to be involutions there.  Over a
+      distributive K the star of Q(K, K) turns joins into meets all the
+      same.  Each join-irreducible p of K is join-prime, with
+      kappa(p) = max{t : p not<= t}, so every member f is the join over
+      p in J(K) of the rank-one maps e_{kappa(p), f(p)}.  The star of
+      e_{c,b} is bottom at bottom, c on the rest of the down-set of b
+      and top off it.  For any rank-one family, rho(join_j e_{c_j,b_j})
+      takes t to the meet of the c_j with b_j not<= t, which rises with
+      t, and x not<= t exactly when t <= kappa(p) for some p <= x in
+      J(K), so star(join_j e_{c_j,b_j}) takes x to the join over those p
+      of the meet of the c_j with p <= b_j.  The pointwise meet of the
+      stars of the e_{c_j,b_j} rises with x and takes each p to that
+      meet, and a map taking x to a join over the p <= x is
+      join-continuous, each p being join-prime, so this is the greatest
+      join-continuous map below it: their meet in Q(K, K);
     - so f <= g, f.g* <= zero and g*.f <= zero each turn joins in f
       and meets in g into "for all", and each side of g \\ h ==
-      star(h*.g) and of h / f == star(f.h*) turns joins in g (f) and
-      meets in h into meets.  A law that holds on G x G* holds on all
-      of Q x Q.
+      star(h*.g), in Q(L, L), and of h / f == star(f.h*), in Q(M, M),
+      turns joins in g (f) and meets in h into meets.  A law that holds
+      on G x Y holds on all of A x A.
     The double transform and the triangle rotation are not reduced.
     """
     FA = A.matrix
@@ -457,16 +510,17 @@ def _axiom_laws(L: Lattice, M: Lattice, A: HomsetEnumeration, cap: int,
 
     SA = _batch_raney_join(M, L, A.rho)               # stars, maps M -> L
     SS = _stars(M, L, SA)
-    yield "double_transform", (SS == FA).all(axis=1), {"f": FA, "twice": SS}
+    twice = (SS == FA).all(axis=1)
+    yield "double_transform", twice, {"f": FA, "twice": SS}
 
     # first arguments X with right adjoints RX; second Y with stars SY
     # and right adjoints RY
     X, RX, Y, SY, RY = FA, A.rho, FA, SA, A.rho
-    G = _rank_one_generators(L, A) if reduced and M == L else None
-    if G is not None:
-        X, RX, Y, SY = FA[G], A.rho[G], SA[G], FA[G]
-        RY = _batch_right_adjoint(L, L, Y)
-    info["generators"] = None if G is None else len(G)
+    gens = _generators(L, M, A, SA, cap) if reduced and twice.all() else None
+    if gens is not None:
+        G, Y, SY = gens
+        X, RX, RY = FA[G], A.rho[G], _batch_right_adjoint(L, M, Y)
+    info["generators"] = None if gens is None else len(X)
     info["pairs"] = len(X) * len(Y)
 
     LE = _pointwise_leq(M, X, Y)                      # f <= g

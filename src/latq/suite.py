@@ -67,8 +67,7 @@ class SuiteContext:
         self.cap = cap
         # each lambda looks its function up per call, as wrappers rebind it
         self.profile = functools.cache(lambda L: cd.classify_lattice(L))
-        self.homset = functools.cache(
-            lambda L: quantale.enumerate_homset(L, L, cap))
+        self._homset = functools.cache(self._enumerate)
         self.axioms = functools.cache(
             lambda L: quantale.check_involutive_axioms(L, L, cap))
         self.cyclic = functools.cache(
@@ -76,6 +75,20 @@ class SuiteContext:
         self.dualizing = functools.cache(
             lambda f: quantale.is_dualizing(f, self.homset(f.dom)).holds)
         self._family = functools.cache(self._draw_family)
+
+    def homset(self, L: Lattice) -> quantale.HomsetEnumeration:
+        """The endo homset of L, or its refusal: each is made once per run,
+        and a kept `CapExceeded` is raised again on every call."""
+        Q = self._homset(L)
+        if isinstance(Q, CapExceeded):
+            raise Q.with_traceback(None)
+        return Q
+
+    def _enumerate(self, L: Lattice):
+        try:
+            return quantale.enumerate_homset(L, L, self.cap)
+        except CapExceeded as e:
+            return e
 
     def family(self, L: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(A, Mo, J), the maps, monotone maps and jc maps L -> L that T8,

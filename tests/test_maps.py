@@ -108,6 +108,21 @@ def test_special_fixtures_on_m3_and_b2(zoo):
     assert latq.special(b2, "alpha", 1).values.tolist() == [0, 3, 0, 3]
 
 
+
+def test_o_and_omega_are_built_once_per_carrier(zoo):
+    # kept on the carrier, read-only, and equal to a fresh build; a renamed
+    # carrier and the order dual keep their own
+    for L in (zoo["c3"], zoo["m3"], zoo["n5"]):
+        for kind, build in (("o", latq.raney_join),
+                            ("omega", latq.raney_meet)):
+            f = latq.special(L, kind)
+            assert latq.special(L, kind) is f and f.dom is L
+            assert not f.values.flags.writeable
+            assert f == build(latq.identity(L))
+            renamed = L.rename("other")
+            assert latq.special(renamed, kind).dom is renamed
+        assert latq.special(L.op, "o").dom is L.op
+
 def test_special_nu_boundary_cases(zoo):
     for L in (zoo["c3"], zoo["b2"], zoo["m3"]):
         assert latq.special(L, "nu", L.bottom) == latq.identity(L)

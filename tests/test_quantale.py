@@ -758,7 +758,8 @@ def test_involutive_axioms_with_a_refused_rotation_factor(monkeypatch):
     assert res.holds, res.witness
     assert res.info["homset_size"] == 12
     assert not res.info["rotation_checked"]
-    # when B^2 alone exceeds ROTATION_CAP, the factor is not enumerated
+    # when B^2 alone exceeds ROTATION_CAP, the factor is not enumerated;
+    # Q(c2, c12) is, for the pair laws' rank-one generators
     calls = []
     real = quantale.enumerate_homset
 
@@ -770,7 +771,7 @@ def test_involutive_axioms_with_a_refused_rotation_factor(monkeypatch):
     monkeypatch.setattr(quantale, "ROTATION_CAP", 12 * 12 - 1)
     res = latq.check_involutive_axioms(c12, c2)
     assert res.holds and not res.info["rotation_checked"]
-    assert calls == [(12, 2)]
+    assert calls == [(12, 2), (2, 12)]
 
 
 def test_involutive_axioms_fail_off_cd(zoo):
@@ -877,13 +878,13 @@ def test_failing_residual_formula_names_the_first_failing_pair(
         return out
 
     monkeypatch.setattr(quantale, kernel, spoiled)
-    for name in ("b2", "c4"):
-        L = zoo[name]
-        A = latq.enumerate_homset(L, L)
-        w = latq.check_involutive_axioms(L, L).witness
-        assert w is not None and w["law"] == law, name
+    for dom, cod in (("b2", "b2"), ("c4", "c4"), ("c3", "b2"), ("b2", "c4")):
+        L, M = zoo[dom], zoo[cod]
+        A = latq.enumerate_homset(L, M)
+        w = latq.check_involutive_axioms(L, M).witness
+        assert w is not None and w["law"] == law, (dom, cod)
         assert w == first_failing_law(
-            _axiom_laws_by_gathers(L, L, A, quantale.DEFAULT_CAP)), name
+            _axiom_laws_by_gathers(L, M, A, quantale.DEFAULT_CAP)), (dom, cod)
 
 
 def _bounded_small_lattices():
@@ -919,6 +920,94 @@ def test_reduced_axiom_sweep_matches_the_full_sweep(corpus):
         assert (reduced is None) == (full is None), L.name
         swept += 1
     assert swept == 46 + 22
+
+
+def _rank_one_maps(dom, cod):
+    """The distinct rank-one maps e_{a,b}: x -> b where x is not below a,
+    else bottom, from dom to cod, by plain loops."""
+    leq = dom.leq.tolist()
+    return {tuple(cod.bottom if leq[x][a] else b for x in range(dom.n))
+            for a in range(dom.n) for b in range(cod.n)}
+
+
+def _rank_one_sweep_applies(L, M, cap):
+    """Conditions (a) to (d) of `quantale._axiom_laws`, by plain loops over
+    the tables of L and M apart from asking `enumerate_homset` whether
+    Q(M, L) fits cap."""
+    def distributive(K):
+        meet, join = K.meet.tolist(), K.join.tolist()
+        return all(meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+                   for x, y, z in itertools.product(range(K.n), repeat=3))
+
+    def star(dom, cod, f):
+        return oracles.raney_join(cod, dom, oracles.right_adjoint(dom, cod, f))
+
+    def involutive_and_generated(dom, cod):
+        rank_one = _rank_one_maps(dom, cod)
+        for f in oracles.jc_maps(dom, cod):
+            below = [e for e in rank_one if oracles.pointwise_below(cod, e, f)]
+            joined = tuple(oracles.sup(cod, [e[x] for e in below])
+                           for x in range(dom.n))
+            if star(cod, dom, star(dom, cod, f)) != f or joined != f:
+                return False
+        return True
+
+    try:
+        latq.enumerate_homset(M, L, cap)
+    except latq.CapExceeded:
+        return False
+    return (distributive(L) and distributive(M)
+            and involutive_and_generated(L, M)
+            and involutive_and_generated(M, L))
+
+
+RECTANGULAR_CASES = [
+    ("c3", "b2", None), ("b2", "c4", None), ("c2", "d3_0", None),  # both CD
+    ("c2", "c6", 16),              # both CD, Q(c6, c2) refused by the cap
+    ("c3", "m3", None), ("n5", "b2", None),                       # one CD
+    ("m3", "n5", None), ("n5", "m3", None),                       # neither
+]
+
+
+@pytest.mark.parametrize("dom, cod, cap", RECTANGULAR_CASES)
+def test_reduced_rectangular_sweep_matches_the_full_sweep(
+        corpus, dom, cod, cap):
+    named = {L.name: L for L in corpus}
+    L, M = named[dom], named[cod]
+    cap = cap or quantale.DEFAULT_CAP
+    A = latq.enumerate_homset(L, M, cap)
+    reduced = first_failing_law(quantale._axiom_laws(
+        L, M, A, cap, {}, reduced=True))
+    full = first_failing_law(quantale._axiom_laws(L, M, A, cap, {}))
+    assert (reduced or {}).get("law") == (full or {}).get("law")
+    info = latq.check_involutive_axioms(L, M, cap).info
+    applies = _rank_one_sweep_applies(L, M, cap)
+    assert (info["generators"] is not None) == applies
+    if applies:
+        X, H = _rank_one_maps(L, M), _rank_one_maps(M, L)
+        assert info["generators"] == len(X)
+        assert info["pairs"] == len(X) * len(H) <= len(A) ** 2
+    assert (full is None) == (L.is_distributive and M.is_distributive)
+
+
+def test_axiom_verdicts_match_a_slice_of_the_pair_references(
+        corpus, perfbench_workloads):
+    # every tenth pair of the benchmark's axiom band, 64 to 512 members,
+    # in the order of perfbench/refs/pairs.json, read and never written:
+    # 261 pairs, 120 of them both CD and swept on generators, in about
+    # 1 s on a 2-vCPU host
+    named = {L.name: L for L in corpus}
+    band = [r for r in perfbench_workloads.load_ref("pairs.json")
+            if perfbench_workloads.in_band(r)][::10]
+    reduced = held = 0
+    for r in band:
+        L, M = named[r["dom"]], named[r["cod"]]
+        res = latq.check_involutive_axioms(L, M)
+        assert res.holds == r["axioms"], (r["dom"], r["cod"])
+        assert res.info["homset_size"] == r["count"]
+        reduced += res.info["generators"] is not None
+        held += res.holds
+    assert len(band) == 261 and reduced == held == 120
 
 
 def _loop_endomaps(leq, join, bottom):
@@ -985,6 +1074,106 @@ def test_rank_one_maps_generate_exactly_the_cd_endo_homsets(corpus):
         verdicts.append(cd)
     assert verdicts.count(True) == 46 and False in verdicts
 
+
+def _star_lemma_parts(L):
+    """By plain loops over L's tables: the rank-one maps e_{c,b} (x -> b
+    where x is not below c, else bottom), keyed by (c, b); the star of an
+    endomap (rho, then the join transform); the meet of a family of
+    endomaps in the endo homset, the greatest join-continuous map below
+    their pointwise meet; and the lemma's closed form for a family of
+    keys, x -> join over the join-irreducibles p <= x of the meet of the c
+    with p <= b."""
+    n, bottom, top = L.n, L.bottom, L.top
+    leq, join, meet = L.leq.tolist(), L.join.tolist(), L.meet.tolist()
+
+    def sup(xs):
+        out = bottom
+        for x in xs:
+            out = join[out][x]
+        return out
+
+    def inf(xs):
+        out = top
+        for x in xs:
+            out = meet[out][x]
+        return out
+
+    def star(f):
+        rho = [sup(x for x in range(n) if leq[f[x]][y]) for y in range(n)]
+        return tuple(sup(rho[t] for t in range(n) if not leq[x][t])
+                     for x in range(n))
+
+    def homset_meet(fs):
+        # lower h at z until h(x) <= h(y) for x <= y and h(x v y) <= h(x) v
+        # h(y): each step keeps every join-continuous map below h below it
+        h = [inf(f[x] for f in fs) for x in range(n)]
+        h[bottom], changed = bottom, True
+        while changed:
+            changed = False
+            for x in range(n):
+                for y in range(n):
+                    z, v = ((x, h[y]) if leq[x][y]
+                            else (join[x][y], join[h[x]][h[y]]))
+                    if not leq[h[z]][v]:
+                        h[z], changed = meet[h[z]][v], True
+        return tuple(h)
+
+    irr = [x for x in range(n) if x != bottom
+           and sup(y for y in range(n) if leq[y][x] and y != x) != x]
+
+    def closed(keys):
+        return tuple(sup(inf(c for c, b in keys if leq[p][b])
+                         for p in irr if leq[p][x]) for x in range(n))
+
+    rank_one = {(c, b): tuple(bottom if leq[x][c] else b for x in range(n))
+                for c in range(n) for b in range(n)}
+    return rank_one, star, homset_meet, closed
+
+
+def _star_lemma_misses(L, members):
+    """The members f whose star is not the meet of the stars of the
+    rank-one maps below f, or not the lemma's closed form for them."""
+    leq = L.leq.tolist()
+    rank_one, star, homset_meet, closed = _star_lemma_parts(L)
+    stars = {key: star(e) for key, e in rank_one.items()}
+    misses = []
+    for f in members:
+        keys = [key for key, e in rank_one.items()
+                if all(leq[e[x]][f[x]] for x in range(L.n))]
+        s = star(f)
+        if not s == homset_meet([stars[k] for k in keys]) == closed(keys):
+            misses.append(f)
+    return misses
+
+
+def test_star_lemma_on_the_distributive_endo_homsets(corpus):
+    # plain loops over the lattice tables, apart from choosing the carriers
+    # (the lemma in `quantale._axiom_laws`)
+    checked = 0
+    for L in corpus:
+        Q = _endo_homset(L)
+        if not L.is_distributive or Q is None or len(Q) > PAIR_HOMSET_CAP:
+            continue
+        members = _loop_endomaps(L.leq.tolist(), L.join.tolist(), L.bottom)
+        assert _star_lemma_misses(L, members) == [], L.name
+        checked += 1
+    assert checked == 46
+
+
+@pytest.mark.parametrize("name", ["m3", "n5"])
+def test_star_lemma_fails_off_distributive_carriers(zoo, name):
+    # on m3 and n5 the identity still holds for the rank-one maps below
+    # each member, but they do not generate the homset, and the star of
+    # some join of two members is not the meet of their stars
+    L = zoo[name]
+    join = L.join.tolist()
+    members = _loop_endomaps(L.leq.tolist(), join, L.bottom)
+    assert _star_lemma_misses(L, members) == []
+    _, star, homset_meet, _ = _star_lemma_parts(L)
+    assert any(
+        star(tuple(join[u][v] for u, v in zip(f, g)))
+        != homset_meet([star(f), star(g)])
+        for f, g in itertools.combinations(members, 2))
 
 def test_axiom_sweep_peak_memory_on_d4_7(corpus):
     # the (B, B, n) gathers peaked at 124.8 MB on d4_7 (B = 746)

@@ -507,3 +507,29 @@ def test_t10_composition_laws_match_the_full_sweep_beyond_the_gate(
             ok = _t10_holds(L, T[ids], left[:, RA], lax)
             assert ok.all(axis=1).any() and not ok[5].all(), (L.name, law)
             assert np.array_equal(got[law], ok), (L.name, law)
+
+
+def test_each_refused_homset_is_refused_once_per_run(monkeypatch):
+    # T6n, T7 and T13 each ask for the endo homset of a carrier that
+    # enumerate_homset refuses; the run keeps the refusal, so each refused
+    # built-in is refused once, and every asking cell skips on its message
+    refusals = []
+    real = quantale.enumerate_homset
+
+    def counted(dom, cod, cap=quantale.DEFAULT_CAP):
+        try:
+            return real(dom, cod, cap)
+        except latq.CapExceeded:
+            refusals.append(dom.name)
+            raise
+
+    monkeypatch.setattr(quantale, "enumerate_homset", counted)
+    report = latq.run_suite(seed=1)
+    refused = set(refusals)
+    assert len(refusals) == len(refused) == 12
+    asked = {}
+    for check, row in report.results.items():
+        for name, cell in row.items():
+            if cell.reason and cell.reason.startswith("homset estimate"):
+                asked[name] = asked.get(name, 0) + 1
+    assert set(asked) == refused and min(asked.values()) >= 2
