@@ -46,7 +46,7 @@ def main() -> None:
             continue
         if len(Q) > args.max_homset:
             print(f"{L.name:<10}{L.n:>3}  {flags:<7}"
-                  f"{len(Q):>7}{'(> cap)':>8}{'':>9}{'':>11}")
+                  f"{len(Q):>7}{'':>8}{'':>9}{'':>11}")
             continue
         cyc = len(latq.cyclic_elements(Q))
         cen = len(latq.central_elements(Q))

@@ -20,10 +20,10 @@ composite codes take 8 bytes a pair.  The axiom sweep runs its pair laws
 on rank-one generators wherever that is exact (`_axiom_laws`): on
 Q(L, M) with L and M distributive, endo or rectangular, once Q(M, L)
 enumerates under the cap, the first argument runs over the rank-one
-maps of Q(L, M) and the second over the stars of those of Q(M, L).  So
-it holds memory linear in B there (the one-hot codes of the members,
-B |L| |M| floats, and at most |L| |M| generators a side), and O(B^2) on
-any other homset.
+maps of Q(L, M) and the second over the stars of those of Q(M, L),
+built from the carriers (`_rank_one_maps`).  So it holds memory linear
+in B there (the members, their adjoints and stars, and
+|J(L)| (|M| - 1) + 1 generators a side), and O(B^2) elsewhere.
 
 Each detector (`_cyclic`, `_dualizing`, `_codualizing`, `_central`)
 takes candidate positions C and member positions K and gives ok[k, c]
@@ -402,11 +402,11 @@ def check_involutive_axioms(L: Lattice, M: Lattice,
     can be enumerated under cap and |Q(L,L)| * B^2 fits ROTATION_CAP;
     Q(L,L) is not enumerated when B^2 alone exceeds it.
     Over distributive L and M, endo or rectangular, the pair laws run on
-    rank-one generators when that is exact, which also needs Q(M, L)
-    under cap (`_axiom_laws`, which holds the proof).
-    .info["generators"] counts the rank-one maps of Q(L, M) then, None
-    on the full sweep, and .info["pairs"] is the pairs each pair law
-    swept.  A failure there is reported as the full sweep's first.
+    rank-one generators, which also needs Q(M, L) under cap
+    (`_axiom_laws` holds the proof).  .info["generators"] counts the
+    rank-one maps of Q(L, M) then, |J(L)| (|M| - 1) + 1, None on the
+    full sweep, and .info["pairs"] is the pairs each pair law swept.  A
+    failure there is reported as the full sweep's first.
     """
     A = enumerate_homset(L, M, cap)
     info = {"homset_size": len(A), "generators": None, "pairs": 0,
@@ -417,46 +417,34 @@ def check_involutive_axioms(L: Lattice, M: Lattice,
     return CheckResult("involutive_axioms", w is None, w, info=info)
 
 
-def _rank_one_generators(A: HomsetEnumeration):
-    """Positions in the homset A of the distinct rank-one maps e_{a,b}:
-    x -> b if x is not below a, else bottom, when every member is the
-    pointwise join of those below it; else None."""
-    L, M = A.dom, A.cod
-    E = np.where(~L.leq.T[:, None, :], np.arange(M.n)[:, None], M.bottom)
-    G = np.unique(A.positions(E.reshape(L.n * M.n, L.n)))
-    if G[0] < 0:
-        return None
-    FA = A.matrix
-    joined = np.full_like(FA, M.bottom)
-    for g, below in zip(FA[G], _pointwise_leq(M, FA[G], FA)):
-        joined[below] = M.join[joined[below], g]
-    return G if (joined == FA).all() else None
+def _rank_one_maps(L: Lattice, M: Lattice) -> np.ndarray:
+    """The distinct rows x -> b where p <= x, else bottom, for p in J(L)
+    and b in M, the zero map first: members of Q(L, M) when L is
+    distributive, and |J(L)| (|M| - 1) + 1 of them (`_axiom_laws`)."""
+    up = L.leq[list(L.join_irreducibles), None, :]
+    b = np.delete(np.arange(M.n, dtype=np.int32), M.bottom)[:, None]
+    E = np.where(up, b, M.bottom).reshape(-1, L.n)
+    return np.vstack([np.full((1, L.n), M.bottom, dtype=np.int32), E])
 
 
-def _generators(L: Lattice, M: Lattice, A: HomsetEnumeration,
-                SA: np.ndarray, cap: int):
-    """(G, Y, H) for `_axiom_laws`' reduced sweep of A = Q(L, M), given
-    the stars SA of its members and once the double transform holds on
-    A: G the positions of A's rank-one maps, H the rank-one maps of
-    D = Q(M, L), which is A when M == L, and Y their stars.  None unless
-    L and M are distributive, D enumerates under cap with the double
-    transform holding on it, and G and H generate A and D."""
+def _generators(L: Lattice, M: Lattice, cap: int):
+    """(X, Y, SY) for `_axiom_laws`' reduced sweep of Q(L, M), once the
+    double transform holds on it: X the rank-one maps of Q(L, M), Y the
+    stars of the rank-one maps of D = Q(M, L), and SY those rank-one maps,
+    the stars of Y.  None unless L and M are distributive and, when
+    M != L, D enumerates under cap with the double transform holding on
+    it."""
     if not (L.is_distributive and M.is_distributive):
         return None
-    D, SD = A, SA
     if M != L:
         try:
-            D = enumerate_homset(M, L, cap)
+            D = enumerate_homset(M, L, cap).matrix
         except CapExceeded:
             return None
-        SD = _stars(M, L, D.matrix)
-        if not (_stars(L, M, SD) == D.matrix).all():
+        if not (_stars(L, M, _stars(M, L, D)) == D).all():
             return None
-    G = _rank_one_generators(A)
-    H = G if D is A else _rank_one_generators(D)
-    if G is None or H is None:
-        return None
-    return G, SD[H], D.matrix[H]
+    H = _rank_one_maps(M, L)
+    return _rank_one_maps(L, M), _stars(M, L, H), H
 
 
 def _axiom_laws(L: Lattice, M: Lattice, A: HomsetEnumeration, cap: int,
@@ -464,30 +452,38 @@ def _axiom_laws(L: Lattice, M: Lattice, A: HomsetEnumeration, cap: int,
     """The laws of `check_involutive_axioms` as (law, ok, rows), in order.
 
     The pair laws sweep every pair of members of A = Q(L, M), or, when
-    reduced is set, the first argument over the rank-one maps G of A and
-    the second over the stars Y of the rank-one maps H of D = Q(M, L),
-    which is A when M == L, once all of these hold (`_generators`):
+    reduced is set, the first argument over the rank-one maps X of A
+    (`_rank_one_maps`) and the second over the stars Y of the rank-one
+    maps H of D = Q(M, L), which is A when M == L, once all of these
+    hold (`_generators`):
     (a) L and M are distributive, tested first, as it is free;
     (b) the double transform holds on A: the first law;
-    (c) D enumerates under cap and the double transform holds on it;
-    (d) G generates A, and H generates D, under pointwise joins.
+    (c) D enumerates under cap and the double transform holds on it.
+    Then (d) X generates A, and H generates D, under pointwise joins: a
+    lemma from (a), proved below and not checked at run time.
     That is exact:
-    - the star is order-reversing, as rho reverses the order and the
+    - (d) holds.  Each join-irreducible p of the distributive L is
+      join-prime, so x -> b where p <= x, else bottom, preserves joins
+      and is a member of A.  Every member f is the join over p in J(L)
+      of those with b = f(p), as f(x) is the join of the f(p) with
+      p <= x in J(L); so X generates A, and H generates D likewise.
+      The star is order-reversing, as rho reverses the order and the
       join transform keeps it.  By (b) and (c) the stars A -> D and
       D -> A are inverse bijections, so anti-isomorphisms, and turn
-      joins into meets and back.  By (d), Y meet-generates A, and
-      Y* = H;
+      joins into meets and back.  So Y meet-generates A, and Y* = H;
     - joins in a homset are pointwise, and composition preserves them in
       either argument, pointwise; residuals turn joins in their
       divisor into meets and keep meets in their numerator;
     - the formulas also star maps of Q(L, L) and Q(M, M), which are not
       enumerated, so not known to be involutions there.  Over a
       distributive K the star of Q(K, K) turns joins into meets all the
-      same.  Each join-irreducible p of K is join-prime, with
-      kappa(p) = max{t : p not<= t}, so every member f is the join over
-      p in J(K) of the rank-one maps e_{kappa(p), f(p)}.  The star of
-      e_{c,b} is bottom at bottom, c on the rest of the down-set of b
-      and top off it.  For any rank-one family, rho(join_j e_{c_j,b_j})
+      same.  Write e_{c,b} for x -> b where x not<= c, else bottom.
+      Each join-irreducible p of K is join-prime, with
+      kappa(p) = max{t : p not<= t}, so x -> b where p <= x is
+      e_{kappa(p),b}, and by (d) every member f is the join over p in
+      J(K) of the e_{kappa(p),f(p)}.  The star of e_{c,b} is bottom at
+      bottom, c on the rest of the down-set of b and top off it.  For
+      any rank-one family, rho(join_j e_{c_j,b_j})
       takes t to the meet of the c_j with b_j not<= t, which rises with
       t, and x not<= t exactly when t <= kappa(p) for some p <= x in
       J(K), so star(join_j e_{c_j,b_j}) takes x to the join over those p
@@ -500,7 +496,7 @@ def _axiom_laws(L: Lattice, M: Lattice, A: HomsetEnumeration, cap: int,
       and meets in g into "for all", and each side of g \\ h ==
       star(h*.g), in Q(L, L), and of h / f == star(f.h*), in Q(M, M),
       turns joins in g (f) and meets in h into meets.  A law that holds
-      on G x Y holds on all of A x A.
+      on X x Y holds on all of A x A.
     The double transform and the triangle rotation are not reduced.
     """
     FA = A.matrix
@@ -516,10 +512,10 @@ def _axiom_laws(L: Lattice, M: Lattice, A: HomsetEnumeration, cap: int,
     # first arguments X with right adjoints RX; second Y with stars SY
     # and right adjoints RY
     X, RX, Y, SY, RY = FA, A.rho, FA, SA, A.rho
-    gens = _generators(L, M, A, SA, cap) if reduced and twice.all() else None
+    gens = _generators(L, M, cap) if reduced and twice.all() else None
     if gens is not None:
-        G, Y, SY = gens
-        X, RX, RY = FA[G], A.rho[G], _batch_right_adjoint(L, M, Y)
+        X, Y, SY = gens
+        RX, RY = _batch_right_adjoint(L, M, X), _batch_right_adjoint(L, M, Y)
     info["generators"] = None if gens is None else len(X)
     info["pairs"] = len(X) * len(Y)
 

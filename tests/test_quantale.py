@@ -922,23 +922,39 @@ def test_reduced_axiom_sweep_matches_the_full_sweep(corpus):
     assert swept == 46 + 22
 
 
+def _join_irreducibles(L):
+    """The elements with exactly one lower cover, by plain loops."""
+    leq, n = L.leq.tolist(), L.n
+
+    def covered_by(y, x):
+        return y != x and leq[y][x] and not any(
+            z not in (x, y) and leq[y][z] and leq[z][x] for z in range(n))
+
+    return [x for x in range(n)
+            if sum(covered_by(y, x) for y in range(n)) == 1]
+
+
 def _rank_one_maps(dom, cod):
-    """The distinct rank-one maps e_{a,b}: x -> b where x is not below a,
-    else bottom, from dom to cod, by plain loops."""
+    """The distinct maps x -> b where p <= x, else bottom, from dom to
+    cod, for p join-irreducible in dom and b in cod, and the zero map, by
+    plain loops."""
     leq = dom.leq.tolist()
-    return {tuple(cod.bottom if leq[x][a] else b for x in range(dom.n))
-            for a in range(dom.n) for b in range(cod.n)}
+    return {(cod.bottom,) * dom.n} | {
+        tuple(b if leq[p][x] else cod.bottom for x in range(dom.n))
+        for p in _join_irreducibles(dom) for b in range(cod.n)}
+
+
+def _distributive(K):
+    """Meets distribute over joins, by plain loops over K's tables."""
+    meet, join = K.meet.tolist(), K.join.tolist()
+    return all(meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+               for x, y, z in itertools.product(range(K.n), repeat=3))
 
 
 def _rank_one_sweep_applies(L, M, cap):
     """Conditions (a) to (d) of `quantale._axiom_laws`, by plain loops over
     the tables of L and M apart from asking `enumerate_homset` whether
     Q(M, L) fits cap."""
-    def distributive(K):
-        meet, join = K.meet.tolist(), K.join.tolist()
-        return all(meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
-                   for x, y, z in itertools.product(range(K.n), repeat=3))
-
     def star(dom, cod, f):
         return oracles.raney_join(cod, dom, oracles.right_adjoint(dom, cod, f))
 
@@ -956,7 +972,7 @@ def _rank_one_sweep_applies(L, M, cap):
         latq.enumerate_homset(M, L, cap)
     except latq.CapExceeded:
         return False
-    return (distributive(L) and distributive(M)
+    return (_distributive(L) and _distributive(M)
             and involutive_and_generated(L, M)
             and involutive_and_generated(M, L))
 
@@ -987,7 +1003,51 @@ def test_reduced_rectangular_sweep_matches_the_full_sweep(
         X, H = _rank_one_maps(L, M), _rank_one_maps(M, L)
         assert info["generators"] == len(X)
         assert info["pairs"] == len(X) * len(H) <= len(A) ** 2
+        assert info["pairs"] == {("c3", "b2"): 7 * 5, ("b2", "c4"): 7 * 10,
+                                 ("c2", "d3_0"): 8 * 4}[dom, cod]
     assert (full is None) == (L.is_distributive and M.is_distributive)
+
+
+def test_rank_one_maps_generate_homsets_over_distributive_domains(corpus):
+    # the lemma (d) of `quantale._axiom_laws`, by plain loops apart from
+    # choosing the carriers: over a distributive domain each x -> b where
+    # p <= x, p join-irreducible, is join-continuous, and they join-generate
+    # the homset; about 0.7 s on a 2-vCPU host
+    named = {L.name: L for L in corpus}
+    distributive = [L for L in corpus if _distributive(L)]
+    both_cd = [(named[a], named[b]) for a, b, _ in RECTANGULAR_CASES
+               if _distributive(named[a]) and _distributive(named[b])]
+    homsets = ([(L, L) for L in distributive if L.n <= 6]
+               + both_cd + [(M, L) for L, M in both_cd])
+    for dom, cod in [(L, L) for L in distributive] + homsets:
+        for e in _rank_one_maps(dom, cod):
+            assert oracles.join_continuous(dom, cod, e), (dom.name, e)
+    for dom, cod in homsets:
+        rank_one = _rank_one_maps(dom, cod)
+        for f in oracles.jc_maps(dom, cod):
+            below = [e for e in rank_one if oracles.pointwise_below(cod, e, f)]
+            assert f == tuple(oracles.sup(cod, [e[x] for e in below])
+                              for x in range(dom.n)), (dom.name, cod.name, f)
+    assert len(distributive) == 53 and len(homsets) == 34 + 2 * 4
+
+
+@pytest.mark.parametrize("name", ["m3", "n5"])
+def test_rank_one_maps_off_distributive_domains(zoo, name):
+    # some join-irreducible of m3 and n5 is not join-prime, so its map
+    # x -> b where p <= x, else bottom, does not preserve joins
+    L = zoo[name]
+    assert not all(oracles.join_continuous(L, L, e)
+                   for e in _rank_one_maps(L, L))
+
+
+@pytest.mark.parametrize("dom, cod", [("c1", "c1"), ("c2", "c1"),
+                                      ("c1", "c3")])
+def test_axiom_sweep_on_one_element_homsets(zoo, dom, cod):
+    # J(c1) is empty and c1 has only its bottom: the zero map alone
+    # generates, so the reduced sweep runs one pair
+    res = latq.check_involutive_axioms(zoo[dom], zoo[cod])
+    assert res.holds and res.info["homset_size"] == 1
+    assert res.info["generators"] == 1 and res.info["pairs"] == 1
 
 
 def test_axiom_verdicts_match_a_slice_of_the_pair_references(
@@ -1190,7 +1250,7 @@ def test_axiom_sweep_peak_memory_on_d4_7(corpus):
 
 def test_axiom_sweep_on_generators_peak_memory_on_d4_1(corpus):
     # the full sweep over all B^2 pairs peaks at about 3.4 GB on d4_1
-    # (B = 7,776); the sweep on its 122 rank-one generators does not
+    # (B = 7,776); the sweep on its 45 rank-one generators does not
     L = {L.name: L for L in corpus}["d4_1"]
     tracemalloc.start()
     try:
@@ -1199,7 +1259,7 @@ def test_axiom_sweep_on_generators_peak_memory_on_d4_1(corpus):
     finally:
         tracemalloc.stop()
     assert res.holds and res.info["homset_size"] == 7776
-    assert res.info["generators"] == 122 and res.info["pairs"] == 122 ** 2
+    assert res.info["generators"] == 45 and res.info["pairs"] == 45 ** 2
     assert peak <= 32 * 2 ** 20
 
 
