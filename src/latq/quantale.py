@@ -17,23 +17,26 @@ cyclic, dualizing and codualizing searches code every composite exactly
 (`maps._composite_ids`), run the kernels on the distinct composites
 alone (`_on_composites`), and compare results by rank or value.  The
 composite codes take 8 bytes a pair.  The axiom sweep runs its pair laws
-on rank-one generators wherever that is exact (`_axiom_laws`): on
-Q(L, M) with L and M distributive, endo or rectangular, once Q(M, L)
-enumerates under the cap, the first argument runs over the rank-one
-maps of Q(L, M) and the second over the stars of those of Q(M, L),
-built from the carriers (`_rank_one_maps`).  So it holds memory linear
-in B there (the members, their adjoints and stars, and
-|J(L)| (|M| - 1) + 1 generators a side), and O(B^2) elsewhere.
+and the triangle rotation on rank-one generators wherever that is exact
+(`_axiom_laws`): on Q(L, M) with L and M distributive, endo or
+rectangular, the first argument runs over the rank-one maps of Q(L, M),
+the second over the stars of those of Q(M, L), and the rotation's
+factor in Q(L, L) over the rank-one maps of Q(L, L), all built from the
+carriers (`_rank_one_maps`).  Q(L, M) is the only homset it enumerates.
+It holds memory linear in B there (the members, their adjoints and
+stars, and |J(L)| (|M| - 1) + 1 generators a side), and O(B^2)
+elsewhere.
 
 Each detector (`_cyclic`, `_dualizing`, `_codualizing`, `_central`)
 takes candidate positions C and member positions K and gives ok[k, c]
 with the rows a witness shows.  A residual of members is a member, so a
 residual outside the members refuses Q (`HomsetEnumeration.positions`
-ranks rows together with the members, and also answers `position` and
-`in`).  Every search narrows (`_narrowed`): the candidates meet the
-members a block at a time, and each is dropped at its first failing
-block.  Every `is_*` is its detector on one candidate against all the
-members.  No search lists more than the members it returns.
+looks rows up among the members, sorted once by their bytes, and also
+answers `position` and `in`).  Every search narrows (`_narrowed`): the
+candidates meet the members a block at a time, and each is dropped at
+its first failing block.  Every `is_*` is its detector on one candidate
+against all the members.  No search lists more than the members it
+returns.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from .maps import (
 )
 
 DEFAULT_CAP = 1 << 20
-ROTATION_CAP = 1 << 20    # triples checked by the triangle rotation
 _CHUNK_BYTES = 1 << 23    # a narrowed block's len(K) * len(C) rows
 
 
@@ -96,12 +98,19 @@ class HomsetEnumeration:
         """Right adjoints of all members, stacked (B, cod.n)."""
         return _batch_right_adjoint(self.dom, self.cod, self.matrix)
 
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        """The members' rows as raw bytes, sorted, and their positions."""
+        keys = self.matrix.view((np.void, self.matrix[0].nbytes)).ravel()
+        order = np.argsort(keys)
+        return keys[order], order
+
     def positions(self, rows: np.ndarray) -> np.ndarray:
         """Each row's position among the members, -1 for a non-member."""
-        first, (members, ids) = _rank_rows(self.cod.n, self.matrix, rows)
-        at = np.full(len(first), -1)   # one slot per distinct row
-        at[members] = np.arange(len(self))
-        return at[ids]
+        keys, order = self._sorted
+        rows = np.ascontiguousarray(rows, np.int32).view(keys.dtype).ravel()
+        at = np.searchsorted(keys, rows).clip(max=len(keys) - 1)
+        return np.where(keys[at] == rows, order[at], -1)
 
     def position(self, f: LatMap) -> int:
         if f.dom != self.dom or f.cod != self.cod:
@@ -378,10 +387,11 @@ def _pointwise_leq(cod: Lattice, F: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 def _composites_below(K: Lattice, P: np.ndarray, Q: np.ndarray,
                       R: np.ndarray) -> np.ndarray:
-    """out[a, b] iff P_a . Q_b <= R pointwise, into K: `_pair_kernel`
-    counts the x with P_a(Q_b(x)) not <= R(x)."""
-    W = ~K.leq[P[:, None, :], R[None, :, None]]
-    return _pair_kernel(W.astype(np.float32), Q) == 0
+    """out[a, b, r] iff P_a . Q_b <= R_r pointwise, into K: `_pair_kernel`
+    counts the x with P_a(Q_b(x)) not <= R_r(x)."""
+    W = ~K.leq[P[:, None, None, :], R[None, :, :, None]]
+    out = _pair_kernel(W.reshape(-1, *W.shape[2:]).astype(np.float32), Q)
+    return (out == 0).reshape(len(P), len(R), len(Q)).transpose(0, 2, 1)
 
 
 def _stars(dom: Lattice, cod: Lattice, F: np.ndarray) -> np.ndarray:
@@ -396,24 +406,23 @@ def check_involutive_axioms(L: Lattice, M: Lattice,
     Verifies: the transform is an involution; the order-reversal
     biconditional f <= g iff f.g* <= zero_M iff g*.f <= zero_L; both
     residual-via-transform formulas on triangles (L,L,M) and (L,M,M);
-    and the triangle rotation over Q(L,L) x Q(L,M)^2 when that triple
-    count fits ROTATION_CAP (recorded in .info["rotation_checked"]).  On
-    a rectangular homset of B maps the rotation runs only when Q(L,L)
-    can be enumerated under cap and |Q(L,L)| * B^2 fits ROTATION_CAP;
-    Q(L,L) is not enumerated when B^2 alone exceeds it.
-    Over distributive L and M, endo or rectangular, the pair laws run on
-    rank-one generators, which also needs Q(M, L) under cap
-    (`_axiom_laws` holds the proof).  .info["generators"] counts the
-    rank-one maps of Q(L, M) then, |J(L)| (|M| - 1) + 1, None on the
-    full sweep, and .info["pairs"] is the pairs each pair law swept.  A
-    failure there is reported as the full sweep's first.
+    and, over distributive L and M, the triangle rotation
+    f.e <= g iff g*.f <= e* iff e.g* <= f* over Q(L,L) x Q(L,M)^2
+    (.info["rotation_checked"]).  Q(L, M), enumerated under cap, is the
+    only homset enumerated.  Over distributive L and M, endo or
+    rectangular, once the double transform holds on rank-one generators
+    built from the carriers (`_generators`), the pair laws and the
+    rotation run on them (`_axiom_laws` holds the proof), and
+    .info["generators"] counts those of Q(L, M),
+    |J(L)| (|M| - 1) + 1.  Elsewhere the pair laws sweep every pair of
+    members, .info["generators"] is None and the rotation is not run.
+    .info["pairs"] is the pairs each pair law swept.  A failure on
+    generators is a failure on members, and is reported as found.
     """
     A = enumerate_homset(L, M, cap)
     info = {"homset_size": len(A), "generators": None, "pairs": 0,
             "rotation_checked": False}
-    w = first_failing_law(_axiom_laws(L, M, A, cap, info, reduced=True))
-    if w is not None and info["generators"] is not None:
-        w = first_failing_law(_axiom_laws(L, M, A, cap, info)) or w
+    w = first_failing_law(_axiom_laws(L, M, A, _generators(L, M), info))
     return CheckResult("involutive_axioms", w is None, w, info=info)
 
 
@@ -427,101 +436,111 @@ def _rank_one_maps(L: Lattice, M: Lattice) -> np.ndarray:
     return np.vstack([np.full((1, L.n), M.bottom, dtype=np.int32), E])
 
 
-def _generators(L: Lattice, M: Lattice, cap: int):
-    """(X, Y, SY) for `_axiom_laws`' reduced sweep of Q(L, M), once the
-    double transform holds on it: X the rank-one maps of Q(L, M), Y the
-    stars of the rank-one maps of D = Q(M, L), and SY those rank-one maps,
-    the stars of Y.  None unless L and M are distributive and, when
-    M != L, D enumerates under cap with the double transform holding on
-    it."""
+def _generators(L: Lattice, M: Lattice):
+    """(X, Y, SY, E) for `_axiom_laws`' sweep on generators: X the
+    rank-one maps of Q(L, M), SY those of Q(M, L) and Y their stars, and
+    E those of Q(L, L), X itself when M == L.  None unless L and M are
+    distributive and the double transform holds on X and on SY."""
     if not (L.is_distributive and M.is_distributive):
         return None
-    if M != L:
-        try:
-            D = enumerate_homset(M, L, cap).matrix
-        except CapExceeded:
-            return None
-        if not (_stars(L, M, _stars(M, L, D)) == D).all():
-            return None
-    H = _rank_one_maps(M, L)
-    return _rank_one_maps(L, M), _stars(M, L, H), H
+    X, SY = _rank_one_maps(L, M), _rank_one_maps(M, L)
+    Y = _stars(M, L, SY)
+    if not ((_stars(M, L, _stars(L, M, X)) == X).all()
+            and (_stars(L, M, Y) == SY).all()):
+        return None
+    return X, Y, SY, X if M == L else _rank_one_maps(L, L)
 
 
-def _axiom_laws(L: Lattice, M: Lattice, A: HomsetEnumeration, cap: int,
-                info: dict, reduced: bool = False):
+def _axiom_laws(L: Lattice, M: Lattice, A: HomsetEnumeration, gens,
+                info: dict):
     """The laws of `check_involutive_axioms` as (law, ok, rows), in order.
 
-    The pair laws sweep every pair of members of A = Q(L, M), or, when
-    reduced is set, the first argument over the rank-one maps X of A
-    (`_rank_one_maps`) and the second over the stars Y of the rank-one
-    maps H of D = Q(M, L), which is A when M == L, once all of these
-    hold (`_generators`):
-    (a) L and M are distributive, tested first, as it is free;
-    (b) the double transform holds on A: the first law;
-    (c) D enumerates under cap and the double transform holds on it.
-    Then (d) X generates A, and H generates D, under pointwise joins: a
-    lemma from (a), proved below and not checked at run time.
-    That is exact:
-    - (d) holds.  Each join-irreducible p of the distributive L is
-      join-prime, so x -> b where p <= x, else bottom, preserves joins
-      and is a member of A.  Every member f is the join over p in J(L)
-      of those with b = f(p), as f(x) is the join of the f(p) with
-      p <= x in J(L); so X generates A, and H generates D likewise.
-      The star is order-reversing, as rho reverses the order and the
-      join transform keeps it.  By (b) and (c) the stars A -> D and
-      D -> A are inverse bijections, so anti-isomorphisms, and turn
-      joins into meets and back.  So Y meet-generates A, and Y* = H;
-    - joins in a homset are pointwise, and composition preserves them in
-      either argument, pointwise; residuals turn joins in their
-      divisor into meets and keep meets in their numerator;
-    - the formulas also star maps of Q(L, L) and Q(M, M), which are not
-      enumerated, so not known to be involutions there.  Over a
-      distributive K the star of Q(K, K) turns joins into meets all the
-      same.  Write e_{c,b} for x -> b where x not<= c, else bottom.
-      Each join-irreducible p of K is join-prime, with
-      kappa(p) = max{t : p not<= t}, so x -> b where p <= x is
-      e_{kappa(p),b}, and by (d) every member f is the join over p in
-      J(K) of the e_{kappa(p),f(p)}.  The star of e_{c,b} is bottom at
-      bottom, c on the rest of the down-set of b and top off it.  For
-      any rank-one family, rho(join_j e_{c_j,b_j})
-      takes t to the meet of the c_j with b_j not<= t, which rises with
-      t, and x not<= t exactly when t <= kappa(p) for some p <= x in
-      J(K), so star(join_j e_{c_j,b_j}) takes x to the join over those p
-      of the meet of the c_j with p <= b_j.  The pointwise meet of the
-      stars of the e_{c_j,b_j} rises with x and takes each p to that
-      meet, and a map taking x to a join over the p <= x is
-      join-continuous, each p being join-prime, so this is the greatest
-      join-continuous map below it: their meet in Q(K, K);
-    - so f <= g, f.g* <= zero and g*.f <= zero each turn joins in f
+    With gens None the pair laws sweep every pair of members of
+    A = Q(L, M), and the triangle rotation is not run.  With
+    gens = (X, Y, SY, E) from `_generators`, the first argument of each
+    pair law runs over the rank-one maps X of A (`_rank_one_maps`) and
+    the second over the stars Y of the rank-one maps SY of D = Q(M, L),
+    and the rotation runs over f in X, e in the rank-one maps E of
+    Q(L, L) and g in Y.  `_generators` gives them once
+    (a) L and M are distributive, and
+    (b) the double transform holds on X and (c) on SY.
+    A star is always join-continuous (x v y not<= t exactly when
+    x not<= t or y not<= t), so X, Y and E are members, and a law failing
+    on them fails on the homsets.  A law holding on them holds on all of
+    them:
+    - (d) X generates A, and SY generates D, under pointwise joins.  Each
+      join-irreducible p of the distributive L is join-prime, so
+      x -> b where p <= x, else bottom, preserves joins and is a member
+      of A.  Every member f is the join over p in J(L) of those with
+      b = f(p), as f(x) is the join of the f(p) with p <= x in J(L);
+      so X generates A, and SY generates D likewise.
+    - Deflation: f** <= f for every join-continuous f between finite
+      lattices.  Let x not<= s and f*(y) <= s.  If y not<= f(x), then
+      rho f(f(x)) <= f*(y) <= s, as f*(y) is the join of the rho f(t)
+      with y not<= t; and x <= rho f(f(x)), so x <= s, which is false.
+      So every such y is below f(x), so rho(f*)(s) <= f(x), and
+      f**(x) <= f(x).
+    - The star is order-reversing, as rho reverses the order and the
+      join transform keeps it.  So for a member f of A and each e in X
+      below f, f* <= e* and e = e** <= f**, by (b); by (d) f <= f**, and
+      by deflation f** = f.  So the double transform holds on all of A,
+      and by (c) likewise on all of D.  The stars A -> D and D -> A are
+      then inverse bijections, so anti-isomorphisms, and turn joins into
+      meets and back.  So Y meet-generates A, and Y* = SY.
+    - Joins in a homset are pointwise, and composition preserves them in
+      either argument, pointwise; residuals turn joins in their divisor
+      into meets and keep meets in their numerator.
+    - The formulas also star maps of Q(L, L) and Q(M, M), and the
+      rotation those of Q(L, L).  Over a distributive K the star of
+      Q(K, K) turns joins into meets.  Write e_{c,b} for x -> b where
+      x not<= c, else bottom.  Each join-irreducible p of K is
+      join-prime, with kappa(p) = max{t : p not<= t}, so x -> b where
+      p <= x is e_{kappa(p),b}, and by (d) every member f is the join
+      over p in J(K) of the e_{kappa(p),f(p)}.  The star of e_{c,b} is
+      bottom at bottom, c on the rest of the down-set of b and top off
+      it.  For any rank-one family, rho(join_j e_{c_j,b_j}) takes t to
+      the meet of the c_j with b_j not<= t, which rises with t, and
+      x not<= t exactly when t <= kappa(p) for some p <= x in J(K), so
+      star(join_j e_{c_j,b_j}) takes x to the join over those p of the
+      meet of the c_j with p <= b_j.  The pointwise meet of the stars of
+      the e_{c_j,b_j} rises with x and takes each p to that meet, and a
+      map taking x to a join over the p <= x is join-continuous, each p
+      being join-prime, so this is the greatest join-continuous map
+      below it: their meet in Q(K, K).
+    - So f <= g, f.g* <= zero and g*.f <= zero each turn joins in f
       and meets in g into "for all", and each side of g \\ h ==
       star(h*.g), in Q(L, L), and of h / f == star(f.h*), in Q(M, M),
-      turns joins in g (f) and meets in h into meets.  A law that holds
-      on X x Y holds on all of A x A.
-    The double transform and the triangle rotation are not reduced.
+      turns joins in g (f) and meets in h into meets.  A pair law that
+      holds on X x Y holds on all of A x A.
+    - Each side of the rotation, f.e <= g, g*.f <= e* and e.g* <= f*,
+      turns joins in e and in f, and meets in g, into "for all": a
+      composite with a join is the join of the composites, a map is
+      below a meet exactly when it is below each part, and the star
+      turns joins in e and f into meets and meets in g into joins.  So
+      the rotation holds on Q(L, L) x A x A once it holds on E x X x Y.
+    The double transform is not reduced.
     """
     FA = A.matrix
-    B = len(A)
     oL = special(L, "o").values
     oM = special(M, "o").values
 
     SA = _batch_raney_join(M, L, A.rho)               # stars, maps M -> L
     SS = _stars(M, L, SA)
-    twice = (SS == FA).all(axis=1)
-    yield "double_transform", twice, {"f": FA, "twice": SS}
+    yield "double_transform", (SS == FA).all(axis=1), {"f": FA, "twice": SS}
 
     # first arguments X with right adjoints RX; second Y with stars SY
     # and right adjoints RY
-    X, RX, Y, SY, RY = FA, A.rho, FA, SA, A.rho
-    gens = _generators(L, M, cap) if reduced and twice.all() else None
-    if gens is not None:
-        X, Y, SY = gens
+    if gens is None:
+        X, RX, Y, SY, RY = FA, A.rho, FA, SA, A.rho
+    else:
+        X, Y, SY, E = gens
         RX, RY = _batch_right_adjoint(L, M, X), _batch_right_adjoint(L, M, Y)
-    info["generators"] = None if gens is None else len(X)
+        info["generators"] = len(X)
     info["pairs"] = len(X) * len(Y)
 
     LE = _pointwise_leq(M, X, Y)                      # f <= g
-    C1 = _composites_below(M, X, SY, oM)              # f . g* <= zero_M
-    C2 = _composites_below(L, SY, X, oL).T            # g* . f <= zero_L
+    C1 = _composites_below(M, X, SY, oM[None])[..., 0]    # f . g* <= zero_M
+    C2 = _composites_below(L, SY, X, oL[None])[..., 0].T  # g* . f <= zero_L
     yield "order_reversal", (LE == C1) & (LE == C2), {
         "f": X[:, None], "g": Y[None], "leq": LE,
         "right_compose_below_zero": C1, "left_compose_below_zero": C2}
@@ -550,23 +569,16 @@ def _axiom_laws(L: Lattice, M: Lattice, A: HomsetEnumeration, cap: int,
         swapped(_on_composites(_batch_residual_right, M, X, RY)),
         swapped(_on_composites(_stars, M, X, SY)))
 
-    E = A if M == L else None
-    if E is None and B * B <= ROTATION_CAP:
-        try:
-            E = enumerate_homset(L, L, cap)
-        except CapExceeded:
-            pass
-    if E is not None and len(E) * B * B <= ROTATION_CAP:
-        info["rotation_checked"] = True
-        FE = E.matrix
-        SE = _batch_raney_join(L, L, E.rho)
-        for u in range(len(E)):
-            P1 = _pointwise_leq(M, FA[:, FE[u]], FA)      # f_v . e_u <= f_w
-            P2 = _composites_below(L, SA, FA, SE[u]).T    # s_w . f_v <= e_u*
-            P3 = _pointwise_leq(L, FE[u][SA], SA).T       # e_u . s_w <= s_v
-            yield "triangle_rotation", (P1 == P2) & (P1 == P3), {
-                "f": FE[u][None, None], "g": FA[:, None], "h": FA[None],
-                "compose_below": P1, "rotated_left": P2, "rotated_right": P3}
+    if gens is None:
+        return
+    info["rotation_checked"] = True
+    # f . e <= g, g* . f <= e* and e . g* <= f*, each as [f, e, g]
+    P1 = _composites_below(M, X, E, Y)
+    P2 = _composites_below(L, SY, X, _stars(L, L, E)).transpose(1, 2, 0)
+    P3 = _composites_below(L, E, SY, _stars(L, M, X)).transpose(2, 0, 1)
+    yield "triangle_rotation", (P1 == P2) & (P1 == P3), {
+        "f": X[:, None, None], "e": E[None, :, None], "g": Y[None, None],
+        "compose_below": P1, "rotated_left": P2, "rotated_right": P3}
 
 
 def homset_lattice(Q: HomsetEnumeration) -> Lattice:

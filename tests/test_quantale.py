@@ -106,6 +106,23 @@ def test_homset_membership_and_lattice_closure(zoo):
         Q.position(latq.identity(zoo["c3"]))
 
 
+@pytest.mark.parametrize("dom, cod", [("b2", "b2"), ("m3", "m3"),
+                                      ("c3", "b2"), ("n5", "c3")])
+def test_homset_positions_match_a_plain_loop(zoo, dom, cod):
+    # members in a shuffled order, repeated, among rows that are not
+    # members, some of them join-continuous for no homset
+    L, M = zoo[dom], zoo[cod]
+    Q = latq.enumerate_homset(L, M)
+    rng = np.random.RandomState(3)
+    rows = np.concatenate([Q.matrix[rng.randint(len(Q), size=40)],
+                           rng.randint(M.n, size=(40, L.n))])[
+        rng.permutation(80)]
+    members = Q.matrix.tolist()
+    want = [members.index(r) if r in members else -1 for r in rows.tolist()]
+    assert Q.positions(rows).tolist() == want
+    assert 0 < want.count(-1) < 80
+
+
 def test_homset_positions_past_62_bits():
     # a hand-built enumeration over c20, whose rows need 20 log2 20 > 62
     # bits; its members agree on all but their last three columns
@@ -749,17 +766,12 @@ def test_involutive_axioms_cross_homsets(zoo):
         assert res.holds, (a, b, res.witness)
 
 
-def test_involutive_axioms_with_a_refused_rotation_factor(monkeypatch):
-    # Q(c12, c12) is over the enumeration cap, so the rotation over it
-    # does not run, and the pair laws on Q(c12, c2)'s 12 members still do
+def test_involutive_axioms_enumerate_only_their_homset(monkeypatch):
+    # Q(c12, c12) is over the enumeration cap and Q(c2, c12) is not
+    # needed: the rotation and the pair laws run on rank-one maps built
+    # from the carriers, and Q(c12, c2) is the one homset enumerated
     c12, c2 = (latq.generate(latq.GeneratorSpec("chain", n=n))
                for n in (12, 2))
-    res = latq.check_involutive_axioms(c12, c2)
-    assert res.holds, res.witness
-    assert res.info["homset_size"] == 12
-    assert not res.info["rotation_checked"]
-    # when B^2 alone exceeds ROTATION_CAP, the factor is not enumerated;
-    # Q(c2, c12) is, for the pair laws' rank-one generators
     calls = []
     real = quantale.enumerate_homset
 
@@ -768,10 +780,10 @@ def test_involutive_axioms_with_a_refused_rotation_factor(monkeypatch):
         return real(dom, cod, cap)
 
     monkeypatch.setattr(quantale, "enumerate_homset", counted)
-    monkeypatch.setattr(quantale, "ROTATION_CAP", 12 * 12 - 1)
     res = latq.check_involutive_axioms(c12, c2)
-    assert res.holds and not res.info["rotation_checked"]
-    assert calls == [(12, 2), (2, 12)]
+    assert res.holds, res.witness
+    assert res.info["homset_size"] == 12 and res.info["rotation_checked"]
+    assert calls == [(12, 2)]
 
 
 def test_involutive_axioms_fail_off_cd(zoo):
@@ -789,9 +801,19 @@ def test_involutive_axioms_fail_off_cd(zoo):
         "homset_size"] == 50
 
 
+ROTATION_CAP = 1 << 20    # triples the gathers' full rotation may check
+
+
+def _composites(P, Q):
+    """out[a, b] = P_a . Q_b, rowwise, for the gathers."""
+    return P[:, Q]
+
+
 def _axiom_laws_by_gathers(L, M, A, cap):
     """The laws of `check_involutive_axioms` as (law, ok, rows), computed
-    as (B, B, n) gathers of every pair's composite, row by row."""
+    as (B, B, n) gathers of every pair's composite, row by row, with the
+    triangle rotation over all of Q(L, L) x A x A when that fits
+    ROTATION_CAP."""
     FA, B = A.matrix, len(A)
     oL = quantale.special(L, "o").values
     oM = quantale.special(M, "o").values
@@ -801,9 +823,9 @@ def _axiom_laws_by_gathers(L, M, A, cap):
     yield "double_transform", (SS == FA).all(axis=1), {"f": FA, "twice": SS}
 
     LE = M.leq[FA[:, None], FA[None]].all(axis=-1)
-    T = FA[:, SA]                                   # [i, j] = f_i . s_j
+    T = _composites(FA, SA)                         # [i, j] = f_i . s_j
     C1 = M.leq[T, oM[None, None, :]].all(axis=-1)
-    U = SA[:, FA]                                   # [j, i] = s_j . f_i
+    U = _composites(SA, FA)                         # [j, i] = s_j . f_i
     C2 = L.leq[U, oL[None, None, :]].all(axis=-1).T
     yield "order_reversal", (LE == C1) & (LE == C2), {
         "f": FA[:, None], "g": FA[None], "leq": LE,
@@ -827,16 +849,16 @@ def _axiom_laws_by_gathers(L, M, A, cap):
         T.reshape(B * B, M.n))
 
     E = A if M == L else latq.enumerate_homset(L, L, cap)
-    if len(E) * B * B <= quantale.ROTATION_CAP:
+    if len(E) * B * B <= ROTATION_CAP:
         FE, SE = E.matrix, quantale._batch_raney_join(L, L, E.rho)
         for u in range(len(E)):
-            Vu = FA[:, FE[u]]
+            Vu = FA[:, FE[u]]                       # [v] = f_v . e_u
             P1 = M.leq[Vu[:, None], FA[None]].all(axis=-1)
             P2 = L.leq[U.transpose(1, 0, 2), SE[u]].all(axis=-1)
-            UW = FE[u][SA]
+            UW = FE[u][SA]                          # [w] = e_u . s_w
             P3 = L.leq[UW[None, :, :], SA[:, None, :]].all(axis=-1)
             yield "triangle_rotation", (P1 == P2) & (P1 == P3), {
-                "f": FE[u][None, None], "g": FA[:, None], "h": FA[None],
+                "f": FA[:, None], "e": FE[u][None, None], "g": FA[None],
                 "compose_below": P1, "rotated_left": P2, "rotated_right": P3}
 
 
@@ -846,12 +868,16 @@ AXIOM_CASES = [("m3", "m3"), ("n5", "n5"), ("b2", "b2"), ("c4", "c4"),
 
 @pytest.mark.parametrize("dom, cod", AXIOM_CASES)
 def test_axiom_laws_match_the_pair_gathers(corpus, dom, cod):
+    # the sweep over every pair of members runs the pair laws alone
     named = {L.name: L for L in corpus}
     L, M = named[dom], named[cod]
     A = latq.enumerate_homset(L, M)
-    got = list(quantale._axiom_laws(L, M, A, quantale.DEFAULT_CAP, {}))
-    want = list(_axiom_laws_by_gathers(L, M, A, quantale.DEFAULT_CAP))
-    assert [law for law, *_ in got] == [law for law, *_ in want]
+    got = list(quantale._axiom_laws(L, M, A, None, {}))
+    want = list(itertools.islice(
+        _axiom_laws_by_gathers(L, M, A, quantale.DEFAULT_CAP), len(got)))
+    assert [law for law, *_ in got] == [law for law, *_ in want] == [
+        "double_transform", "order_reversal", "left_residual_formula",
+        "right_residual_formula"]
     for (law, ok, _), (_, ok_want, _) in zip(got, want):
         assert ok.dtype == bool and np.array_equal(ok, ok_want), law
     w = latq.check_involutive_axioms(L, M).witness
@@ -868,7 +894,8 @@ def test_axiom_laws_match_the_pair_gathers(corpus, dom, cod):
 def test_failing_residual_formula_names_the_first_failing_pair(
         zoo, monkeypatch, kernel, law):
     # a kernel spoiled on some rows, by a rule on each row alone, makes
-    # the formula fail, and the witness is the gathers' first failure
+    # the formula fail; the sweep on generators names a pair of members
+    # that the gathers find failing under the same law, with its rows
     real = getattr(quantale, kernel)
 
     def spoiled(dom, cod, F):
@@ -883,8 +910,13 @@ def test_failing_residual_formula_names_the_first_failing_pair(
         A = latq.enumerate_homset(L, M)
         w = latq.check_involutive_axioms(L, M).witness
         assert w is not None and w["law"] == law, (dom, cod)
-        assert w == first_failing_law(
-            _axiom_laws_by_gathers(L, M, A, quantale.DEFAULT_CAP)), (dom, cod)
+        ok, rows = next((ok, rows) for name, ok, rows in _axiom_laws_by_gathers(
+            L, M, A, quantale.DEFAULT_CAP) if name == law)
+        first, second = list(w)[1:3]
+        i, j = (A.matrix.tolist().index(w[k]) for k in (first, second))
+        assert not ok[i, j], (dom, cod)
+        assert {k: rows[k][i, j].tolist() for k in list(w)[3:]} == {
+            k: w[k] for k in list(w)[3:]}, (dom, cod)
 
 
 def _bounded_small_lattices():
@@ -912,9 +944,8 @@ def test_reduced_axiom_sweep_matches_the_full_sweep(corpus):
             continue
         info = {}
         reduced = first_failing_law(quantale._axiom_laws(
-            L, L, A, quantale.DEFAULT_CAP, info, reduced=True))
-        full = first_failing_law(quantale._axiom_laws(
-            L, L, A, quantale.DEFAULT_CAP, {}))
+            L, L, A, quantale._generators(L, L), info))
+        full = first_failing_law(quantale._axiom_laws(L, L, A, None, {}))
         assert info["generators"] is not None, L.name
         assert info["pairs"] == info["generators"] ** 2, L.name
         assert (reduced is None) == (full is None), L.name
@@ -951,10 +982,9 @@ def _distributive(K):
                for x, y, z in itertools.product(range(K.n), repeat=3))
 
 
-def _rank_one_sweep_applies(L, M, cap):
+def _rank_one_sweep_applies(L, M):
     """Conditions (a) to (d) of `quantale._axiom_laws`, by plain loops over
-    the tables of L and M apart from asking `enumerate_homset` whether
-    Q(M, L) fits cap."""
+    the tables of L and M."""
     def star(dom, cod, f):
         return oracles.raney_join(cod, dom, oracles.right_adjoint(dom, cod, f))
 
@@ -968,10 +998,6 @@ def _rank_one_sweep_applies(L, M, cap):
                 return False
         return True
 
-    try:
-        latq.enumerate_homset(M, L, cap)
-    except latq.CapExceeded:
-        return False
     return (_distributive(L) and _distributive(M)
             and involutive_and_generated(L, M)
             and involutive_and_generated(M, L))
@@ -979,7 +1005,7 @@ def _rank_one_sweep_applies(L, M, cap):
 
 RECTANGULAR_CASES = [
     ("c3", "b2", None), ("b2", "c4", None), ("c2", "d3_0", None),  # both CD
-    ("c2", "c6", 16),              # both CD, Q(c6, c2) refused by the cap
+    ("c2", "c6", 16),              # both CD, Q(c6, c2) over the cap, unused
     ("c3", "m3", None), ("n5", "b2", None),                       # one CD
     ("m3", "n5", None), ("n5", "m3", None),                       # neither
 ]
@@ -993,19 +1019,103 @@ def test_reduced_rectangular_sweep_matches_the_full_sweep(
     cap = cap or quantale.DEFAULT_CAP
     A = latq.enumerate_homset(L, M, cap)
     reduced = first_failing_law(quantale._axiom_laws(
-        L, M, A, cap, {}, reduced=True))
-    full = first_failing_law(quantale._axiom_laws(L, M, A, cap, {}))
+        L, M, A, quantale._generators(L, M), {}))
+    full = first_failing_law(quantale._axiom_laws(L, M, A, None, {}))
     assert (reduced or {}).get("law") == (full or {}).get("law")
     info = latq.check_involutive_axioms(L, M, cap).info
-    applies = _rank_one_sweep_applies(L, M, cap)
+    applies = _rank_one_sweep_applies(L, M)
     assert (info["generators"] is not None) == applies
     if applies:
         X, H = _rank_one_maps(L, M), _rank_one_maps(M, L)
         assert info["generators"] == len(X)
         assert info["pairs"] == len(X) * len(H) <= len(A) ** 2
         assert info["pairs"] == {("c3", "b2"): 7 * 5, ("b2", "c4"): 7 * 10,
-                                 ("c2", "d3_0"): 8 * 4}[dom, cod]
+                                 ("c2", "d3_0"): 8 * 4,
+                                 ("c2", "c6"): 6 * 6}[dom, cod]
     assert (full is None) == (L.is_distributive and M.is_distributive)
+
+
+def _rotation_holds(L, M, A):
+    """(on generators, on the gathers) whether every triangle rotation law
+    holds, each route running all its laws, failing or not; None where
+    the gathers' full rotation is over ROTATION_CAP."""
+    E = A if M == L else latq.enumerate_homset(L, L)
+    if len(E) * len(A) ** 2 > ROTATION_CAP:
+        return None
+    info = {}
+    gens = quantale._axiom_laws(L, M, A, quantale._generators(L, M), info)
+    full = _axiom_laws_by_gathers(L, M, A, quantale.DEFAULT_CAP)
+    return tuple(all(ok.all() for law, ok, _ in laws
+                     if law == "triangle_rotation")
+                 for laws in (list(gens), list(full)))
+
+
+def test_rotation_on_generators_matches_the_full_rotation(corpus):
+    # every CD endo homset, and every both-CD rectangular case, whose
+    # full rotation fits ROTATION_CAP
+    named = {L.name: L for L in corpus}
+    cases = [(L, L) for L in corpus + _bounded_small_lattices()
+             if L.is_distributive]
+    cases += [(named[a], named[b]) for a, b, _ in RECTANGULAR_CASES
+              if named[a].is_distributive and named[b].is_distributive]
+    checked = 0
+    for L, M in cases:
+        A = _endo_homset(L) if L == M else latq.enumerate_homset(L, M)
+        verdicts = None if A is None else _rotation_holds(L, M, A)
+        if verdicts is not None:
+            assert verdicts == (True, True), (L.name, M.name)
+            assert latq.check_involutive_axioms(L, M).info[
+                "rotation_checked"], (L.name, M.name)
+            checked += 1
+    assert checked == 26 + 6 + 4    # built-in endo, bounded, rectangular
+
+
+@pytest.mark.parametrize("mutant", ["star", "composite"])
+@pytest.mark.parametrize("dom, cod", [("c3", "b2"), ("b2", "c3")])
+def test_rotation_mutants_are_caught_by_both_routes(
+        zoo, monkeypatch, dom, cod, mutant):
+    # "star": the star of e0: x -> top where p <= x, else bottom, in
+    # Q(L, L), is made the top map; f . e0 <= g then fails for some f and
+    # g while g* . f <= e0* holds.  "composite": the rotation's first
+    # composite g* . f is made the top map; at e = zero, f . e <= g holds
+    # while g* . f <= e* fails at bottom.  Rectangular, with L.n != M.n,
+    # so that neither spoil reaches the stars of Q(L, M) and Q(M, L).
+    L, M = zoo[dom], zoo[cod]
+    A = latq.enumerate_homset(L, M)
+    assert _rotation_holds(L, M, A) == (True, True)
+    if mutant == "star":
+        p = L.join_irreducibles[0]
+        e0 = np.where(L.leq[p], L.top, L.bottom)
+        rho = quantale._batch_right_adjoint(L, L, e0[None])[0]
+        real = quantale._batch_raney_join
+
+        def spoiled(d, c, F):
+            out = real(d, c, F)
+            if d is L and c is L:
+                out = out.copy()
+                out[(F == rho).all(axis=1)] = L.top
+            return out
+
+        monkeypatch.setattr(quantale, "_batch_raney_join", spoiled)
+    else:
+        real_below, real_composites = quantale._composites_below, _composites
+
+        def spoiled_below(K, P, Q, R):     # P_a . Q_b <= R_r, [a, b, r]
+            out = real_below(K, P, Q, R)
+            if K is L and P.shape[1] == M.n:
+                out[0, 0] = (R == L.top).all(axis=1)
+            return out
+
+        def spoiled_composites(P, Q):
+            out = real_composites(P, Q)
+            if P.shape[1] == M.n and Q.shape[1] == L.n:
+                out = out.copy()
+                out[0, 0] = L.top
+            return out
+
+        monkeypatch.setattr(quantale, "_composites_below", spoiled_below)
+        monkeypatch.setitem(globals(), "_composites", spoiled_composites)
+    assert _rotation_holds(L, M, A) == (False, False)
 
 
 def test_rank_one_maps_generate_homsets_over_distributive_domains(corpus):
@@ -1234,6 +1344,25 @@ def test_star_lemma_fails_off_distributive_carriers(zoo, name):
         star(tuple(join[u][v] for u, v in zip(f, g)))
         != homset_meet([star(f), star(g)])
         for f, g in itertools.combinations(members, 2))
+
+def test_star_deflates_every_join_continuous_map(corpus):
+    # f** <= f for every jc map f: L -> M, the deflation step in
+    # `quantale._axiom_laws`, by plain loops over every ordered pair of
+    # built-ins with at most 5 elements, CD or not; about 1.5 s on a
+    # 2-vCPU host
+    def star(dom, cod, f):
+        return oracles.raney_join(cod, dom, oracles.right_adjoint(dom, cod, f))
+
+    small = [L for L in corpus if L.n <= 5]
+    maps = deflated = 0
+    for dom, cod in itertools.product(small, repeat=2):
+        for f in oracles.jc_maps(dom, cod):
+            twice = star(cod, dom, star(dom, cod, f))
+            assert oracles.pointwise_below(cod, twice, f), (dom, cod, f)
+            maps += 1
+            deflated += twice != f
+    assert len(small) ** 2 == 961 and maps == 17813 and deflated == 22
+
 
 def test_axiom_sweep_peak_memory_on_d4_7(corpus):
     # the (B, B, n) gathers peaked at 124.8 MB on d4_7 (B = 746)
