@@ -16,16 +16,15 @@ from `maps._pair_kernel`; the axiom sweep's residual formulas and the
 cyclic, dualizing and codualizing searches code every composite exactly
 (`maps._composite_ids`), run the kernels on the distinct composites
 alone (`_on_composites`), and compare results by rank or value.  The
-composite codes take 8 bytes a pair.  The axiom sweep runs its pair laws
-and the triangle rotation on rank-one generators wherever that is exact
-(`_axiom_laws`): on Q(L, M) with L and M distributive, endo or
-rectangular, the first argument runs over the rank-one maps of Q(L, M),
-the second over the stars of those of Q(M, L), and the rotation's
-factor in Q(L, L) over the rank-one maps of Q(L, L), all built from the
-carriers (`_rank_one_maps`).  Q(L, M) is the only homset it enumerates.
-It holds memory linear in B there (the members, their adjoints and
-stars, and |J(L)| (|M| - 1) + 1 generators a side), and O(B^2)
-elsewhere.
+composite codes take 8 bytes a pair.  The axiom check picks its rows
+from the carriers (`check_involutive_axioms`).  On Q(L, M) with L and M
+distributive, endo or rectangular, every law runs on rank-one maps built
+from the carriers (`_rank_one_maps`): those of Q(L, M) against the stars
+of those of Q(M, L), and the rotation's factor over those of Q(L, L),
+which is exact (`_axiom_laws`).  Past enumerating Q(L, M), the only
+homset it enumerates, it holds memory for |J(L)| (|M| - 1) + 1
+generators a side and their pairs, whatever B.  Elsewhere it runs on the
+members and their pairs, O(B^2).
 
 Each detector (`_cyclic`, `_dualizing`, `_codualizing`, `_central`)
 takes candidate positions C and member positions K and gives ok[k, c]
@@ -409,20 +408,25 @@ def check_involutive_axioms(L: Lattice, M: Lattice,
     and, over distributive L and M, the triangle rotation
     f.e <= g iff g*.f <= e* iff e.g* <= f* over Q(L,L) x Q(L,M)^2
     (.info["rotation_checked"]).  Q(L, M), enumerated under cap, is the
-    only homset enumerated.  Over distributive L and M, endo or
-    rectangular, once the double transform holds on rank-one generators
-    built from the carriers (`_generators`), the pair laws and the
-    rotation run on them (`_axiom_laws` holds the proof), and
-    .info["generators"] counts those of Q(L, M),
-    |J(L)| (|M| - 1) + 1.  Elsewhere the pair laws sweep every pair of
-    members, .info["generators"] is None and the rotation is not run.
-    .info["pairs"] is the pairs each pair law swept.  A failure on
-    generators is a failure on members, and is reported as found.
+    only homset enumerated; .info["homset_size"] is its size.  Over
+    distributive L and M, endo or rectangular, every law runs on the
+    rank-one maps of Q(L, M), Q(M, L) and Q(L, L) built from the
+    carriers (`_rank_one_maps`; `_axiom_laws` holds the proof), and
+    .info["generators"] counts those of Q(L, M), |J(L)| (|M| - 1) + 1.
+    They are members, so a failure on them is reported as found.
+    Elsewhere the laws run on every member and every pair of members,
+    .info["generators"] is None and the rotation is not run.
+    .info["pairs"] is the pairs each pair law swept.
     """
     A = enumerate_homset(L, M, cap)
     info = {"homset_size": len(A), "generators": None, "pairs": 0,
             "rotation_checked": False}
-    w = first_failing_law(_axiom_laws(L, M, A, _generators(L, M), info))
+    if L.is_distributive and M.is_distributive:
+        X, H, E = (_rank_one_maps(*p) for p in ((L, M), (M, L), (L, L)))
+        info["generators"] = len(X)
+    else:
+        X, H, E = A.matrix, None, None
+    w = first_failing_law(_axiom_laws(L, M, X, H, E, info))
     return CheckResult("involutive_axioms", w is None, w, info=info)
 
 
@@ -436,44 +440,30 @@ def _rank_one_maps(L: Lattice, M: Lattice) -> np.ndarray:
     return np.vstack([np.full((1, L.n), M.bottom, dtype=np.int32), E])
 
 
-def _generators(L: Lattice, M: Lattice):
-    """(X, Y, SY, E) for `_axiom_laws`' sweep on generators: X the
-    rank-one maps of Q(L, M), SY those of Q(M, L) and Y their stars, and
-    E those of Q(L, L), X itself when M == L.  None unless L and M are
-    distributive and the double transform holds on X and on SY."""
-    if not (L.is_distributive and M.is_distributive):
-        return None
-    X, SY = _rank_one_maps(L, M), _rank_one_maps(M, L)
-    Y = _stars(M, L, SY)
-    if not ((_stars(M, L, _stars(L, M, X)) == X).all()
-            and (_stars(L, M, Y) == SY).all()):
-        return None
-    return X, Y, SY, X if M == L else _rank_one_maps(L, L)
+def _axiom_laws(L: Lattice, M: Lattice, X: np.ndarray, H, E, info: dict):
+    """The laws of `check_involutive_axioms` on the given rows, as
+    (law, ok, rows), in order.
 
+    The double transform runs on X, maps L -> M, and on H, maps M -> L,
+    unless M == L, where H is X.  The first argument of each pair law
+    runs over X and the second over Y, the stars of H.  With H None, Y is
+    X and the stars of X serve as H.  With E, maps L -> L, the triangle
+    rotation runs over f in X, e in E and g in Y.
 
-def _axiom_laws(L: Lattice, M: Lattice, A: HomsetEnumeration, gens,
-                info: dict):
-    """The laws of `check_involutive_axioms` as (law, ok, rows), in order.
-
-    With gens None the pair laws sweep every pair of members of
-    A = Q(L, M), and the triangle rotation is not run.  With
-    gens = (X, Y, SY, E) from `_generators`, the first argument of each
-    pair law runs over the rank-one maps X of A (`_rank_one_maps`) and
-    the second over the stars Y of the rank-one maps SY of D = Q(M, L),
-    and the rotation runs over f in X, e in the rank-one maps E of
-    Q(L, L) and g in Y.  `_generators` gives them once
-    (a) L and M are distributive, and
-    (b) the double transform holds on X and (c) on SY.
-    A star is always join-continuous (x v y not<= t exactly when
-    x not<= t or y not<= t), so X, Y and E are members, and a law failing
-    on them fails on the homsets.  A law holding on them holds on all of
-    them:
-    - (d) X generates A, and SY generates D, under pointwise joins.  Each
+    On the members of A = Q(L, M), with H and E None, these are the
+    laws themselves.  On the rank-one maps X of A, H of D = Q(M, L) and
+    E of Q(L, L) (`_rank_one_maps`) they are exact once (a) L and M are
+    distributive.  Then X, H and E are members, by (d), and so is Y, as
+    a star is always join-continuous (x v y not<= t exactly when
+    x not<= t or y not<= t); a law failing on them fails on the
+    homsets.  The double transform runs first, and once it holds (b) on
+    X and (c) on H, a law holding on the rows holds on all the homsets:
+    - (d) X generates A, and H generates D, under pointwise joins.  Each
       join-irreducible p of the distributive L is join-prime, so
       x -> b where p <= x, else bottom, preserves joins and is a member
       of A.  Every member f is the join over p in J(L) of those with
       b = f(p), as f(x) is the join of the f(p) with p <= x in J(L);
-      so X generates A, and SY generates D likewise.
+      so X generates A, and H generates D likewise.
     - Deflation: f** <= f for every join-continuous f between finite
       lattices.  Let x not<= s and f*(y) <= s.  If y not<= f(x), then
       rho f(f(x)) <= f*(y) <= s, as f*(y) is the join of the rho f(t)
@@ -486,7 +476,7 @@ def _axiom_laws(L: Lattice, M: Lattice, A: HomsetEnumeration, gens,
       by deflation f** = f.  So the double transform holds on all of A,
       and by (c) likewise on all of D.  The stars A -> D and D -> A are
       then inverse bijections, so anti-isomorphisms, and turn joins into
-      meets and back.  So Y meet-generates A, and Y* = SY.
+      meets and back.  So Y meet-generates A, and Y* = H.
     - Joins in a homset are pointwise, and composition preserves them in
       either argument, pointwise; residuals turn joins in their divisor
       into meets and keep meets in their numerator.
@@ -518,29 +508,31 @@ def _axiom_laws(L: Lattice, M: Lattice, A: HomsetEnumeration, gens,
       below a meet exactly when it is below each part, and the star
       turns joins in e and f into meets and meets in g into joins.  So
       the rotation holds on Q(L, L) x A x A once it holds on E x X x Y.
-    The double transform is not reduced.
     """
-    FA = A.matrix
     oL = special(L, "o").values
     oM = special(M, "o").values
 
-    SA = _batch_raney_join(M, L, A.rho)               # stars, maps M -> L
-    SS = _stars(M, L, SA)
-    yield "double_transform", (SS == FA).all(axis=1), {"f": FA, "twice": SS}
+    RX = _batch_right_adjoint(L, M, X)
+    SX = _batch_raney_join(M, L, RX)                  # stars, maps M -> L
+    twice = _stars(M, L, SX)
+    yield "double_transform", (twice == X).all(axis=1), {
+        "f": X, "twice": twice}
 
-    # first arguments X with right adjoints RX; second Y with stars SY
-    # and right adjoints RY
-    if gens is None:
-        X, RX, Y, SY, RY = FA, A.rho, FA, SA, A.rho
+    # second arguments Y with stars H and right adjoints RY
+    if H is None:
+        H, Y, RY = SX, X, RX
     else:
-        X, Y, SY, E = gens
-        RX, RY = _batch_right_adjoint(L, M, X), _batch_right_adjoint(L, M, Y)
-        info["generators"] = len(X)
+        Y = _stars(M, L, H)
+        if M != L:
+            twice = _stars(L, M, Y)
+            yield "double_transform", (twice == H).all(axis=1), {
+                "f": H, "twice": twice}
+        RY = _batch_right_adjoint(L, M, Y)
     info["pairs"] = len(X) * len(Y)
 
     LE = _pointwise_leq(M, X, Y)                      # f <= g
-    C1 = _composites_below(M, X, SY, oM[None])[..., 0]    # f . g* <= zero_M
-    C2 = _composites_below(L, SY, X, oL[None])[..., 0].T  # g* . f <= zero_L
+    C1 = _composites_below(M, X, H, oM[None])[..., 0]     # f . g* <= zero_M
+    C2 = _composites_below(L, H, X, oL[None])[..., 0].T   # g* . f <= zero_L
     yield "order_reversal", (LE == C1) & (LE == C2), {
         "f": X[:, None], "g": Y[None], "leq": LE,
         "right_compose_below_zero": C1, "left_compose_below_zero": C2}
@@ -561,21 +553,21 @@ def _axiom_laws(L: Lattice, M: Lattice, A: HomsetEnumeration, gens,
     # g \ h == star(h* . g) over g in X, h in Y
     yield "left_residual_formula", *formula(
         ("g", "h"), L, X, Y, _on_composites(_batch_interior, L, RX, Y),
-        swapped(_on_composites(_stars, L, SY, X)))
+        swapped(_on_composites(_stars, L, H, X)))
 
     # h / f == star(f . h*) over h in Y, f in X
     yield "right_residual_formula", *formula(
         ("h", "f"), M, Y, X,
         swapped(_on_composites(_batch_residual_right, M, X, RY)),
-        swapped(_on_composites(_stars, M, X, SY)))
+        swapped(_on_composites(_stars, M, X, H)))
 
-    if gens is None:
+    if E is None:
         return
     info["rotation_checked"] = True
     # f . e <= g, g* . f <= e* and e . g* <= f*, each as [f, e, g]
     P1 = _composites_below(M, X, E, Y)
-    P2 = _composites_below(L, SY, X, _stars(L, L, E)).transpose(1, 2, 0)
-    P3 = _composites_below(L, E, SY, _stars(L, M, X)).transpose(2, 0, 1)
+    P2 = _composites_below(L, H, X, _stars(L, L, E)).transpose(1, 2, 0)
+    P3 = _composites_below(L, E, H, SX).transpose(2, 0, 1)
     yield "triangle_rotation", (P1 == P2) & (P1 == P3), {
         "f": X[:, None, None], "e": E[None, :, None], "g": Y[None, None],
         "compose_below": P1, "rotated_left": P2, "rotated_right": P3}

@@ -756,7 +756,8 @@ def test_involutive_axioms_pass_on_cd(zoo, monkeypatch):
         res = latq.check_involutive_axioms(L, L)
         assert res.holds, (name, res.witness)
         assert res.info["rotation_checked"]
-    # the rotation factor of an endo homset is the homset itself
+    # Q(L, L) is the homset checked, and its rotation factor is built from
+    # the carrier, so each check enumerates one homset
     assert len(calls) == 4
 
 
@@ -872,7 +873,7 @@ def test_axiom_laws_match_the_pair_gathers(corpus, dom, cod):
     named = {L.name: L for L in corpus}
     L, M = named[dom], named[cod]
     A = latq.enumerate_homset(L, M)
-    got = list(quantale._axiom_laws(L, M, A, None, {}))
+    got = list(quantale._axiom_laws(L, M, A.matrix, None, None, {}))
     want = list(itertools.islice(
         _axiom_laws_by_gathers(L, M, A, quantale.DEFAULT_CAP), len(got)))
     assert [law for law, *_ in got] == [law for law, *_ in want] == [
@@ -933,6 +934,13 @@ def _bounded_small_lattices():
     return out
 
 
+def _member_laws(L, M, A):
+    """The first failing law of `quantale._axiom_laws` on every member and
+    every pair of members of A, with no rotation."""
+    return first_failing_law(quantale._axiom_laws(
+        L, M, A.matrix, None, None, {}))
+
+
 def test_reduced_axiom_sweep_matches_the_full_sweep(corpus):
     # every CD endo homset whose full sweep fits the suite's pair cap
     carriers = [L for L in corpus + _bounded_small_lattices()
@@ -942,10 +950,9 @@ def test_reduced_axiom_sweep_matches_the_full_sweep(corpus):
         A = _endo_homset(L)
         if A is None or len(A) > PAIR_HOMSET_CAP:
             continue
-        info = {}
-        reduced = first_failing_law(quantale._axiom_laws(
-            L, L, A, quantale._generators(L, L), info))
-        full = first_failing_law(quantale._axiom_laws(L, L, A, None, {}))
+        res = latq.check_involutive_axioms(L, L)
+        reduced, info = res.witness, res.info
+        full = _member_laws(L, L, A)
         assert info["generators"] is not None, L.name
         assert info["pairs"] == info["generators"] ** 2, L.name
         assert (reduced is None) == (full is None), L.name
@@ -1018,11 +1025,10 @@ def test_reduced_rectangular_sweep_matches_the_full_sweep(
     L, M = named[dom], named[cod]
     cap = cap or quantale.DEFAULT_CAP
     A = latq.enumerate_homset(L, M, cap)
-    reduced = first_failing_law(quantale._axiom_laws(
-        L, M, A, quantale._generators(L, M), {}))
-    full = first_failing_law(quantale._axiom_laws(L, M, A, None, {}))
+    res = latq.check_involutive_axioms(L, M, cap)
+    reduced, info = res.witness, res.info
+    full = _member_laws(L, M, A)
     assert (reduced or {}).get("law") == (full or {}).get("law")
-    info = latq.check_involutive_axioms(L, M, cap).info
     applies = _rank_one_sweep_applies(L, M)
     assert (info["generators"] is not None) == applies
     if applies:
@@ -1032,7 +1038,21 @@ def test_reduced_rectangular_sweep_matches_the_full_sweep(
         assert info["pairs"] == {("c3", "b2"): 7 * 5, ("b2", "c4"): 7 * 10,
                                  ("c2", "d3_0"): 8 * 4,
                                  ("c2", "c6"): 6 * 6}[dom, cod]
+    else:
+        # off a distributive pair the rank-one rows need not be members,
+        # so forcing them fails a law that the members keep
+        forced = first_failing_law(quantale._axiom_laws(
+            L, M, *_generator_rows(L, M), {}))
+        assert forced["law"] == "double_transform" != full["law"]
     assert (full is None) == (L.is_distributive and M.is_distributive)
+
+
+def _generator_rows(L, M):
+    """The rows (X, H, E) that `check_involutive_axioms` gives
+    `quantale._axiom_laws` over distributive L and M: the rank-one maps
+    of Q(L, M), Q(M, L) and Q(L, L)."""
+    return tuple(quantale._rank_one_maps(dom, cod)
+                 for dom, cod in ((L, M), (M, L), (L, L)))
 
 
 def _rotation_holds(L, M, A):
@@ -1042,8 +1062,7 @@ def _rotation_holds(L, M, A):
     E = A if M == L else latq.enumerate_homset(L, L)
     if len(E) * len(A) ** 2 > ROTATION_CAP:
         return None
-    info = {}
-    gens = quantale._axiom_laws(L, M, A, quantale._generators(L, M), info)
+    gens = quantale._axiom_laws(L, M, *_generator_rows(L, M), {})
     full = _axiom_laws_by_gathers(L, M, A, quantale.DEFAULT_CAP)
     return tuple(all(ok.all() for law, ok, _ in laws
                      if law == "triangle_rotation")
@@ -1390,6 +1409,57 @@ def test_axiom_sweep_on_generators_peak_memory_on_d4_1(corpus):
     assert res.holds and res.info["homset_size"] == 7776
     assert res.info["generators"] == 45 and res.info["pairs"] == 45 ** 2
     assert peak <= 32 * 2 ** 20
+
+
+def test_axiom_check_on_d4_0_runs_its_kernels_on_generators_alone(
+        corpus, monkeypatch):
+    # d4_0 has 65,536 members and 61 rank-one generators a side: no
+    # kernel call of the check may take more rows than the 61 * 61 pairs
+    rows = []
+    for name in ("_batch_interior", "_batch_left_adjoint",
+                 "_batch_raney_join", "_batch_right_adjoint"):
+        def spy(dom, cod, F, real=getattr(quantale, name)):
+            rows.append(len(F))
+            return real(dom, cod, F)
+
+        monkeypatch.setattr(quantale, name, spy)
+    L = {L.name: L for L in corpus}["d4_0"]
+    res = latq.check_involutive_axioms(L, L)
+    assert res.holds and res.info["homset_size"] == 65536
+    assert res.info["generators"] == 61 and res.info["pairs"] == 61 ** 2
+    assert rows and max(rows) <= 61 ** 2
+
+
+@pytest.mark.parametrize("side", ["X", "H"])
+def test_a_spoiled_generator_star_fails_the_double_transform(
+        zoo, monkeypatch, side):
+    # the star of one nonzero rank-one map, of Q(L, M) on side X and of
+    # Q(M, L), not a star of X, on side H, is made the top map, whose
+    # star is the zero map; the check reports that generator, a member,
+    # as its double-transform witness
+    L, M = zoo["c3"], zoo["b2"]
+    X = quantale._rank_one_maps(L, M)
+    if side == "X":
+        a, b, f = L, M, X[-1]
+    else:
+        SX = quantale._stars(L, M, X)
+        a, b = M, L
+        f = next(h for h in quantale._rank_one_maps(M, L)[1:]
+                 if not (SX == h).all(axis=1).any())
+    rho = quantale._batch_right_adjoint(a, b, f[None])[0]
+    real = quantale._batch_raney_join
+
+    def spoiled(d, c, F):
+        out = real(d, c, F)
+        if d is b and c is a:
+            out = out.copy()
+            out[(F == rho).all(axis=1)] = a.top
+        return out
+
+    monkeypatch.setattr(quantale, "_batch_raney_join", spoiled)
+    w = latq.check_involutive_axioms(L, M).witness
+    assert w["law"] == "double_transform" and w["f"] == f.tolist()
+    assert latq.LatMap(a, b, f) in latq.enumerate_homset(a, b)
 
 
 def test_dualizing_search_peak_memory_on_d4_7(corpus):
