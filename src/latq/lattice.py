@@ -24,7 +24,9 @@ from .errors import CycleDetected, IndexOutOfRange, NotALattice, TooLarge
 
 # Largest carrier admitted; every `Poset` checks it, and `build_poset` and
 # `_inclusion_lattice` before they allocate an order table.  Budget: 5 s to
-# build a chain with one BLAS thread (512, 1,024 elements: 0.1, 0.45 s).
+# build a chain with one BLAS thread (512, 1,024 elements: 0.1, 0.45 s),
+# and 30 s for `latq verify --corpus` on the 1,024-element chain (0.7 s,
+# T2 about 0.1 s of it).
 MAX_ELEMENTS = 1024
 
 
@@ -222,6 +224,21 @@ class Lattice:
         return ix[binds], iy[binds], ij[binds]
 
     @cached_property
+    def lower_covers(self) -> np.ndarray:
+        """Row x: x itself, then its lower covers, then the bottom as pad
+        up to a common width."""
+        lower, upper = np.array(self.poset.covers, np.intp).reshape(-1, 2).T
+        order = np.argsort(upper, kind="stable")
+        lower, upper = lower[order], upper[order]
+        counts = np.bincount(upper, minlength=self.n)
+        starts = np.cumsum(counts) - counts
+        table = np.full((self.n, 1 + counts.max(initial=0)), self.bottom,
+                        np.intp)
+        table[:, 0] = np.arange(self.n)
+        table[upper, 1 + np.arange(len(upper)) - starts[upper]] = lower
+        return table
+
+    @cached_property
     def minimal_binding_pairs(self) -> tuple[np.ndarray, ...]:
         """The binding pairs that no pair one lower cover down replaces: no
         lower cover c of ix has c v iy = ij, and none of iy has ix v c = ij.
@@ -236,17 +253,77 @@ class Lattice:
         padded column at a time, bottom the pad: bottom v y = y != ij.
         """
         ix, iy, ij = self.interior_constraints
-        lower, upper = np.array(self.poset.covers, np.intp).reshape(-1, 2).T
-        order = np.argsort(upper, kind="stable")
-        lower, upper = lower[order], upper[order]
-        counts = np.bincount(upper, minlength=self.n)
-        starts = np.cumsum(counts) - counts
-        table = np.full((self.n, counts.max(initial=0)), self.bottom, np.intp)
-        table[upper, np.arange(len(upper)) - starts[upper]] = lower
         keep = np.ones(len(ij), dtype=bool)
-        for c in table.T:
+        for c in self.lower_covers.T[1:]:
             keep &= (self.join[c[ix], iy] != ij) & (self.join[ix, c[iy]] != ij)
         return ix[keep], iy[keep], ij[keep]
+
+    @cached_property
+    def interior_tables(self) -> tuple:
+        """What `maps._batch_interior` reads of this carrier, built once:
+        (groups, non_j, pairs, hops).
+
+        `groups` holds the elements by height, the length of the longest
+        chain from the bottom up to them, lowest first, so that an
+        element's upper covers lie in groups above its own and its lower
+        covers in groups below.  Each group is (G, U, D): row k of U
+        holds G[k], its upper covers and the top as pad, and row k of D
+        holds G[k], its lower covers and the bottom as pad.  The dual's
+        groups are these in reverse order with U and D swapped, so
+        whichever of the two is built second takes them.  `non_j` holds
+        the elements that are not join-irreducible.  The binding-pair
+        step reads `pairs`, (ix, iy, zs, first), with ix and iy as in
+        `minimal_binding_pairs`, zs their distinct joins and first the
+        start of each run of one join; and `hops`, the (at, to) steps
+        that meet entries of a run with those further on, halving the
+        runs into their first entries.
+        """
+        lower = np.bincount([j for _, j in self.poset.covers], minlength=self.n)
+        non_j = np.flatnonzero(lower != 1)
+        # the dual's tables if it is built and has them, else None
+        dual = self.__dict__.get("op", self).__dict__.get("interior_tables")
+        groups = ([(G, D, U) for G, U, D in dual[0][::-1]] if dual
+                  else self._cover_groups(lower.tolist()))
+        ix, iy, ij = self.minimal_binding_pairs
+        joins = ij.tolist()
+        first = [k for k, z in enumerate(joins) if not k or z != joins[k - 1]]
+        # left[k] counts the entries from k to the end of its run
+        left = [e - k for s, e in zip(first, first[1:] + [len(joins)])
+                for k in range(s, e)]
+        hops = []
+        for b in range((max(left, default=1) - 1).bit_length()):
+            at = np.array([k for k, r in enumerate(left) if r > 1 << b],
+                          np.intp)
+            hops.append((at, at + (1 << b)))
+        first = np.array(first, np.intp)
+        return groups, non_j, (ix, iy, ij[first], first), hops
+
+    def _cover_groups(self, lower: list[int]) -> list[tuple]:
+        """The groups of `interior_tables`, given the number of lower
+        covers of each element."""
+        n = self.n
+        up = [[x] for x in range(n)]
+        height = [0] * n
+        rank = self.leq.sum(axis=0).tolist()
+        # each cover after those into its lower end, as rank is monotone
+        for i, j in sorted(self.poset.covers, key=lambda e: rank[e[0]]):
+            up[i].append(j)
+            if height[j] <= height[i]:
+                height[j] = height[i] + 1
+        order = sorted(range(n), key=height.__getitem__)
+        G = np.array(order)
+        width = max(map(len, up))
+        U = np.array([up[x] + [self.top] * (width - len(up[x]))
+                      for x in order])
+        D = self.lower_covers[G]
+        groups, a = [], 0
+        for _, xs in itertools.groupby(order, key=height.__getitem__):
+            xs = list(xs)
+            b = a + len(xs)
+            groups.append((G[a:b], U[a:b, :max(len(up[x]) for x in xs)],
+                           D[a:b, :1 + max(lower[x] for x in xs)]))
+            a = b
+        return groups
 
     def rename(self, name: str) -> "Lattice":
         """Same lattice object shape under a new name (shared arrays)."""

@@ -26,8 +26,13 @@ sweep runs its kernels on the distinct composites without ever forming
 the (len(P), len(Q), n) array of them.
 
 Families are folded through a join or meet table by `lattice._fold`.
-The sampler draws all its rows at once, one domain element at a time,
-from an up-set table built once per call (`_upsets`).
+The interior folds over the covers of its domain, not over up-sets: two
+sweeps over the Hasse diagram, a group of elements at a time, read the
+tables `Lattice.interior_tables` builds once per carrier.  The special
+maps that take an element are the rows of one table per kind
+(`special_table`), which T1 reads whole.  The sampler draws all its rows
+at once, one domain element at a time, from an up-set table built once
+per call (`_upsets`).
 """
 
 from __future__ import annotations
@@ -253,31 +258,43 @@ def _batch_interior(dom: Lattice, cod: Lattice, H: np.ndarray) -> np.ndarray:
     """Greatest pointwise-below join-continuous maps, rowwise.
 
     A jc map is fixed by its values on J(dom).  Each pass takes, for each
-    j in J(dom), the meet of the row over the up-set of j, and rebuilds the
-    row by joining it into that up-set, as `quantale.enumerate_homset`
-    builds rows; then it meets each binding pair's join value with the join
-    of its members' values.  Other pairs hold on a rebuilt row, so passes
-    stop once that step changes nothing, after one on a distributive
-    domain.  No step drops a jc map below the start row, so the limit is
-    the greatest.  The step meets over `Lattice.minimal_binding_pairs`
-    only: a rebuilt row is monotone, so a pair whose join a lower cover
-    keeps has a join value at or above the smaller pair's, and leaving it
-    out changes no meet.
+    j in J(dom), the meet U[j] of the row over the up-set of j, and
+    rebuilds the row as x -> join of U[j] over j in J(dom) below x, as
+    `quantale.enumerate_homset` builds rows; then it meets each binding
+    pair's join value with the join of its members' values.  Other pairs
+    hold on a rebuilt row, so passes stop once that step changes nothing,
+    after one on a distributive domain.  No step drops a jc map below the
+    start row, so the limit is the greatest.  The step meets over
+    `Lattice.minimal_binding_pairs` only: a rebuilt row is monotone, so a
+    pair whose join a lower cover keeps has a join value at or above the
+    smaller pair's, and leaving it out changes no meet.
+
+    Both halves of the rebuild are sweeps over the covers of dom, a group
+    of elements of one height at a time (`Lattice.interior_tables`), in
+    place:
+    - from the top down, U[y] = H[y] ^ meet of U[c] over the upper covers
+      c of y, as the up-set of y is {y} and the up-sets of those covers;
+    - then from the bottom up, H[x] = (U[x] if x in J else bottom) v join
+      of H[c] over the lower covers c of x, as the join-irreducibles
+      below x are x itself if it is one, and those below the covers.
+    Each group's covers lie in groups swept before it.  The pads, top for
+    a meet and bottom for a join, change nothing: U[top] = H[top] lies
+    above every U[y], and H[bottom] is bottom.  Three groups need no
+    sweep: the top's, where U is H; the bottom's, whose U nothing reads,
+    as the bottom covers nothing and is not in J; and the atoms', whose
+    only lower cover is the bottom.
     """
-    ups = [np.flatnonzero(dom.leq[j]) for j in dom.join_irreducibles]
-    ix, iy, ij = dom.minimal_binding_pairs
-    zs, first, runs = np.unique(ij, return_index=True, return_counts=True)
-    ends = np.repeat(first + runs, runs)
-    hops = 2 ** np.arange((int(runs.max(initial=1)) - 1).bit_length())
+    groups, non_j, (ix, iy, zs, first), hops = dom.interior_tables
+    H = np.array(H, dtype=np.int32)
     while True:
-        tops = [_fold(cod.meet, H[:, up]) for up in ups]
-        H = np.full(H.shape, cod.bottom, dtype=np.int32)
-        for up, t in zip(ups, tops):
-            H[:, up] = cod.join[H[:, up], t[:, None]]
+        for G, U, _ in groups[-2:0:-1]:
+            H[:, G] = _fold(cod.meet, H[:, U])
+        H[:, non_j] = cod.bottom
+        for G, _, D in groups[2:]:
+            H[:, G] = _fold(cod.join, H[:, D])
         K = cod.join[H[:, ix], H[:, iy]]
-        for hop in hops:           # K[:, first] becomes the meet of each run
-            at = np.flatnonzero(np.arange(len(ij)) + hop < ends)
-            K[:, at] = cod.meet[K[:, at], K[:, at + hop]]
+        for at, to in hops:        # K[:, first] becomes the meet of each run
+            K[:, at] = cod.meet[K[:, at], K[:, to]]
         K = cod.meet[H[:, zs], K[:, first]]
         if np.array_equal(K, H[:, zs]):
             return H
@@ -356,28 +373,35 @@ def special(L: Lattice, kind: str, x: int | None = None) -> LatMap:
     omega: the meet transform of the identity, t -> meet of elements not
        below t.
     nu(x): bottom on elements below x, identity elsewhere.
+
+    The kinds that take an element are rows of `special_table`.
     """
-    n = L.n
     if kind in ("o", "omega"):      # built once per carrier, and read-only
         if kind not in L.derived:
             L.derived[kind] = (raney_join(identity(L)) if kind == "o"
                                else _op(special(L.op, "o")))
         return L.derived[kind]
-    if kind in ("c", "a", "alpha", "nu"):
-        if x is None:
-            raise ValueError(f"special {kind!r} needs an element")
-        if not 0 <= x < n:
-            raise IndexOutOfRange(f"{x} outside range({n})")
-    if kind == "alpha":
-        return _op(special(L.op, "a", x))
+    if kind not in ("c", "a", "alpha", "nu"):
+        raise ValueError(f"unknown special kind {kind!r}")
+    if x is None:
+        raise ValueError(f"special {kind!r} needs an element")
+    if not 0 <= x < L.n:
+        raise IndexOutOfRange(f"{x} outside range({L.n})")
+    return LatMap(L, L, special_table(L, kind)[x])
+
+
+def special_table(L: Lattice, kind: str) -> np.ndarray:
+    """The (n, n) table whose row x is special(L, kind, x), for a kind
+    that takes an element."""
+    y = np.arange(L.n, dtype=np.int32)     # the argument, across a row
     if kind == "c":
-        vals = np.full(n, x, dtype=np.int32)
-        vals[L.bottom] = L.bottom
-        return LatMap(L, L, vals)
+        return np.where(y == L.bottom, y, y[:, None])
     if kind == "a":
-        return LatMap(L, L, np.where(L.leq[:, x], L.bottom, L.top))
+        return np.where(L.leq.T, L.bottom, L.top).astype(np.int32)
+    if kind == "alpha":
+        return special_table(L.op, "a")
     if kind == "nu":
-        return LatMap(L, L, np.where(L.leq[:, x], L.bottom, np.arange(n)))
+        return np.where(L.leq.T, L.bottom, y)
     raise ValueError(f"unknown special kind {kind!r}")
 
 

@@ -422,6 +422,7 @@ def check_involutive_axioms(L: Lattice, M: Lattice,
     info = {"homset_size": len(A), "generators": None, "pairs": 0,
             "rotation_checked": False}
     if L.is_distributive and M.is_distributive:
+        del A                       # only its size is read: free it first
         X, H, E = (_rank_one_maps(*p) for p in ((L, M), (M, L), (L, L)))
         info["generators"] = len(X)
     else:

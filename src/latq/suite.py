@@ -22,6 +22,7 @@ from .errors import CapExceeded
 from .lattice import (
     GeneratorSpec,
     Lattice,
+    _fold,
     all_posets,
     downset_lattice,
     generate,
@@ -179,14 +180,13 @@ def _refuted(check_id: str, tag: str, held: bool) -> CheckResult:
 def _t1(ctx: SuiteContext, L: Lattice) -> CheckResult:
     """special o equals the pointwise join over t of c(t) composed after
     a(t)"""
-    o = maps.special(L, "o")
-    parts = [
-        maps.compose(maps.special(L, "c", t), maps.special(L, "a", t))
-        for t in range(L.n)
-    ]
-    got = maps.pointwise_join(parts, dom=L, cod=L)
-    return CheckResult("T1", got == o, None if got == o else {
-        "computed": got.values.tolist(), "o": o.values.tolist()})
+    o = maps.special(L, "o").values
+    parts = np.take_along_axis(maps.special_table(L, "c"),
+                               maps.special_table(L, "a"), axis=1)
+    got = _fold(L.join, parts.T)
+    held = bool((got == o).all())
+    return CheckResult("T1", held, None if held else {
+        "computed": got.tolist(), "o": o.tolist()})
 
 
 @_check("T2")
@@ -194,8 +194,7 @@ def _t2(ctx: SuiteContext, L: Lattice) -> CheckResult:
     """interior of the upper indicator alpha(x) is the annihilator at
     o(x)"""
     o = maps.special(L, "o").values
-    alphas = np.where(L.leq, L.top, L.bottom).astype(np.int32)
-    got = maps._batch_interior(L, L, alphas)
+    got = maps._batch_interior(L, L, maps.special_table(L, "alpha"))
     expect = np.where(L.leq[:, o].T, L.bottom, L.top).astype(np.int32)
     return verdict("T2", (got == expect).all(axis=1), {
         "x": np.arange(L.n), "interior": got, "annihilator_at_o(x)": expect})

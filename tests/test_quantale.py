@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -785,6 +786,31 @@ def test_involutive_axioms_enumerate_only_their_homset(monkeypatch):
     assert res.holds, res.witness
     assert res.info["homset_size"] == 12 and res.info["rotation_checked"]
     assert calls == [(12, 2)]
+
+
+def test_involutive_axioms_free_the_enumeration_on_a_distributive_pair(
+        zoo, monkeypatch):
+    # the laws read only the homset's size on a distributive pair, so the
+    # members are gone before they run; elsewhere the laws run on them
+    refs, alive = [], []
+    real_enumerate, real_laws = quantale.enumerate_homset, quantale._axiom_laws
+
+    def enumerate_spy(dom, cod, cap=quantale.DEFAULT_CAP):
+        A = real_enumerate(dom, cod, cap)
+        refs.append(weakref.ref(A))
+        return A
+
+    def laws_spy(*args):
+        alive.append(refs[-1]() is not None)
+        return real_laws(*args)
+
+    monkeypatch.setattr(quantale, "enumerate_homset", enumerate_spy)
+    monkeypatch.setattr(quantale, "_axiom_laws", laws_spy)
+    d4_0 = latq.downset_lattice(latq.Poset(np.eye(4, dtype=bool)))
+    for L, M in ((zoo["b2"], zoo["b2"]), (zoo["c3"], zoo["b2"]),
+                 (d4_0, d4_0), (zoo["n5"], zoo["n5"]), (zoo["c3"], zoo["m3"])):
+        latq.check_involutive_axioms(L, M)
+    assert alive == [False, False, False, True, True]
 
 
 def test_involutive_axioms_fail_off_cd(zoo):

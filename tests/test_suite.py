@@ -166,6 +166,20 @@ def test_render_text_green(mini_report):
         in text
 
 
+def test_t1_witness_lists_both_maps(monkeypatch, zoo):
+    # with a(t) spoiled to alpha(t), c(t) after it sends y to t exactly
+    # when t <= y, so the join is the identity, not o
+    b2 = zoo["b2"]
+    tables = {k: maps.special_table(b2, k) for k in ("c", "alpha")}
+    tables["a"] = tables["alpha"]
+    monkeypatch.setattr(maps, "special_table", lambda L, kind: tables[kind])
+    res = suite._t1(suite.SuiteContext(), b2)
+    assert not res.holds
+    assert res.witness == {"computed": [0, 1, 2, 3], "o": [0, 2, 1, 3]}
+    assert json.dumps(res.witness) == \
+        '{"computed": [0, 1, 2, 3], "o": [0, 2, 1, 3]}'
+
+
 GUARD = ("c1", "c3", "b2", "b3", "m3", "n5", "d3_2", "r03")
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 VERIFY_REF = PERFBENCH / "refs" / "verify_builtin.json"
