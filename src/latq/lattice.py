@@ -200,7 +200,8 @@ class Lattice:
 
     @cached_property
     def derived(self) -> dict:
-        """Maps built from this carrier alone, kept by `maps.special`."""
+        """Maps and tables built from this carrier alone, kept by `maps`
+        (`special`, `_interior_tables`)."""
         return {}
 
     @cached_property
@@ -257,73 +258,6 @@ class Lattice:
         for c in self.lower_covers.T[1:]:
             keep &= (self.join[c[ix], iy] != ij) & (self.join[ix, c[iy]] != ij)
         return ix[keep], iy[keep], ij[keep]
-
-    @cached_property
-    def interior_tables(self) -> tuple:
-        """What `maps._batch_interior` reads of this carrier, built once:
-        (groups, non_j, pairs, hops).
-
-        `groups` holds the elements by height, the length of the longest
-        chain from the bottom up to them, lowest first, so that an
-        element's upper covers lie in groups above its own and its lower
-        covers in groups below.  Each group is (G, U, D): row k of U
-        holds G[k], its upper covers and the top as pad, and row k of D
-        holds G[k], its lower covers and the bottom as pad.  The dual's
-        groups are these in reverse order with U and D swapped, so
-        whichever of the two is built second takes them.  `non_j` holds
-        the elements that are not join-irreducible.  The binding-pair
-        step reads `pairs`, (ix, iy, zs, first), with ix and iy as in
-        `minimal_binding_pairs`, zs their distinct joins and first the
-        start of each run of one join; and `hops`, the (at, to) steps
-        that meet entries of a run with those further on, halving the
-        runs into their first entries.
-        """
-        lower = np.bincount([j for _, j in self.poset.covers], minlength=self.n)
-        non_j = np.flatnonzero(lower != 1)
-        # the dual's tables if it is built and has them, else None
-        dual = self.__dict__.get("op", self).__dict__.get("interior_tables")
-        groups = ([(G, D, U) for G, U, D in dual[0][::-1]] if dual
-                  else self._cover_groups(lower.tolist()))
-        ix, iy, ij = self.minimal_binding_pairs
-        joins = ij.tolist()
-        first = [k for k, z in enumerate(joins) if not k or z != joins[k - 1]]
-        # left[k] counts the entries from k to the end of its run
-        left = [e - k for s, e in zip(first, first[1:] + [len(joins)])
-                for k in range(s, e)]
-        hops = []
-        for b in range((max(left, default=1) - 1).bit_length()):
-            at = np.array([k for k, r in enumerate(left) if r > 1 << b],
-                          np.intp)
-            hops.append((at, at + (1 << b)))
-        first = np.array(first, np.intp)
-        return groups, non_j, (ix, iy, ij[first], first), hops
-
-    def _cover_groups(self, lower: list[int]) -> list[tuple]:
-        """The groups of `interior_tables`, given the number of lower
-        covers of each element."""
-        n = self.n
-        up = [[x] for x in range(n)]
-        height = [0] * n
-        rank = self.leq.sum(axis=0).tolist()
-        # each cover after those into its lower end, as rank is monotone
-        for i, j in sorted(self.poset.covers, key=lambda e: rank[e[0]]):
-            up[i].append(j)
-            if height[j] <= height[i]:
-                height[j] = height[i] + 1
-        order = sorted(range(n), key=height.__getitem__)
-        G = np.array(order)
-        width = max(map(len, up))
-        U = np.array([up[x] + [self.top] * (width - len(up[x]))
-                      for x in order])
-        D = self.lower_covers[G]
-        groups, a = [], 0
-        for _, xs in itertools.groupby(order, key=height.__getitem__):
-            xs = list(xs)
-            b = a + len(xs)
-            groups.append((G[a:b], U[a:b, :max(len(up[x]) for x in xs)],
-                           D[a:b, :1 + max(lower[x] for x in xs)]))
-            a = b
-        return groups
 
     def rename(self, name: str) -> "Lattice":
         """Same lattice object shape under a new name (shared arrays)."""

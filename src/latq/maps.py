@@ -28,7 +28,7 @@ the (len(P), len(Q), n) array of them.
 Families are folded through a join or meet table by `lattice._fold`.
 The interior folds over the covers of its domain, not over up-sets: two
 sweeps over the Hasse diagram, a group of elements at a time, read the
-tables `Lattice.interior_tables` builds once per carrier.  The special
+tables `_interior_tables` builds once per carrier.  The special
 maps that take an element are the rows of one table per kind
 (`special_table`), which T1 reads whole.  The sampler draws all its rows
 at once, one domain element at a time, from an up-set table built once
@@ -270,8 +270,7 @@ def _batch_interior(dom: Lattice, cod: Lattice, H: np.ndarray) -> np.ndarray:
     smaller pair's, and leaving it out changes no meet.
 
     Both halves of the rebuild are sweeps over the covers of dom, a group
-    of elements of one height at a time (`Lattice.interior_tables`), in
-    place:
+    of elements of one height at a time (`_interior_tables`), in place:
     - from the top down, U[y] = H[y] ^ meet of U[c] over the upper covers
       c of y, as the up-set of y is {y} and the up-sets of those covers;
     - then from the bottom up, H[x] = (U[x] if x in J else bottom) v join
@@ -284,14 +283,14 @@ def _batch_interior(dom: Lattice, cod: Lattice, H: np.ndarray) -> np.ndarray:
     as the bottom covers nothing and is not in J; and the atoms', whose
     only lower cover is the bottom.
     """
-    groups, non_j, (ix, iy, zs, first), hops = dom.interior_tables
+    G, U, D, groups, non_j, (ix, iy, zs, first), hops = _interior_tables(dom)
     H = np.array(H, dtype=np.int32)
     while True:
-        for G, U, _ in groups[-2:0:-1]:
-            H[:, G] = _fold(cod.meet, H[:, U])
+        for a, b, u, _ in groups[-2:0:-1]:
+            H[:, G[a:b]] = _fold(cod.meet, H[:, U[a:b, :u]])
         H[:, non_j] = cod.bottom
-        for G, _, D in groups[2:]:
-            H[:, G] = _fold(cod.join, H[:, D])
+        for a, b, _, d in groups[2:]:
+            H[:, G[a:b]] = _fold(cod.join, H[:, D[a:b, :d]])
         K = cod.join[H[:, ix], H[:, iy]]
         for at, to in hops:        # K[:, first] becomes the meet of each run
             K[:, at] = cod.meet[K[:, at], K[:, to]]
@@ -299,6 +298,63 @@ def _batch_interior(dom: Lattice, cod: Lattice, H: np.ndarray) -> np.ndarray:
         if np.array_equal(K, H[:, zs]):
             return H
         H[:, zs] = K
+
+
+def _interior_tables(dom: Lattice) -> tuple:
+    """What `_batch_interior` reads of its domain, built once per carrier
+    and kept in `dom.derived`: (G, U, D, groups, non_j, pairs, hops).
+
+    G lists the elements by height, the length of the longest chain from
+    the bottom up to them, lowest first, so that an element's upper
+    covers are higher than it and its lower covers lower.  Row k of U
+    holds G[k], its upper covers and the top as pad, and row k of D holds
+    G[k], its lower covers and the bottom as pad (`Lattice.lower_covers`).
+    `groups` holds (a, b, u, d) for each height: G[a:b] are its elements,
+    whose rows need only the first u columns of U and d of D.  `non_j`
+    holds the elements that are not join-irreducible.  The binding-pair
+    step reads `pairs`, (ix, iy, zs, first), with ix and iy as in
+    `Lattice.minimal_binding_pairs`, zs their distinct joins and first the
+    start of each run of one join; and `hops`, the (at, to) steps that
+    meet entries of a run with those further on, halving the runs into
+    their first entries.
+    """
+    if "interior" in dom.derived:
+        return dom.derived["interior"]
+    n = dom.n
+    rank = dom.leq.sum(axis=0).tolist()
+    up, down, height = [[x] for x in range(n)], [0] * n, [0] * n
+    # each cover after those into its lower end: down-sets grow along covers
+    for i, j in sorted(dom.poset.covers, key=lambda e: rank[e[0]]):
+        up[i].append(j)
+        down[j] += 1
+        if height[j] <= height[i]:
+            height[j] = height[i] + 1
+    G = sorted(range(n), key=height.__getitem__)
+    width = max(map(len, up))
+    U = np.array([up[x] + [dom.top] * (width - len(up[x])) for x in G],
+                 np.intp)
+    groups, a = [], 0
+    for _, xs in itertools.groupby(G, key=height.__getitem__):
+        xs = list(xs)
+        groups.append((a, a + len(xs), max(len(up[x]) for x in xs),
+                       1 + max(down[x] for x in xs)))
+        a += len(xs)
+    ix, iy, ij = dom.minimal_binding_pairs
+    joins = ij.tolist()
+    first = [k for k, z in enumerate(joins) if not k or z != joins[k - 1]]
+    # left[k] counts the entries from k to the end of its run
+    left = [e - k for s, e in zip(first, first[1:] + [len(joins)])
+            for k in range(s, e)]
+    hops = []
+    for b in range((max(left, default=1) - 1).bit_length()):
+        at = np.array([k for k, r in enumerate(left) if r > 1 << b], np.intp)
+        hops.append((at, at + (1 << b)))
+    first = np.array(first, np.intp)
+    dom.derived["interior"] = (
+        np.array(G), U, dom.lower_covers[G], groups,
+        np.array([x for x in range(n) if down[x] != 1], np.intp),
+        (ix, iy, ij[first], first), hops)
+    return dom.derived["interior"]
 
 
 def _batch_right_adjoint(dom: Lattice, cod: Lattice, F: np.ndarray) -> np.ndarray:
@@ -387,21 +443,22 @@ def special(L: Lattice, kind: str, x: int | None = None) -> LatMap:
         raise ValueError(f"special {kind!r} needs an element")
     if not 0 <= x < L.n:
         raise IndexOutOfRange(f"{x} outside range({L.n})")
-    return LatMap(L, L, special_table(L, kind)[x])
+    return LatMap(L, L, special_table(L, kind, x))
 
 
-def special_table(L: Lattice, kind: str) -> np.ndarray:
+def special_table(L: Lattice, kind: str,
+                  x: int | slice = slice(None)) -> np.ndarray:
     """The (n, n) table whose row x is special(L, kind, x), for a kind
-    that takes an element."""
+    that takes an element; given x, that row alone."""
     y = np.arange(L.n, dtype=np.int32)     # the argument, across a row
     if kind == "c":
-        return np.where(y == L.bottom, y, y[:, None])
+        return np.where(y == L.bottom, y, y[x, None])
     if kind == "a":
-        return np.where(L.leq.T, L.bottom, L.top).astype(np.int32)
+        return np.where(L.leq[:, x].T, L.bottom, L.top).astype(np.int32)
     if kind == "alpha":
-        return special_table(L.op, "a")
+        return special_table(L.op, "a", x)
     if kind == "nu":
-        return np.where(L.leq.T, L.bottom, y)
+        return np.where(L.leq[:, x].T, L.bottom, y)
     raise ValueError(f"unknown special kind {kind!r}")
 
 
