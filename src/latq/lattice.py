@@ -22,12 +22,19 @@ import numpy as np
 
 from .errors import CycleDetected, IndexOutOfRange, NotALattice, TooLarge
 
-# Largest carrier admitted; every `Poset` checks it, and `build_poset` and
-# `_inclusion_lattice` before they allocate an order table.  Budget: 5 s to
-# build a chain with one BLAS thread (512, 1,024 elements: 0.1, 0.45 s),
-# and 30 s for `latq verify --corpus` on the 1,024-element chain (0.7 s,
-# T2 about 0.1 s of it).
+# Largest carrier admitted (`_admit`).  Budget: 5 s to build a chain with
+# one BLAS thread (512, 1,024 elements: 0.1, 0.45 s), and 30 s for
+# `latq verify --corpus` on the 1,024-element chain (0.7 s, T2 about 0.1 s
+# of it).
 MAX_ELEMENTS = 1024
+
+
+def _admit(n: int) -> None:
+    """Refuse a carrier of n elements past `MAX_ELEMENTS`: every `Poset`
+    calls it, and `build_poset`, `_inclusion_lattice` and
+    `quantale.homset_lattice` before they build an order table."""
+    if n > MAX_ELEMENTS:
+        raise TooLarge(f"{n} elements exceeds the {MAX_ELEMENTS} cap")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -74,8 +81,7 @@ class Poset:
         if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
             raise ValueError("leq must be square")
         n = leq.shape[0]
-        if n > MAX_ELEMENTS:
-            raise TooLarge(f"{n} elements exceeds the {MAX_ELEMENTS} cap")
+        _admit(n)
         if not leq.diagonal().all():
             raise ValueError("leq must be reflexive")
         if (leq & leq.T & ~np.eye(n, dtype=bool)).any():
@@ -122,8 +128,7 @@ def build_poset(n: int, covers: Iterable[tuple[int, int]]) -> Poset:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > MAX_ELEMENTS:
-        raise TooLarge(f"{n} elements exceeds the {MAX_ELEMENTS} cap")
+    _admit(n)
     leq = np.eye(n, dtype=bool)
     for i, j in covers:
         if not (0 <= i < n and 0 <= j < n):
@@ -196,33 +201,13 @@ class Lattice:
     @cached_property
     def is_distributive(self) -> bool:
         """No pair binds: every join-irreducible is join-prime."""
-        return not len(self.interior_constraints[0])
+        return not len(self.minimal_binding_pairs[0])
 
     @cached_property
     def derived(self) -> dict:
         """Maps and tables built from this carrier alone, kept by `maps`
         (`special`, `_interior_tables`)."""
         return {}
-
-    @cached_property
-    def interior_constraints(self) -> tuple[np.ndarray, ...]:
-        """The binding pairs (ix, iy, ij = ix v iy), sorted by ij.
-
-        An incomparable pair x < y (as indices) binds when c[x v y] +
-        c[x ^ y] > c[x] + c[y], c counting the join-irreducibles below: some
-        join-irreducible below x v y is below neither.  A map x -> join of
-        its values on J below x preserves the join of every other pair.
-        Empty exactly on distributive lattices.  This is the full table,
-        the definition `is_distributive` reads; the interior and the
-        enumeration check only its `minimal_binding_pairs`.
-        """
-        c = self.leq[list(self.join_irreducibles)].sum(axis=0)
-        inc = np.argwhere(~(self.leq | self.leq.T))
-        ix, iy = inc[inc[:, 0] < inc[:, 1]].T
-        ij = self.join[ix, iy].astype(np.int64)
-        binds = np.flatnonzero(c[ij] + c[self.meet[ix, iy]] > c[ix] + c[iy])
-        binds = binds[np.argsort(ij[binds], kind="stable")]
-        return ix[binds], iy[binds], ij[binds]
 
     @cached_property
     def lower_covers(self) -> np.ndarray:
@@ -241,22 +226,35 @@ class Lattice:
 
     @cached_property
     def minimal_binding_pairs(self) -> tuple[np.ndarray, ...]:
-        """The binding pairs that no pair one lower cover down replaces: no
-        lower cover c of ix has c v iy = ij, and none of iy has ix v c = ij.
-        Same layout and order as `interior_constraints`.
+        """The binding pairs that no pair one lower cover down replaces,
+        as (ix, iy, ij = ix v iy), sorted by ij.
+
+        An incomparable pair x < y (as indices) binds when c[x v y] +
+        c[x ^ y] > c[x] + c[y], c counting the join-irreducibles below: some
+        join-irreducible below x v y is below neither.  A map x -> join of
+        its values on J below x preserves the join of every other pair.  A
+        binding pair is kept unless a lower cover c of ix has c v iy = ij,
+        or one of iy has ix v c = ij; that pair binds too.  So every binding
+        pair lies above a kept one with its join, and the table is empty
+        exactly on distributive lattices.
 
         On a monotone row, such as one rebuilt from its values on J, the
-        pair (c, y) has f(c) v f(y) <= f(x) v f(y) <= f(x v y); and any
-        other pair below (x, y) with the same join lies below one of these
-        one-step pairs.  So a join test, or a meet of join values, over the kept
-        pairs decides the same as over all binding pairs, and every join
-        of a binding pair keeps at least one.  Lower covers are read one
-        padded column at a time, bottom the pad: bottom v y = y != ij.
+        pair (c, y) has f(c) v f(y) <= f(x) v f(y) <= f(x v y).  So a join
+        test, or a meet of join values, over the kept pairs decides the
+        same as over all binding pairs.  Lower covers are read one padded
+        column at a time, bottom the pad: bottom v y = y != ij.
         """
-        ix, iy, ij = self.interior_constraints
+        c = self.leq[list(self.join_irreducibles)].sum(axis=0)
+        inc = np.argwhere(~(self.leq | self.leq.T))
+        ix, iy = inc[inc[:, 0] < inc[:, 1]].T
+        ij = self.join[ix, iy].astype(np.int64)
+        binds = c[ij] + c[self.meet[ix, iy]] > c[ix] + c[iy]
+        ix, iy, ij = ix[binds], iy[binds], ij[binds]
         keep = np.ones(len(ij), dtype=bool)
-        for c in self.lower_covers.T[1:]:
-            keep &= (self.join[c[ix], iy] != ij) & (self.join[ix, c[iy]] != ij)
+        for d in self.lower_covers.T[1:]:
+            keep &= (self.join[d[ix], iy] != ij) & (self.join[ix, d[iy]] != ij)
+        keep = np.flatnonzero(keep)
+        keep = keep[np.argsort(ij[keep], kind="stable")]
         return ix[keep], iy[keep], ij[keep]
 
     def rename(self, name: str) -> "Lattice":
@@ -375,9 +373,7 @@ def downset_lattice(p: Poset, name: str | None = None) -> Lattice:
 
 def _inclusion_lattice(masks: list[int], name: str | None) -> Lattice:
     masks = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
-    if len(masks) > MAX_ELEMENTS:
-        raise TooLarge(
-            f"{len(masks)} elements exceeds the {MAX_ELEMENTS} cap")
+    _admit(len(masks))
     arr = np.asarray(masks, dtype=np.int64)
     leq = (arr[:, None] & ~arr[None, :]) == 0
     return build_lattice(Poset(leq), name)
@@ -401,8 +397,7 @@ def _chain(n: int) -> Lattice:
         raise ValueError("chain needs at least one element")
     if n > 20:
         raise TooLarge(f"chain cap is 20 elements, got {n}")
-    p = build_poset(n, [(i, i + 1) for i in range(n - 1)])
-    return build_lattice(p, f"c{n}")
+    return _inclusion_lattice([(1 << i) - 1 for i in range(n)], f"c{n}")
 
 
 def _boolean(k: int) -> Lattice:
@@ -414,21 +409,16 @@ def _boolean(k: int) -> Lattice:
 
 
 def _product_of_chains(a: int, b: int) -> Lattice:
+    # the down-sets of two disjoint chains, of b - 1 points in the low bits
+    # and a - 1 above them; (i, j) takes i of the one and j of the other,
+    # so (popcount, value) lists the pairs by (i + j, i)
     if a < 1 or b < 1:
         raise ValueError("product needs chains with at least one element")
     if a > 20 or b > 20:
         raise TooLarge(f"product cap is 20 per side, got ({a}, {b})")
-    pairs = sorted(itertools.product(range(a), range(b)),
-                   key=lambda ij: (ij[0] + ij[1], ij[0]))
-    idx = {ij: t for t, ij in enumerate(pairs)}
-    covers = []
-    for (i, j), t in idx.items():
-        if i + 1 < a:
-            covers.append((t, idx[(i + 1, j)]))
-        if j + 1 < b:
-            covers.append((t, idx[(i, j + 1)]))
-    p = build_poset(a * b, covers)
-    return build_lattice(p, f"c{a}xc{b}")
+    return _inclusion_lattice(
+        [(1 << j) - 1 | ((1 << i) - 1) << (b - 1)
+         for i in range(a) for j in range(b)], f"c{a}xc{b}")
 
 
 def _m3() -> Lattice:

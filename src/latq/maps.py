@@ -260,14 +260,14 @@ def _batch_interior(dom: Lattice, cod: Lattice, H: np.ndarray) -> np.ndarray:
     A jc map is fixed by its values on J(dom).  Each pass takes, for each
     j in J(dom), the meet U[j] of the row over the up-set of j, and
     rebuilds the row as x -> join of U[j] over j in J(dom) below x, as
-    `quantale.enumerate_homset` builds rows; then it meets each binding
-    pair's join value with the join of its members' values.  Other pairs
-    hold on a rebuilt row, so passes stop once that step changes nothing,
+    `quantale.enumerate_homset` builds rows; then it meets each minimal
+    binding pair's join value with the join of its members' values
+    (`Lattice.minimal_binding_pairs`).  Other pairs hold on a rebuilt row,
+    which is monotone: a binding pair whose join a lower cover keeps has
+    a join value at or above the smaller pair's, so leaving it out
+    changes no meet.  So passes stop once that step changes nothing,
     after one on a distributive domain.  No step drops a jc map below the
-    start row, so the limit is the greatest.  The step meets over
-    `Lattice.minimal_binding_pairs` only: a rebuilt row is monotone, so a
-    pair whose join a lower cover keeps has a join value at or above the
-    smaller pair's, and leaving it out changes no meet.
+    start row, so the limit is the greatest.
 
     Both halves of the rebuild are sweeps over the covers of dom, a group
     of elements of one height at a time (`_interior_tables`), in place:
@@ -447,9 +447,10 @@ def special(L: Lattice, kind: str, x: int | None = None) -> LatMap:
 
 
 def special_table(L: Lattice, kind: str,
-                  x: int | slice = slice(None)) -> np.ndarray:
+                  x: int | slice | np.ndarray = slice(None)) -> np.ndarray:
     """The (n, n) table whose row x is special(L, kind, x), for a kind
-    that takes an element; given x, that row alone."""
+    that takes an element; given x, that row alone, and given an index
+    array, those rows."""
     y = np.arange(L.n, dtype=np.int32)     # the argument, across a row
     if kind == "c":
         return np.where(y == L.bottom, y, y[x, None])

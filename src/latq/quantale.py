@@ -46,7 +46,7 @@ import numpy as np
 
 from .cd import CheckResult, first_failing_law, verdict
 from .errors import CapExceeded, DomainMismatch, NotContinuous, NotEndoHomset
-from .lattice import Lattice, Poset, build_lattice
+from .lattice import Lattice, Poset, _admit, build_lattice
 from .maps import (
     LatMap,
     _batch_interior,
@@ -139,13 +139,11 @@ def enumerate_homset(dom: Lattice, cod: Lattice,
     each value v at or above its current value at j_k (the join of the
     values already given below j_k), and v is joined into the up-set of
     j_k.  Parents stay in order and values ascend, so the rows come out in
-    lexicographic order of their values on J(dom).  Every row so built has
-    f(x v y) == f(x) v f(y) except perhaps at a binding pair
-    (`Lattice.interior_constraints`, none when dom is distributive).  Only
-    the minimal ones are checked (`Lattice.minimal_binding_pairs`): a row
-    so built is monotone, so a pair whose join a lower cover keeps holds
-    once the smaller pair does.  Each is checked at the level of the last
-    join-irreducible below x v y, the first level at which all three
+    lexicographic order of their values on J(dom).  Every row so built is
+    monotone and has f(x v y) == f(x) v f(y) except perhaps at a binding
+    pair, so the minimal ones decide (`Lattice.minimal_binding_pairs`,
+    none when dom is distributive).  Each is checked at the level of the
+    last join-irreducible below x v y, the first level at which all three
     values are final.
     """
     irr = dom.join_irreducibles
@@ -406,28 +404,26 @@ def check_involutive_axioms(L: Lattice, M: Lattice,
     biconditional f <= g iff f.g* <= zero_M iff g*.f <= zero_L; both
     residual-via-transform formulas on triangles (L,L,M) and (L,M,M);
     and, over distributive L and M, the triangle rotation
-    f.e <= g iff g*.f <= e* iff e.g* <= f* over Q(L,L) x Q(L,M)^2
-    (.info["rotation_checked"]).  Q(L, M), enumerated under cap, is the
-    only homset enumerated; .info["homset_size"] is its size.  Over
-    distributive L and M, endo or rectangular, every law runs on the
-    rank-one maps of Q(L, M), Q(M, L) and Q(L, L) built from the
-    carriers (`_rank_one_maps`; `_axiom_laws` holds the proof), and
-    .info["generators"] counts those of Q(L, M), |J(L)| (|M| - 1) + 1.
-    They are members, so a failure on them is reported as found.
-    Elsewhere the laws run on every member and every pair of members,
-    .info["generators"] is None and the rotation is not run.
-    .info["pairs"] is the pairs each pair law swept.
+    f.e <= g iff g*.f <= e* iff e.g* <= f* over Q(L,L) x Q(L,M)^2.
+    Q(L, M), enumerated under cap, is the only homset enumerated;
+    .info["homset_size"] is its size.  Over distributive L and M, endo or
+    rectangular, every law runs on the rank-one maps of Q(L, M), Q(M, L)
+    and Q(L, L) built from the carriers (`_rank_one_maps`; `_axiom_laws`
+    holds the proof), and .info["generators"] counts those of Q(L, M),
+    |J(L)| (|M| - 1) + 1.  They are members, so a failure on them is
+    reported as found.  Elsewhere the laws run on every member and every
+    pair of members, .info["generators"] is None and the rotation is not
+    run.  .info["pairs"] is the pairs each pair law swept.
     """
     A = enumerate_homset(L, M, cap)
-    info = {"homset_size": len(A), "generators": None, "pairs": 0,
-            "rotation_checked": False}
+    info = {"homset_size": len(A), "generators": None, "pairs": 0}
     if L.is_distributive and M.is_distributive:
         del A                       # only its size is read: free it first
-        X, H, E = (_rank_one_maps(*p) for p in ((L, M), (M, L), (L, L)))
+        X, H = _rank_one_maps(L, M), _rank_one_maps(M, L)
         info["generators"] = len(X)
     else:
-        X, H, E = A.matrix, None, None
-    w = first_failing_law(_axiom_laws(L, M, X, H, E, info))
+        X, H = A.matrix, None
+    w = first_failing_law(_axiom_laws(L, M, X, H, info))
     return CheckResult("involutive_axioms", w is None, w, info=info)
 
 
@@ -441,18 +437,18 @@ def _rank_one_maps(L: Lattice, M: Lattice) -> np.ndarray:
     return np.vstack([np.full((1, L.n), M.bottom, dtype=np.int32), E])
 
 
-def _axiom_laws(L: Lattice, M: Lattice, X: np.ndarray, H, E, info: dict):
+def _axiom_laws(L: Lattice, M: Lattice, X: np.ndarray, H, info: dict):
     """The laws of `check_involutive_axioms` on the given rows, as
     (law, ok, rows), in order.
 
     The double transform runs on X, maps L -> M, and on H, maps M -> L,
     unless M == L, where H is X.  The first argument of each pair law
     runs over X and the second over Y, the stars of H.  With H None, Y is
-    X and the stars of X serve as H.  With E, maps L -> L, the triangle
-    rotation runs over f in X, e in E and g in Y.
+    X and the stars of X serve as H.  With H given, the triangle rotation
+    runs last, over f in X, e in E = `_rank_one_maps(L, L)` and g in Y.
 
-    On the members of A = Q(L, M), with H and E None, these are the
-    laws themselves.  On the rank-one maps X of A, H of D = Q(M, L) and
+    On the members of A = Q(L, M), with H None, these are the laws
+    themselves.  On the rank-one maps X of A, H of D = Q(M, L) and
     E of Q(L, L) (`_rank_one_maps`) they are exact once (a) L and M are
     distributive.  Then X, H and E are members, by (d), and so is Y, as
     a star is always join-continuous (x v y not<= t exactly when
@@ -562,9 +558,9 @@ def _axiom_laws(L: Lattice, M: Lattice, X: np.ndarray, H, E, info: dict):
         swapped(_on_composites(_batch_residual_right, M, X, RY)),
         swapped(_on_composites(_stars, M, X, H)))
 
-    if E is None:
+    if Y is X:                      # H was None: the members, no rotation
         return
-    info["rotation_checked"] = True
+    E = _rank_one_maps(L, L)
     # f . e <= g, g* . f <= e* and e . g* <= f*, each as [f, e, g]
     P1 = _composites_below(M, X, E, Y)
     P2 = _composites_below(L, H, X, _stars(L, L, E)).transpose(1, 2, 0)
@@ -575,5 +571,8 @@ def _axiom_laws(L: Lattice, M: Lattice, X: np.ndarray, H, E, info: dict):
 
 
 def homset_lattice(Q: HomsetEnumeration) -> Lattice:
-    """The homset as a lattice under the pointwise order."""
+    """The homset as a lattice under the pointwise order, refused before
+    that order is built when the members are more than a carrier may
+    hold."""
+    _admit(len(Q))
     return build_lattice(Poset(_pointwise_leq(Q.cod, Q.matrix, Q.matrix)))

@@ -252,6 +252,33 @@ def test_generators_fixtures(zoo):
     assert not zoo["n5"].is_distributive
 
 
+def _by_covers(a, b):
+    """c_a x c_b, and c_a at b = 1, from hand-made covers: the pairs
+    (i, j) listed by (i + j, i), each covered by its successor along
+    either side."""
+    pairs = sorted(itertools.product(range(a), range(b)),
+                   key=lambda ij: (ij[0] + ij[1], ij[0]))
+    idx = {ij: t for t, ij in enumerate(pairs)}
+    covers = [(t, idx[i + di, j + dj]) for (i, j), t in idx.items()
+              for di, dj in ((1, 0), (0, 1)) if (i + di, j + dj) in idx]
+    return latq.build_lattice(latq.build_poset(a * b, covers))
+
+
+def test_generated_chains_and_products_match_the_covers_construction():
+    g = latq.GeneratorSpec
+    cases = [(g("chain", n=n), n, 1, f"c{n}") for n in range(1, 21)]
+    cases += [(g("product", a=a, b=b), a, b, f"c{a}xc{b}")
+              for a in range(1, 21) for b in range(1, 21)]
+    for spec, a, b, name in cases:
+        L, want = latq.generate(spec), _by_covers(a, b)
+        assert L.name == name
+        assert np.array_equal(L.leq, want.leq), name
+        assert np.array_equal(L.join, want.join), name
+        assert np.array_equal(L.meet, want.meet), name
+        assert L.poset.covers == want.poset.covers, name
+        assert (L.bottom, L.top) == (want.bottom, want.top), name
+
+
 def test_generator_caps_and_validation():
     with pytest.raises(latq.TooLarge):
         latq.generate(latq.GeneratorSpec("chain", n=21))
@@ -308,7 +335,7 @@ def test_binding_pairs_decide_distributivity(corpus, perfbench_workloads):
     for L in carriers + [L.op for L in carriers]:
         distributive = latq.distributivity_witness(L) is None
         assert L.is_distributive == distributive, L.name
-        assert (len(L.interior_constraints[0]) == 0) == distributive, L.name
+        assert (len(L.minimal_binding_pairs[0]) == 0) == distributive, L.name
         verdicts.append(distributive)
     assert len(verdicts) == 2 * (86 + 13)
     assert 0 < sum(verdicts) < len(verdicts)
@@ -320,8 +347,24 @@ def test_binding_pairs_agree_with_the_triple_scan(L):
         assert K.is_distributive == (latq.distributivity_witness(K) is None)
 
 
+def _binding_pairs(L):
+    """Every binding pair (x, y, x v y), x < y as indices, sorted by the
+    join: incomparable, with a join-irreducible below x v y and below
+    neither."""
+    inc = np.argwhere(~(L.leq | L.leq.T))
+    ix, iy = inc[inc[:, 0] < inc[:, 1]].T
+    ij = L.join[ix, iy]
+    below = L.leq[list(L.join_irreducibles)]
+    binds = np.flatnonzero(
+        (below[:, ij] & ~below[:, ix] & ~below[:, iy]).any(axis=0))
+    binds = binds[np.argsort(ij[binds], kind="stable")]
+    return ix[binds], iy[binds], ij[binds]
+
+
 def test_binding_pairs_against_their_definition(corpus):
-    # x, y bind when a join-irreducible below x v y is below neither
+    # x, y bind when a join-irreducible below x v y is below neither; the
+    # kept pairs bind, and every binding pair lies above a kept pair with
+    # its join, so the kept table is empty exactly when no pair binds
     for L in corpus:
         if L.n > 16:
             continue
@@ -330,9 +373,18 @@ def test_binding_pairs_against_their_definition(corpus):
                 if not L.leq[x, y] and not L.leq[y, x]
                 and any(L.leq[j, L.join[x, y]] and not L.leq[j, x]
                         and not L.leq[j, y] for j in J)}
-        ix, iy, ij = L.interior_constraints
+        ix, iy, _ = _binding_pairs(L)
         assert set(zip(ix.tolist(), iy.tolist())) == want, L.name
-        assert (ij == L.join[ix, iy]).all() and (np.diff(ij) >= 0).all()
+        kx, ky, kz = L.minimal_binding_pairs
+        kept = set(zip(kx.tolist(), ky.tolist()))
+        assert kept <= want, L.name
+        assert (kz == L.join[kx, ky]).all() and (np.diff(kz) >= 0).all()
+        for x, y in want:
+            assert any(L.join[a, b] == L.join[x, y]
+                       and ((L.leq[a, x] and L.leq[b, y])
+                            or (L.leq[b, x] and L.leq[a, y]))
+                       for a, b in kept), (L.name, x, y)
+        assert L.is_distributive == (not want), L.name
 
 
 def _assert_minimal_binding_pairs_match_their_definition(L):
@@ -341,7 +393,7 @@ def _assert_minimal_binding_pairs_match_their_definition(L):
     # {a, b} below {x, y} has a <= x and b <= y for one of its two
     # orderings.  Every binding pair lies above a kept one with its join.
     down = [np.flatnonzero(L.leq[:, x]) for x in range(L.n)]
-    ix, iy, ij = L.interior_constraints
+    ix, iy, ij = _binding_pairs(L)
     want = set()
     for x, y, z in zip(ix.tolist(), iy.tolist(), ij.tolist()):
         if (L.join[np.ix_(down[x], down[y])] == z).sum() == 1:  # (x, y)

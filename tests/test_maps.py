@@ -705,6 +705,12 @@ def test_rank_rows_ranks_several_blocks_as_one(base, width, sizes):
     assert (rows[first][np.concatenate(ids)] == rows).all()
 
 
+def test_rank_rows_refuses_entries_too_wide_to_code_exactly():
+    # one column of base 2 ** 60 is past the 53 bits a run may take
+    with pytest.raises(latq.CapExceeded):
+        maps._rank_rows(2 ** 60, np.zeros((4, 1), np.int64))
+
+
 @pytest.mark.parametrize("P_shape, Q_shape, base", [
     ((6, 4), (6, 5), 3),          # square
     ((5, 3), (8, 4), 7),          # rectangular

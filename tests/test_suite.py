@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import latq
-from latq import docio, maps, quantale, suite
+from latq import cli, docio, maps, quantale, suite
 from latq.cd import CheckResult, first_failing_law
 from latq.suite import SuiteReport
 
@@ -232,6 +232,38 @@ def test_verify_large_cells_match_committed_reference(
             cells += 1
             ran += cell.status != "skip"
     assert (cells, ran) == (288, 84)
+
+
+def test_t14_fails_where_the_axioms_ran_on_the_members(zoo):
+    # a CD carrier read as non-distributive sends the axiom check down the
+    # member route, which runs no rotation: T6 still passes on the
+    # members, and T14 refuses to count that as its rotation; a renamed
+    # copy keeps the forced verdict off the shared carrier
+    L = zoo["c3"].rename("c3")
+    L.__dict__["is_distributive"] = False
+    report = latq.run_suite(corpus=[L], checks=["T6", "T14"])
+    t6, t14 = report.results["T6"]["c3"], report.results["T14"]["c3"]
+    assert t6.status == "pass"
+    assert t14.status == "fail"
+    assert t14.witness == {"rotation_not_covered": True}
+
+
+def test_a_refusal_inside_a_check_is_an_unexpected_skip(
+        monkeypatch, tmp_path, zoo):
+    def refuse(Q):
+        raise latq.CapExceeded("refused inside the check")
+
+    monkeypatch.setattr(quantale, "cyclic_elements", refuse)
+    report = latq.run_suite(corpus=[zoo["c3"]], checks=["T3"])
+    cell = report.results["T3"]["c3"]
+    assert cell.status == "skip" and cell.expected is False
+    assert cell.reason == "refused inside the check"
+    assert report.summary["unexpected_skip"] == 1 and not report.ok
+    assert any(line.startswith("UNEXPECTED SKIP T3 on c3")
+               for line in report.render_text().splitlines())
+    docio.save_lattice(zoo["c3"], str(tmp_path / "c3.json"))
+    assert cli.main(
+        ["verify", "--checks", "T3", "--corpus", str(tmp_path)]) == 1
 
 
 def test_run_suite_refuses_two_carriers_of_one_name(zoo):
