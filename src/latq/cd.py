@@ -190,13 +190,18 @@ class LatticeProfile:
 
 def classify_lattice(L: Lattice) -> LatticeProfile:
     """Structure profile; complete distributivity via the join criterion."""
+    return _profile(L, raney_join_criterion(L).holds)
+
+
+def _profile(L: Lattice, completely_distributive: bool) -> LatticeProfile:
+    """The profile, given the join criterion's verdict on L."""
     primes = sorted(completely_join_primes(L))
     return LatticeProfile(
         name=L.name,
         n=L.n,
         chain=is_chain(L),
         distributive=L.is_distributive,
-        completely_distributive=raney_join_criterion(L).holds,
+        completely_distributive=completely_distributive,
         smooth=not primes,
         spatial=_spatial(L, primes),
         join_primes=primes,

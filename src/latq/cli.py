@@ -63,7 +63,7 @@ def _cmd_check(args) -> int:
             cd.raney_meet_criterion,
             cd.distributive_oracle)
     ]
-    profile = cd.classify_lattice(L)
+    profile = cd._profile(L, checks[0].holds)    # raney_join_criterion
     agree = len({c.holds for c in checks}) == 1
     if args.json:
         doc = {

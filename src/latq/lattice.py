@@ -51,25 +51,30 @@ def _fold(table: np.ndarray, A: np.ndarray) -> np.ndarray:
     return A[..., 0]
 
 
-def _stable_topo(leq: np.ndarray) -> list[int]:
-    # Kahn over the strict order, always popping the smallest index so the
-    # result is the identity whenever the input is already sorted; that case
-    # is answered without the loop.
-    n = leq.shape[0]
-    if not np.tril(leq, -1).any():
-        return list(range(n))
-    strict = leq & ~np.eye(n, dtype=bool)
-    indeg = strict.sum(axis=0)
+def _stable_topo(n: int, covers: Iterable[tuple[int, int]]) -> list[int]:
+    """Kahn over the Hasse edges (lower, upper) of an order on range(n),
+    always popping the smallest index.
+
+    The pops are those of the same Kahn over the strict order.  What is
+    popped is always a down-set, so an element's lower covers are all
+    popped exactly when everything below it is: both walks have the same
+    elements ready at every step.
+    """
+    indeg = [0] * n
+    upper: list[list[int]] = [[] for _ in range(n)]
+    for i, j in covers:
+        upper[i].append(j)
+        indeg[j] += 1
     heap = [i for i in range(n) if indeg[i] == 0]
     heapq.heapify(heap)
     out: list[int] = []
     while heap:
         i = heapq.heappop(heap)
         out.append(i)
-        for j in np.flatnonzero(strict[i]):
+        for j in upper[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
-                heapq.heappush(heap, int(j))
+                heapq.heappush(heap, j)
     return out
 
 
@@ -95,8 +100,11 @@ class Poset:
 
     @cached_property
     def toposort(self) -> tuple[int, ...]:
-        """A linear extension of the order (original labels)."""
-        return tuple(_stable_topo(self.leq))
+        """A linear extension of the order (original labels): the identity
+        when the labels are sorted already, else `_stable_topo`."""
+        if not np.tril(self.leq, -1).any():
+            return tuple(range(self.n))
+        return tuple(_stable_topo(self.n, self.covers))
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -172,9 +180,12 @@ class Lattice:
     @cached_property
     def op(self) -> "Lattice":
         """Order dual, built once; its own dual is this object."""
-        # transposing keeps the order axioms, so the poset is not revalidated
+        # transposing keeps the order axioms, so the poset is not revalidated,
+        # and turns each Hasse edge around
         p = Poset.__new__(Poset)
         p.n, p.leq = self.n, self.leq.T
+        p.__dict__["covers"] = tuple(
+            sorted((j, i) for i, j in self.poset.covers))
         name = f"{self.name}_dual" if self.name else None
         D = Lattice(p, self.meet, self.join, self.top, self.bottom, name)
         D.__dict__["op"] = self
@@ -206,7 +217,7 @@ class Lattice:
     @cached_property
     def derived(self) -> dict:
         """Maps and tables built from this carrier alone, kept by `maps`
-        (`special`, `_interior_tables`)."""
+        (`special`, `_interior_tables`, `_raney_tables`)."""
         return {}
 
     @cached_property

@@ -28,7 +28,8 @@ the (len(P), len(Q), n) array of them.
 Families are folded through a join or meet table by `lattice._fold`.
 The interior folds over the covers of its domain, not over up-sets: two
 sweeps over the Hasse diagram, a group of elements at a time, read the
-tables `_interior_tables` builds once per carrier.  The special
+tables `_interior_tables` builds once per carrier; the join transform
+gathers over the join-irreducibles, through `_raney_tables`.  The special
 maps that take an element are the rows of one table per kind
 (`special_table`), which T1 reads whole.  The sampler draws all its rows
 at once, one domain element at a time, from an up-set table built once
@@ -45,6 +46,9 @@ import numpy as np
 
 from .errors import CapExceeded, DomainMismatch, IndexOutOfRange, NotContinuous
 from .lattice import Lattice, _fold, _frozen
+
+# Bytes one gather of `_batch_raney_join` may take.
+_RANEY_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -371,12 +375,59 @@ def _batch_left_adjoint(dom: Lattice, cod: Lattice, G: np.ndarray) -> np.ndarray
 
 
 def _batch_raney_join(dom: Lattice, cod: Lattice, F: np.ndarray) -> np.ndarray:
-    """Rowwise x -> join of F[k, t] over t with x not<= t."""
-    out = np.full(F.shape, cod.bottom, dtype=np.int32)
-    for t in range(dom.n):
-        mask = ~dom.leq[:, t]
-        out = np.where(mask[None, :], cod.join[out, F[:, t][:, None]], out)
+    """Rowwise x -> join of F[k, t] over t with x not<= t.
+
+    Two gathers over the join-irreducibles J of dom (`_raney_tables`):
+    R[k, j] = join of F[k, t] over t with j not<= t, then x -> join of
+    R[k, j] over j in J below x, the empty join at the bottom.  Exact on
+    every row, monotone or not: x is the join of the j in J below it, so
+    x <= t just when each such j is, and {t : x not<= t} is the union of
+    the sets {t : j not<= t}.
+    """
+    T, P = _raney_tables(dom)
+    R = np.full((len(F), len(T) + 1), cod.bottom, dtype=np.int32)
+    R[:, :-1] = _gathered_joins(cod.join, F, T)
+    return _gathered_joins(cod.join, R, P)
+
+
+def _gathered_joins(join: np.ndarray, F: np.ndarray, idx: np.ndarray
+                    ) -> np.ndarray:
+    """_fold(join, F[:, idx]), by blocks of rows of F, and of idx where one
+    row of F needs it, whose gathers fit `_RANEY_CHUNK_BYTES`."""
+    out = np.empty((len(F), len(idx)), dtype=np.int32)
+    cell = 4 * idx.shape[1]
+    rows = max(1, _RANEY_CHUNK_BYTES // (cell * max(1, len(idx))))
+    width = max(1, _RANEY_CHUNK_BYTES // (cell * rows))
+    for r in range(0, len(F), rows):
+        for k in range(0, len(idx), width):
+            out[r:r + rows, k:k + width] = _fold(
+                join, F[r:r + rows, idx[k:k + width]])
     return out
+
+
+def _raney_tables(dom: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """The int16 tables (T, P) `_batch_raney_join` reads, built once per
+    carrier into `dom.derived`.  Row k of T lists the t with j_k not<= t,
+    j_k the k-th of J, padded with the bottom, which each row holds; row x
+    of P lists the k with j_k <= x, padded with len(J), R's column of
+    bottoms.  Each takes at most 2 |J| n bytes: 59 KB for both on c20xc20,
+    4 MB on the 1,024-element chain."""
+    if "raney" not in dom.derived:
+        J = list(dom.join_irreducibles)
+        # column len(J) stays False, so P has a column even when J is empty
+        below = np.zeros((dom.n, len(J) + 1), dtype=bool)
+        below[:, :-1] = dom.leq[J].T
+        dom.derived["raney"] = (_padded(~dom.leq[J], dom.bottom),
+                                _padded(below, len(J)))
+    return dom.derived["raney"]
+
+
+def _padded(M: np.ndarray, pad: int) -> np.ndarray:
+    """Row r: the c with M[r, c], ascending, then pad, to a common width."""
+    count = M.sum(axis=1)
+    width = max(1, count.max(initial=0))
+    table = np.argsort(~M, axis=1, kind="stable")[:, :width].astype(np.int16)
+    return np.where(np.arange(width) < count[:, None], table, np.int16(pad))
 
 
 def _batch_raney_meet(dom: Lattice, cod: Lattice, F: np.ndarray) -> np.ndarray:

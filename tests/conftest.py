@@ -46,3 +46,9 @@ def perfbench_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def large_corpus(perfbench_workloads):
+    """The 16 carriers of perfbench's verify_large workload."""
+    return perfbench_workloads.large_corpus(latq)

@@ -129,6 +129,26 @@ def test_check_json(capsys, c3_file):
     assert all(c["holds"] for c in doc["criteria"])
 
 
+def test_check_runs_the_join_criterion_once(capsys, tmp_path, zoo,
+                                            monkeypatch):
+    # the profile's completely_distributive is the criterion's verdict; the
+    # meet criterion runs the join criterion on the dual
+    path = tmp_path / "m3.json"
+    docio.save_lattice(zoo["m3"], str(path))
+    seen = []
+    criterion = latq.cd.raney_join_criterion
+
+    def spy(L):
+        seen.append(L.name)
+        return criterion(L)
+
+    monkeypatch.setattr(latq.cd, "raney_join_criterion", spy)
+    for flags in ((), ("--json",)):
+        seen.clear()
+        code, _, _ = run(capsys, "check", str(path), *flags)
+        assert code == 0 and seen == ["m3", "m3_dual"]
+
+
 def test_check_bad_inputs(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(tmp_path / "missing.json"))
     assert code == 2 and "error:" in err

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import itertools
 
 import numpy as np
@@ -63,6 +64,49 @@ def test_long_chain_has_only_its_own_covers():
     L = latq.build_lattice(latq.build_poset(300, edges))
     assert L.poset.covers == tuple(edges)
     assert L.join_irreducibles == tuple(range(1, 300))
+
+
+def _carriers_and_duals(corpus, large_corpus, perfbench_workloads):
+    """The built-ins, their relabellings as quantaloid_pairs draws them,
+    and verify_large's carriers, each with its dual."""
+    relabelled = perfbench_workloads.relabel(latq, corpus, 1).values()
+    carriers = [*corpus, *relabelled, *large_corpus]
+    return carriers + [L.op for L in carriers]
+
+
+def test_dual_covers_are_the_transposed_orders_covers(
+        corpus, large_corpus, perfbench_workloads):
+    for L in _carriers_and_duals(corpus, large_corpus, perfbench_workloads):
+        assert L.op.poset.covers == latq.Poset(L.leq.T).covers, L.name
+
+
+def _toposort_over_strict_order(leq):
+    """Kahn over the strict order, always popping the smallest index."""
+    n = len(leq)
+    strict = leq & ~np.eye(n, dtype=bool)
+    indeg = strict.sum(axis=0)
+    heap = [i for i in range(n) if indeg[i] == 0]
+    heapq.heapify(heap)
+    out = []
+    while heap:
+        i = heapq.heappop(heap)
+        out.append(i)
+        for j in np.flatnonzero(strict[i]).tolist():
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(heap, j)
+    return tuple(out)
+
+
+def test_toposort_pops_as_the_strict_order_kahn(
+        corpus, large_corpus, perfbench_workloads):
+    carriers = _carriers_and_duals(corpus, large_corpus, perfbench_workloads)
+    assert len(carriers) == 2 * (86 + 86 + 16)
+    unsorted = 0
+    for L in carriers:
+        assert L.poset.toposort == _toposort_over_strict_order(L.leq), L.name
+        unsorted += L.poset.toposort != tuple(range(L.n))
+    assert unsorted > len(carriers) // 2
 
 
 def test_poset_validation_sees_a_gap_behind_256_paths():
