@@ -26,7 +26,7 @@ def lattice_to_doc(L: Lattice) -> dict:
     return {
         "name": name,
         "n": L.n,
-        "covers": [list(c) for c in sorted(L.poset.covers)],
+        "covers": L.poset.covers.tolist(),
     }
 
 

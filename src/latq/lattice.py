@@ -51,7 +51,7 @@ def _fold(table: np.ndarray, A: np.ndarray) -> np.ndarray:
     return A[..., 0]
 
 
-def _stable_topo(n: int, covers: Iterable[tuple[int, int]]) -> list[int]:
+def _stable_topo(n: int, covers: np.ndarray) -> list[int]:
     """Kahn over the Hasse edges (lower, upper) of an order on range(n),
     always popping the smallest index.
 
@@ -62,7 +62,7 @@ def _stable_topo(n: int, covers: Iterable[tuple[int, int]]) -> list[int]:
     """
     indeg = [0] * n
     upper: list[list[int]] = [[] for _ in range(n)]
-    for i, j in covers:
+    for i, j in covers.tolist():
         upper[i].append(j)
         indeg[j] += 1
     heap = [i for i in range(n) if indeg[i] == 0]
@@ -107,12 +107,12 @@ class Poset:
         return tuple(_stable_topo(self.n, self.covers))
 
     @cached_property
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Hasse edges (lower, upper) in ascending lexicographic order."""
+    def covers(self) -> np.ndarray:
+        """Hasse edges (lower, upper), the rows of a read-only (E, 2) intp
+        array in ascending lexicographic order."""
         strict = self.leq & ~np.eye(self.n, dtype=bool)
         via = (strict.astype(np.float32) @ strict.astype(np.float32)) > 0
-        pairs = np.argwhere(strict & ~via).tolist()
-        return tuple(sorted((int(i), int(j)) for i, j in pairs))
+        return _frozen(np.argwhere(strict & ~via))
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
@@ -181,11 +181,11 @@ class Lattice:
     def op(self) -> "Lattice":
         """Order dual, built once; its own dual is this object."""
         # transposing keeps the order axioms, so the poset is not revalidated,
-        # and turns each Hasse edge around
+        # and turns each Hasse edge around, kept in lexicographic order
         p = Poset.__new__(Poset)
-        p.n, p.leq = self.n, self.leq.T
-        p.__dict__["covers"] = tuple(
-            sorted((j, i) for i, j in self.poset.covers))
+        p.n, p.leq, c = self.n, self.leq.T, self.poset.covers
+        p.__dict__["covers"] = _frozen(
+            c[np.argsort(c[:, 1], kind="stable"), ::-1])
         name = f"{self.name}_dual" if self.name else None
         D = Lattice(p, self.meet, self.join, self.top, self.bottom, name)
         D.__dict__["op"] = self
@@ -206,7 +206,7 @@ class Lattice:
     @cached_property
     def join_irreducibles(self) -> tuple[int, ...]:
         """Elements with exactly one lower cover, in toposort order."""
-        lower = np.bincount([j for _, j in self.poset.covers], minlength=self.n)
+        lower = np.bincount(self.poset.covers[:, 1], minlength=self.n)
         return tuple(x for x in self.poset.toposort if lower[x] == 1)
 
     @cached_property
@@ -224,7 +224,7 @@ class Lattice:
     def lower_covers(self) -> np.ndarray:
         """Row x: x itself, then its lower covers, then the bottom as pad
         up to a common width."""
-        lower, upper = np.array(self.poset.covers, np.intp).reshape(-1, 2).T
+        lower, upper = self.poset.covers.T
         order = np.argsort(upper, kind="stable")
         lower, upper = lower[order], upper[order]
         counts = np.bincount(upper, minlength=self.n)
@@ -299,10 +299,9 @@ def build_lattice(p: Poset, name: str | None = None) -> Lattice:
     """
     if p.n == 0:
         raise NotALattice("empty carrier has no bottom")
-    cover = np.array(p.covers, dtype=np.intp).reshape(-1, 2)
     f = p.leq.astype(np.float32)
-    join, top = _meet_table(p.leq.T, f.T, cover[:, 0], "join")
-    meet, bottom = _meet_table(p.leq, f, cover[:, 1], "meet")
+    join, top = _meet_table(p.leq.T, f.T, p.covers[:, 0], "join")
+    meet, bottom = _meet_table(p.leq, f, p.covers[:, 1], "meet")
     return Lattice(p, join, meet, bottom, top, name)
 
 

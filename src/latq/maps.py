@@ -328,7 +328,7 @@ def _interior_tables(dom: Lattice) -> tuple:
     rank = dom.leq.sum(axis=0).tolist()
     up, down, height = [[x] for x in range(n)], [0] * n, [0] * n
     # each cover after those into its lower end: down-sets grow along covers
-    for i, j in sorted(dom.poset.covers, key=lambda e: rank[e[0]]):
+    for i, j in sorted(dom.poset.covers.tolist(), key=lambda e: rank[e[0]]):
         up[i].append(j)
         down[j] += 1
         if height[j] <= height[i]:
@@ -481,9 +481,12 @@ def special(L: Lattice, kind: str, x: int | None = None) -> LatMap:
        below t.
     nu(x): bottom on elements below x, identity elsewhere.
 
-    The kinds that take an element are rows of `special_table`.
+    The kinds that take an element are rows of `special_table`; o and
+    omega refuse one.
     """
     if kind in ("o", "omega"):      # built once per carrier, and read-only
+        if x is not None:
+            raise ValueError(f"special {kind!r} takes no element")
         if kind not in L.derived:
             L.derived[kind] = (raney_join(identity(L)) if kind == "o"
                                else _op(special(L.op, "o")))

@@ -17,14 +17,10 @@ cyclic, dualizing and codualizing searches code every composite exactly
 (`maps._composite_ids`), run the kernels on the distinct composites
 alone (`_on_composites`), and compare results by rank or value.  The
 composite codes take 8 bytes a pair.  The axiom check picks its rows
-from the carriers (`check_involutive_axioms`).  On Q(L, M) with L and M
-distributive, endo or rectangular, every law runs on rank-one maps built
-from the carriers (`_rank_one_maps`): those of Q(L, M) against the stars
-of those of Q(M, L), and the rotation's factor over those of Q(L, L),
-which is exact (`_axiom_laws`).  Past enumerating Q(L, M), the only
-homset it enumerates, it holds memory for |J(L)| (|M| - 1) + 1
-generators a side and their pairs, whatever B.  Elsewhere it runs on the
-members and their pairs, O(B^2).
+from the carriers (`check_involutive_axioms`): over distributive L and
+M one family of |M(L)| |J(M)| + 1 maps a homset, built from them
+(`_epsilon_maps`), whatever B, which is exact (`_axiom_laws`); elsewhere
+the members and their pairs, O(B^2).  It enumerates Q(L, M) alone.
 
 Each detector (`_cyclic`, `_dualizing`, `_codualizing`, `_central`)
 takes candidate positions C and member positions K and gives ok[k, c]
@@ -407,19 +403,19 @@ def check_involutive_axioms(L: Lattice, M: Lattice,
     f.e <= g iff g*.f <= e* iff e.g* <= f* over Q(L,L) x Q(L,M)^2.
     Q(L, M), enumerated under cap, is the only homset enumerated;
     .info["homset_size"] is its size.  Over distributive L and M, endo or
-    rectangular, every law runs on the rank-one maps of Q(L, M), Q(M, L)
-    and Q(L, L) built from the carriers (`_rank_one_maps`; `_axiom_laws`
-    holds the proof), and .info["generators"] counts those of Q(L, M),
-    |J(L)| (|M| - 1) + 1.  They are members, so a failure on them is
-    reported as found.  Elsewhere the laws run on every member and every
-    pair of members, .info["generators"] is None and the rotation is not
-    run.  .info["pairs"] is the pairs each pair law swept.
+    rectangular, every law runs on the maps eps_{t,b} of Q(L, M), Q(M, L)
+    and Q(L, L) (`_epsilon_maps`; `_axiom_laws` holds the proof), and
+    .info["generators"] counts those of Q(L, M), |M(L)| |J(M)| + 1.  They
+    are members, so a failure on them is reported as found.  Elsewhere
+    the laws run on every member and every pair of members,
+    .info["generators"] is None and the rotation is not run.
+    .info["pairs"] is the pairs each pair law swept.
     """
     A = enumerate_homset(L, M, cap)
     info = {"homset_size": len(A), "generators": None, "pairs": 0}
     if L.is_distributive and M.is_distributive:
         del A                       # only its size is read: free it first
-        X, H = _rank_one_maps(L, M), _rank_one_maps(M, L)
+        X, H = _epsilon_maps(L, M), _epsilon_maps(M, L)
         info["generators"] = len(X)
     else:
         X, H = A.matrix, None
@@ -427,13 +423,13 @@ def check_involutive_axioms(L: Lattice, M: Lattice,
     return CheckResult("involutive_axioms", w is None, w, info=info)
 
 
-def _rank_one_maps(L: Lattice, M: Lattice) -> np.ndarray:
-    """The distinct rows x -> b where p <= x, else bottom, for p in J(L)
-    and b in M, the zero map first: members of Q(L, M) when L is
-    distributive, and |J(L)| (|M| - 1) + 1 of them (`_axiom_laws`)."""
-    up = L.leq[list(L.join_irreducibles), None, :]
-    b = np.delete(np.arange(M.n, dtype=np.int32), M.bottom)[:, None]
-    E = np.where(up, b, M.bottom).reshape(-1, L.n)
+def _epsilon_maps(L: Lattice, M: Lattice) -> np.ndarray:
+    """The maps eps_{t,b}: x -> b where x not<= t, else bottom, for t in
+    M(L) and b in J(M), the zero map first: |M(L)| |J(M)| + 1 distinct
+    members of Q(L, M) on every L (`_axiom_laws`)."""
+    t = list(L.op.join_irreducibles)
+    b = np.array(M.join_irreducibles, dtype=np.int32)[:, None]
+    E = np.where(~L.leq[:, t].T[:, None, :], b, M.bottom).reshape(-1, L.n)
     return np.vstack([np.full((1, L.n), M.bottom, dtype=np.int32), E])
 
 
@@ -445,22 +441,26 @@ def _axiom_laws(L: Lattice, M: Lattice, X: np.ndarray, H, info: dict):
     unless M == L, where H is X.  The first argument of each pair law
     runs over X and the second over Y, the stars of H.  With H None, Y is
     X and the stars of X serve as H.  With H given, the triangle rotation
-    runs last, over f in X, e in E = `_rank_one_maps(L, L)` and g in Y.
+    runs last, over f in X, e in E = `_epsilon_maps(L, L)` and g in Y.
 
     On the members of A = Q(L, M), with H None, these are the laws
-    themselves.  On the rank-one maps X of A, H of D = Q(M, L) and
-    E of Q(L, L) (`_rank_one_maps`) they are exact once (a) L and M are
-    distributive.  Then X, H and E are members, by (d), and so is Y, as
-    a star is always join-continuous (x v y not<= t exactly when
-    x not<= t or y not<= t); a law failing on them fails on the
+    themselves.  Write eps_{t,b} for x -> b where x not<= t, else
+    bottom.  On the eps_{t,b} with t in M(L) and b in J(M), X of A, H of
+    D = Q(M, L) and E of Q(L, L) (`_epsilon_maps`), they are exact once
+    (a) L and M are distributive.  Every eps_{t,b} is a member on any
+    carriers, and so is every star in Y, as x v y not<= t exactly when
+    x not<= t or y not<= t; a law failing on the rows fails on the
     homsets.  The double transform runs first, and once it holds (b) on
     X and (c) on H, a law holding on the rows holds on all the homsets:
-    - (d) X generates A, and H generates D, under pointwise joins.  Each
-      join-irreducible p of the distributive L is join-prime, so
-      x -> b where p <= x, else bottom, preserves joins and is a member
-      of A.  Every member f is the join over p in J(L) of those with
-      b = f(p), as f(x) is the join of the f(p) with p <= x in J(L);
-      so X generates A, and H generates D likewise.
+    - (d) X generates A, and H generates D, under pointwise joins: a
+      member f is the join of the eps_{kappa(p),q} with p in J(L),
+      q in J(M) and q <= f(p).  Each p in J(L) of the distributive L is
+      join-prime, so p <= x exactly when x not<= kappa(p), the greatest
+      t with p not<= t.  It is in M(L): p lies below each element above
+      it, so it is no meet of two of them.  So eps_{kappa(p),q} takes x
+      to q, below f(p) <= f(x), where p <= x, else bottom; and f(x) is
+      the join of the f(p) with p <= x in J(L), each the join of the
+      q <= f(p) in J(M).  H generates D likewise.
     - Deflation: f** <= f for every join-continuous f between finite
       lattices.  Let x not<= s and f*(y) <= s.  If y not<= f(x), then
       rho f(f(x)) <= f*(y) <= s, as f*(y) is the join of the rho f(t)
@@ -479,18 +479,15 @@ def _axiom_laws(L: Lattice, M: Lattice, X: np.ndarray, H, info: dict):
       into meets and keep meets in their numerator.
     - The formulas also star maps of Q(L, L) and Q(M, M), and the
       rotation those of Q(L, L).  Over a distributive K the star of
-      Q(K, K) turns joins into meets.  Write e_{c,b} for x -> b where
-      x not<= c, else bottom.  Each join-irreducible p of K is
-      join-prime, with kappa(p) = max{t : p not<= t}, so x -> b where
-      p <= x is e_{kappa(p),b}, and by (d) every member f is the join
-      over p in J(K) of the e_{kappa(p),f(p)}.  The star of e_{c,b} is
-      bottom at bottom, c on the rest of the down-set of b and top off
-      it.  For any rank-one family, rho(join_j e_{c_j,b_j}) takes t to
-      the meet of the c_j with b_j not<= t, which rises with t, and
-      x not<= t exactly when t <= kappa(p) for some p <= x in J(K), so
-      star(join_j e_{c_j,b_j}) takes x to the join over those p of the
+      Q(K, K) turns joins into meets, as by (d) every member is a join
+      of maps eps_{c,b}.  The star of eps_{c,b} is bottom at bottom, c
+      on the rest of the down-set of b and top off it.  For any family,
+      rho(join_j eps_{c_j,b_j}) takes t to the meet of the c_j with
+      b_j not<= t, which rises with t, and x not<= t exactly when
+      t <= kappa(p) for some p <= x in J(K), so
+      star(join_j eps_{c_j,b_j}) takes x to the join over those p of the
       meet of the c_j with p <= b_j.  The pointwise meet of the stars of
-      the e_{c_j,b_j} rises with x and takes each p to that meet, and a
+      the eps_{c_j,b_j} rises with x and takes each p to that meet, and a
       map taking x to a join over the p <= x is join-continuous, each p
       being join-prime, so this is the greatest join-continuous map
       below it: their meet in Q(K, K).
@@ -560,7 +557,7 @@ def _axiom_laws(L: Lattice, M: Lattice, X: np.ndarray, H, info: dict):
 
     if Y is X:                      # H was None: the members, no rotation
         return
-    E = _rank_one_maps(L, L)
+    E = _epsilon_maps(L, L)
     # f . e <= g, g* . f <= e* and e . g* <= f*, each as [f, e, g]
     P1 = _composites_below(M, X, E, Y)
     P2 = _composites_below(L, H, X, _stars(L, L, E)).transpose(1, 2, 0)

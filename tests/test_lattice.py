@@ -28,7 +28,7 @@ def test_build_poset_closes_transitively():
 def test_build_poset_keeps_labels_as_given():
     # covers given against the index order: 2 is the bottom, 0 the top
     p = latq.build_poset(3, [(2, 1), (1, 0)])
-    assert p.covers == ((1, 0), (2, 1))
+    assert np.array_equal(p.covers, [(1, 0), (2, 1)])
     assert p.leq[2].all() and p.leq[:, 0].all()
     L = latq.build_lattice(p)
     assert (L.bottom, L.top) == (2, 0)
@@ -54,7 +54,7 @@ def test_poset_validation_rejects_non_transitive_matrix():
 def test_covers_recover_the_input_edges():
     edges = [(0, 1), (0, 2), (1, 3), (2, 3)]
     p = latq.build_poset(4, edges)
-    assert sorted(p.covers) == sorted(edges)
+    assert np.array_equal(p.covers, sorted(edges))
 
 
 def test_long_chain_has_only_its_own_covers():
@@ -62,7 +62,7 @@ def test_long_chain_has_only_its_own_covers():
     # them modulo 256 reads that as no path and finds a phantom cover
     edges = [(i, i + 1) for i in range(299)]
     L = latq.build_lattice(latq.build_poset(300, edges))
-    assert L.poset.covers == tuple(edges)
+    assert np.array_equal(L.poset.covers, edges)
     assert L.join_irreducibles == tuple(range(1, 300))
 
 
@@ -77,7 +77,24 @@ def _carriers_and_duals(corpus, large_corpus, perfbench_workloads):
 def test_dual_covers_are_the_transposed_orders_covers(
         corpus, large_corpus, perfbench_workloads):
     for L in _carriers_and_duals(corpus, large_corpus, perfbench_workloads):
-        assert L.op.poset.covers == latq.Poset(L.leq.T).covers, L.name
+        assert np.array_equal(L.op.poset.covers,
+                              latq.Poset(L.leq.T).covers), L.name
+
+
+def test_covers_are_a_read_only_edge_array_in_lexicographic_order(
+        corpus, large_corpus, perfbench_workloads):
+    # against the Hasse edges by plain loops over the order table
+    for L in _carriers_and_duals(corpus, large_corpus, perfbench_workloads):
+        covers, leq, n = L.poset.covers, L.leq.tolist(), L.n
+        assert covers.dtype == np.intp and covers.ndim == 2, L.name
+        assert covers.shape[1] == 2 and not covers.flags.writeable, L.name
+        if n > 60:
+            continue
+        want = [[x, y] for x in range(n) for y in range(n)
+                if x != y and leq[x][y] and not any(
+                    z not in (x, y) and leq[x][z] and leq[z][y]
+                    for z in range(n))]
+        assert covers.tolist() == want, L.name
 
 
 def _toposort_over_strict_order(leq):
@@ -319,7 +336,7 @@ def test_generated_chains_and_products_match_the_covers_construction():
         assert np.array_equal(L.leq, want.leq), name
         assert np.array_equal(L.join, want.join), name
         assert np.array_equal(L.meet, want.meet), name
-        assert L.poset.covers == want.poset.covers, name
+        assert np.array_equal(L.poset.covers, want.poset.covers), name
         assert (L.bottom, L.top) == (want.bottom, want.top), name
 
 

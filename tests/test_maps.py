@@ -143,6 +143,17 @@ def test_special_aliases_and_errors(zoo):
         maps.special_table(c3, "o")
 
 
+@pytest.mark.parametrize("kind", ["o", "omega"])
+def test_special_o_and_omega_refuse_an_element(zoo, kind):
+    # one map per carrier: an element given is refused, not ignored, the
+    # bottom (0 on c3) included
+    c3 = zoo["c3"]
+    for x in (0, 1, c3.top):
+        with pytest.raises(ValueError, match="takes no element"):
+            latq.special(c3, kind, x)
+    assert latq.special(c3, kind, None) is latq.special(c3, kind)
+
+
 def test_special_tables_match_the_definitions(corpus):
     # the definitions in `special`'s docstring, at x and y, by plain loops
     define = {

@@ -770,7 +770,7 @@ def test_involutive_axioms_cross_homsets(zoo):
 
 def test_involutive_axioms_enumerate_only_their_homset(monkeypatch):
     # Q(c12, c12) is over the enumeration cap and Q(c2, c12) is not
-    # needed: the rotation and the pair laws run on rank-one maps built
+    # needed: the rotation and the pair laws run on maps eps_{t,b} built
     # from the carriers, and Q(c12, c2) is the one homset enumerated
     c12, c2 = (latq.generate(latq.GeneratorSpec("chain", n=n))
                for n in (12, 2))
@@ -999,14 +999,22 @@ def _join_irreducibles(L):
             if sum(covered_by(y, x) for y in range(n)) == 1]
 
 
-def _rank_one_maps(dom, cod):
-    """The distinct maps x -> b where p <= x, else bottom, from dom to
-    cod, for p join-irreducible in dom and b in cod, and the zero map, by
-    plain loops."""
+def _epsilon_maps(dom, cod):
+    """The maps eps_{t,b}: x -> b where x is not below t, else bottom,
+    from dom to cod, for t meet-irreducible in dom (join-irreducible in
+    its dual) and b join-irreducible in cod, and the zero map, by plain
+    loops."""
     leq = dom.leq.tolist()
     return {(cod.bottom,) * dom.n} | {
-        tuple(b if leq[p][x] else cod.bottom for x in range(dom.n))
-        for p in _join_irreducibles(dom) for b in range(cod.n)}
+        tuple(cod.bottom if leq[x][t] else b for x in range(dom.n))
+        for t in _join_irreducibles(dom.op) for b in _join_irreducibles(cod)}
+
+
+def _join_of_those_below(dom, cod, gens, f):
+    """The pointwise join of the rows of gens below f, by plain loops."""
+    below = [e for e in gens if oracles.pointwise_below(cod, e, f)]
+    return tuple(oracles.sup(cod, [e[x] for e in below])
+                 for x in range(dom.n))
 
 
 def _distributive(K):
@@ -1016,19 +1024,17 @@ def _distributive(K):
                for x, y, z in itertools.product(range(K.n), repeat=3))
 
 
-def _rank_one_sweep_applies(L, M):
+def _epsilon_sweep_applies(L, M):
     """Conditions (a) to (d) of `quantale._axiom_laws`, by plain loops over
     the tables of L and M."""
     def star(dom, cod, f):
         return oracles.raney_join(cod, dom, oracles.right_adjoint(dom, cod, f))
 
     def involutive_and_generated(dom, cod):
-        rank_one = _rank_one_maps(dom, cod)
+        eps = _epsilon_maps(dom, cod)
         for f in oracles.jc_maps(dom, cod):
-            below = [e for e in rank_one if oracles.pointwise_below(cod, e, f)]
-            joined = tuple(oracles.sup(cod, [e[x] for e in below])
-                           for x in range(dom.n))
-            if star(cod, dom, star(dom, cod, f)) != f or joined != f:
+            if (star(cod, dom, star(dom, cod, f)) != f
+                    or _join_of_those_below(dom, cod, eps, f) != f):
                 return False
         return True
 
@@ -1056,29 +1062,33 @@ def test_reduced_rectangular_sweep_matches_the_full_sweep(
     reduced, info = res.witness, res.info
     full = _member_laws(L, M, A)
     assert (reduced or {}).get("law") == (full or {}).get("law")
-    applies = _rank_one_sweep_applies(L, M)
+    applies = _epsilon_sweep_applies(L, M)
     assert (info["generators"] is not None) == applies
     if applies:
-        X, H = _rank_one_maps(L, M), _rank_one_maps(M, L)
+        X, H = _epsilon_maps(L, M), _epsilon_maps(M, L)
         assert info["generators"] == len(X)
         assert info["pairs"] == len(X) * len(H) <= len(A) ** 2
-        assert info["pairs"] == {("c3", "b2"): 7 * 5, ("b2", "c4"): 7 * 10,
-                                 ("c2", "d3_0"): 8 * 4,
+        assert info["pairs"] == {("c3", "b2"): 5 * 5, ("b2", "c4"): 7 * 7,
+                                 ("c2", "d3_0"): 4 * 4,
                                  ("c2", "c6"): 6 * 6}[dom, cod]
     else:
-        # off a distributive pair the rank-one rows need not be members,
-        # so forcing them fails a law that the members keep
-        forced = first_failing_law(quantale._axiom_laws(
-            L, M, *_generator_rows(L, M), {}))
-        assert forced["law"] == "double_transform" != full["law"]
+        # off a distributive pair the eps rows are still members, and so
+        # are the stars of H: forced on them, the laws fail the order
+        # reversal as the members do, at a pair of members
+        X, H = _generator_rows(L, M)
+        assert (A.positions(X) >= 0).all()
+        assert (latq.enumerate_homset(M, L).positions(H) >= 0).all()
+        forced = first_failing_law(quantale._axiom_laws(L, M, X, H, {}))
+        assert forced["law"] == full["law"] == "order_reversal"
+        assert (A.positions(np.array([forced["f"], forced["g"]])) >= 0).all()
     assert (full is None) == (L.is_distributive and M.is_distributive)
 
 
 def _generator_rows(L, M):
     """The rows (X, H) that `check_involutive_axioms` gives
-    `quantale._axiom_laws` over distributive L and M: the rank-one maps
+    `quantale._axiom_laws` over distributive L and M: the maps eps_{t,b}
     of Q(L, M) and Q(M, L)."""
-    return quantale._rank_one_maps(L, M), quantale._rank_one_maps(M, L)
+    return quantale._epsilon_maps(L, M), quantale._epsilon_maps(M, L)
 
 
 def _rotation_holds(L, M, A):
@@ -1119,18 +1129,20 @@ def test_rotation_on_generators_matches_the_full_rotation(corpus):
 @pytest.mark.parametrize("dom, cod", [("c3", "b2"), ("b2", "c3")])
 def test_rotation_mutants_are_caught_by_both_routes(
         zoo, monkeypatch, dom, cod, mutant):
-    # "star": the star of e0: x -> top where p <= x, else bottom, in
-    # Q(L, L), is made the top map; f . e0 <= g then fails for some f and
-    # g while g* . f <= e0* holds.  "composite": the rotation's first
-    # composite g* . f is made the top map; at e = zero, f . e <= g holds
-    # while g* . f <= e* fails at bottom.  Rectangular, with L.n != M.n,
-    # so that neither spoil reaches the stars of Q(L, M) and Q(M, L).
+    # "star": the star of e0 = eps_{t,b}: x -> b where x not<= t, else
+    # bottom, in Q(L, L), with t the first of M(L) and b of J(L), a row
+    # of the rotation's factor E, is made the top map; f . e0 <= g then
+    # fails for some f and g while g* . f <= e0* holds.  "composite": the
+    # rotation's first composite g* . f is made the top map; at e = zero,
+    # f . e <= g holds while g* . f <= e* fails at bottom.  Rectangular,
+    # with L.n != M.n, so that neither spoil reaches the stars of Q(L, M)
+    # and Q(M, L).
     L, M = zoo[dom], zoo[cod]
     A = latq.enumerate_homset(L, M)
     assert _rotation_holds(L, M, A) == (True, True)
     if mutant == "star":
-        p = L.join_irreducibles[0]
-        e0 = np.where(L.leq[p], L.top, L.bottom)
+        t, b = L.op.join_irreducibles[0], L.join_irreducibles[0]
+        e0 = np.where(L.leq[:, t], L.bottom, b)
         rho = quantale._batch_right_adjoint(L, L, e0[None])[0]
         real = quantale._batch_raney_join
 
@@ -1164,35 +1176,46 @@ def test_rotation_mutants_are_caught_by_both_routes(
 
 
 def test_rank_one_maps_generate_homsets_over_distributive_domains(corpus):
-    # the lemma (d) of `quantale._axiom_laws`, by plain loops apart from
-    # choosing the carriers: over a distributive domain each x -> b where
-    # p <= x, p join-irreducible, is join-continuous, and they join-generate
-    # the homset; about 0.7 s on a 2-vCPU host
+    # the membership and the lemma (d) of `quantale._axiom_laws`, by plain
+    # loops apart from choosing the carriers: on every carrier each
+    # eps_{t,b} is join-continuous, and over distributive carriers they
+    # join-generate the homset; `quantale._epsilon_maps` gives the same
+    # rows, the zero map first; about 1 s on a 2-vCPU host
     named = {L.name: L for L in corpus}
     distributive = [L for L in corpus if _distributive(L)]
     both_cd = [(named[a], named[b]) for a, b, _ in RECTANGULAR_CASES
                if _distributive(named[a]) and _distributive(named[b])]
     homsets = ([(L, L) for L in distributive if L.n <= 6]
                + both_cd + [(M, L) for L, M in both_cd])
-    for dom, cod in [(L, L) for L in distributive] + homsets:
-        for e in _rank_one_maps(dom, cod):
+    rectangular = [(named[a], named[b]) for a, b, _ in RECTANGULAR_CASES]
+    listed = ([(L, L) for L in corpus] + rectangular
+              + [(M, L) for L, M in rectangular])
+    for dom, cod in listed:
+        eps = _epsilon_maps(dom, cod)
+        rows = quantale._epsilon_maps(dom, cod).tolist()
+        assert len(rows) == len(eps) and set(map(tuple, rows)) == eps
+        assert rows[0] == [cod.bottom] * dom.n
+        for e in eps:
             assert oracles.join_continuous(dom, cod, e), (dom.name, e)
     for dom, cod in homsets:
-        rank_one = _rank_one_maps(dom, cod)
+        eps = _epsilon_maps(dom, cod)
         for f in oracles.jc_maps(dom, cod):
-            below = [e for e in rank_one if oracles.pointwise_below(cod, e, f)]
-            assert f == tuple(oracles.sup(cod, [e[x] for e in below])
-                              for x in range(dom.n)), (dom.name, cod.name, f)
+            assert f == _join_of_those_below(dom, cod, eps, f), (
+                dom.name, cod.name, f)
     assert len(distributive) == 53 and len(homsets) == 34 + 2 * 4
+    assert len(listed) == 86 + 2 * 8
 
 
 @pytest.mark.parametrize("name", ["m3", "n5"])
 def test_rank_one_maps_off_distributive_domains(zoo, name):
-    # some join-irreducible of m3 and n5 is not join-prime, so its map
-    # x -> b where p <= x, else bottom, does not preserve joins
+    # the eps_{t,b} are members of Q(m3, m3) and Q(n5, n5), but some
+    # join-irreducible of m3 and n5 is not join-prime, and some member is
+    # not the join of the eps_{t,b} below it
     L = zoo[name]
-    assert not all(oracles.join_continuous(L, L, e)
-                   for e in _rank_one_maps(L, L))
+    eps = _epsilon_maps(L, L)
+    assert all(oracles.join_continuous(L, L, e) for e in eps)
+    assert any(f != _join_of_those_below(L, L, eps, f)
+               for f in oracles.jc_maps(L, L))
 
 
 @pytest.mark.parametrize("dom, cod", [("c1", "c1"), ("c2", "c1"),
@@ -1424,7 +1447,7 @@ def test_axiom_sweep_peak_memory_on_d4_7(corpus):
 
 def test_axiom_sweep_on_generators_peak_memory_on_d4_1(corpus):
     # the full sweep over all B^2 pairs peaks at about 3.4 GB on d4_1
-    # (B = 7,776); the sweep on its 45 rank-one generators does not
+    # (B = 7,776); the sweep on its 17 generators eps_{t,b} does not
     L = {L.name: L for L in corpus}["d4_1"]
     tracemalloc.start()
     try:
@@ -1433,14 +1456,14 @@ def test_axiom_sweep_on_generators_peak_memory_on_d4_1(corpus):
     finally:
         tracemalloc.stop()
     assert res.holds and res.info["homset_size"] == 7776
-    assert res.info["generators"] == 45 and res.info["pairs"] == 45 ** 2
+    assert res.info["generators"] == 17 and res.info["pairs"] == 17 ** 2
     assert peak <= 32 * 2 ** 20
 
 
 def test_axiom_check_on_d4_0_runs_its_kernels_on_generators_alone(
         corpus, monkeypatch):
-    # d4_0 has 65,536 members and 61 rank-one generators a side: no
-    # kernel call of the check may take more rows than the 61 * 61 pairs
+    # d4_0 has 65,536 members and 17 generators eps_{t,b} a side: no
+    # kernel call of the check may take more rows than the 17 * 17 pairs
     rows = []
     for name in ("_batch_interior", "_batch_left_adjoint",
                  "_batch_raney_join", "_batch_right_adjoint"):
@@ -1452,25 +1475,25 @@ def test_axiom_check_on_d4_0_runs_its_kernels_on_generators_alone(
     L = {L.name: L for L in corpus}["d4_0"]
     res = latq.check_involutive_axioms(L, L)
     assert res.holds and res.info["homset_size"] == 65536
-    assert res.info["generators"] == 61 and res.info["pairs"] == 61 ** 2
-    assert rows and max(rows) <= 61 ** 2
+    assert res.info["generators"] == 17 and res.info["pairs"] == 17 ** 2
+    assert rows and max(rows) <= 17 ** 2
 
 
 @pytest.mark.parametrize("side", ["X", "H"])
 def test_a_spoiled_generator_star_fails_the_double_transform(
         zoo, monkeypatch, side):
-    # the star of one nonzero rank-one map, of Q(L, M) on side X and of
+    # the star of one nonzero eps_{t,b}, of Q(L, M) on side X and of
     # Q(M, L), not a star of X, on side H, is made the top map, whose
     # star is the zero map; the check reports that generator, a member,
     # as its double-transform witness
     L, M = zoo["c3"], zoo["b2"]
-    X = quantale._rank_one_maps(L, M)
+    X = quantale._epsilon_maps(L, M)
     if side == "X":
         a, b, f = L, M, X[-1]
     else:
         SX = quantale._stars(L, M, X)
         a, b = M, L
-        f = next(h for h in quantale._rank_one_maps(M, L)[1:]
+        f = next(h for h in quantale._epsilon_maps(M, L)[1:]
                  if not (SX == h).all(axis=1).any())
     rho = quantale._batch_right_adjoint(a, b, f[None])[0]
     real = quantale._batch_raney_join
