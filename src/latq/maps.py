@@ -13,17 +13,19 @@ three times as long.  A row too wide for one code is ranked run by run,
 each run's codes appended to the ranks of the columns above it.  The
 kernels rank nothing: each computes a row from that row alone, and most
 callers' rows are distinct already.  Callers whose rows repeat rank
-them through `_rank_rows`, several blocks at once (T10's left factors
-and point keys, the axiom sweep's formulas), or as composites through
-`_composite_ids` (`quantale._on_composites`, below).
+them through `_rank_rows`, several blocks at once (the suite's map
+families, T10's point keys, the axiom sweep's formulas), or as
+composites through `_composite_ids` (`quantale._on_composites`, below).
 
-The pair sweeps in `quantale` rest on one pair kernel, `_pair_kernel`:
-out[a, b] = sum over x of W[a, x, F[b, x]], one matrix product with the
-one-hot codes of F.  With W a table of "not below", it counts the points
-where one map is not below another; with W[a, x, v] = P[a, v] * base ** x
-it gives the code of every composite P_a . Q_b (`_composite_ids`), so a
-sweep runs its kernels on the distinct composites without ever forming
-the (len(P), len(Q), n) array of them.
+The pair sweeps in `quantale` over composites rest on one pair kernel,
+`_pair_kernel`: out[a, b] = sum over x of W[a, x, F[b, x]], one matrix
+product with the one-hot codes of F.  With W a table of "not below", it
+counts the points where a composite is not below a row; with
+W[a, x, v] = P[a, v] * base ** x it gives the code of every composite
+P_a . Q_b (`_composite_ids`), so a sweep runs its kernels on the
+distinct composites without ever forming the (len(P), len(Q), n) array
+of them.  The plain pointwise order needs no product: it ANDs packed
+bit rows (`quantale._pointwise_leq`).
 
 Families are folded through a join or meet table by `lattice._fold`.
 The interior folds over the covers of its domain, not over up-sets: two

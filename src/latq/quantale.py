@@ -11,16 +11,18 @@ composition and the order, so `rho(h / f)` is the least meet-continuous
 map above `f . rho(h)`.
 
 The pair sweeps never form a (B, B, n) array of composites.  The
-pointwise order and the order-reversal tests `f . g <= zero` are counts
-from `maps._pair_kernel`; the axiom sweep's residual formulas and the
-cyclic, dualizing and codualizing searches code every composite exactly
-(`maps._composite_ids`), run the kernels on the distinct composites
-alone (`_on_composites`), and compare results by rank or value.  The
-composite codes take 8 bytes a pair.  The axiom check picks its rows
-from the carriers (`check_involutive_axioms`): over distributive L and
-M one family of |M(L)| |J(M)| + 1 maps a homset, built from them
-(`_epsilon_maps`), whatever B, which is exact (`_axiom_laws`); elsewhere
-the members and their pairs, O(B^2).  It enumerates Q(L, M) alone.
+pointwise order ANDs packed bit rows (`_pointwise_leq`): n gathers of
+len(G) / 64 words per row of F.  The order-reversal tests
+`f . g <= zero` are counts from `maps._pair_kernel`; the axiom sweep's
+residual formulas and the cyclic, dualizing and codualizing searches
+code every composite exactly (`maps._composite_ids`), run the kernels
+on the distinct composites alone (`_on_composites`), and compare
+results by rank or value.  The composite codes take 8 bytes a pair.
+The axiom check picks its rows from the carriers
+(`check_involutive_axioms`): over distributive L and M one family of
+|M(L)| |J(M)| + 1 maps a homset, built from them (`_epsilon_maps`),
+whatever B, which is exact (`_axiom_laws`); elsewhere the members and
+their pairs, O(B^2).  It enumerates Q(L, M) alone.
 
 Each detector (`_cyclic`, `_dualizing`, `_codualizing`, `_central`)
 takes candidate positions C and member positions K and gives ok[k, c]
@@ -371,11 +373,19 @@ class _Gathered:
 def _pointwise_leq(cod: Lattice, F: np.ndarray, G: np.ndarray) -> np.ndarray:
     """All-pairs pointwise order: out[i, j] iff row F_i <= row G_j.
 
-    `_pair_kernel` counts the x with F_i(x) not <= G_j(x), from
-    W[i, x, v] = [F_i(x) not <= v]; the counts are at most n, which
-    float32 holds exactly.
+    up[u, x] packs the bits [u <= G_j(x)] over j into uint64 words, the
+    pad bits 0, so the AND over x of up[F_i(x), x] has bit j set exactly
+    when F_i <= G_j: n gathers of len(G) / 64 words per row of F.
     """
-    return _pair_kernel((~cod.leq[F]).astype(np.float32), G) == 0
+    words = -(-len(G) // 64)
+    bits = np.zeros((cod.n, F.shape[1], 64 * words), dtype=bool)
+    bits[..., :len(G)] = cod.leq[:, G.T]
+    up = np.packbits(bits, axis=-1).view(np.uint64)
+    out = up[F[:, 0], 0]
+    for x in range(1, F.shape[1]):
+        out &= up[F[:, x], x]
+    return np.unpackbits(out.view(np.uint8), axis=-1,
+                         count=len(G)).view(bool)
 
 
 def _composites_below(K: Lattice, P: np.ndarray, Q: np.ndarray,

@@ -94,10 +94,21 @@ class SuiteContext:
     def family(self, L: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(A, Mo, J), the maps, monotone maps and jc maps L -> L that T8,
         T9 and T10 quantify over (Mo and J are T10's left factors): all of
-        them up to EXHAUSTIVE_N elements, else SAMPLE_COUNT of each from one
-        stream seeded by the run seed and L's name, so equal carriers under
-        two names draw apart.  J is the interior of Mo: a jc map is its own
-        interior, so all of Mo gives the endo homset, with repeats."""
+        them up to EXHAUSTIVE_N elements, else SAMPLE_COUNT draws of A and
+        Mo from one stream seeded by the run seed and L's name, so equal
+        carriers under two names draw apart.  J is the interior of Mo: a jc
+        map is its own interior, so all of Mo gives the endo homset.  Each
+        part keeps the distinct rows of its draws, in first-drawn order.
+
+        That changes no verdict and no witness.  Every law of T8, T9 and
+        T10 is a function of its row, or of its pair of rows, alone, so a
+        repeat repeats its first occurrence's verdict.  The first failing
+        row, or row-major pair, of the draws is a first occurrence in each
+        place: an earlier copy would fail before it.  First occurrences keep
+        their order, so `row_witness` meets the same values first among the
+        distinct rows.  The interior of a repeat is a repeat, so the
+        distinct rows of J are those of the interior of the distinct Mo, in
+        the same order."""
         return self._family(L.name, L)
 
     def _draw_family(self, name: str, L: Lattice):
@@ -110,7 +121,12 @@ class SuiteContext:
             # partners pointwise below G, so T10's first law has real pairs
             A = np.vstack([G, maps._draw_above(maps._upsets(L.op), G, rng)])
             Mo = maps.sample_monotone_maps(L, L, SAMPLE_COUNT, rng)
-        return A, Mo, maps._batch_interior(L, L, Mo)
+
+        def distinct(F):
+            return F[np.sort(maps._rank_rows(L.n, F)[0])]
+
+        Mo = distinct(Mo)
+        return distinct(A), Mo, distinct(maps._batch_interior(L, L, Mo))
 
 
 @dataclass(frozen=True)
@@ -323,18 +339,15 @@ def _t10_laws(ctx: SuiteContext, L: Lattice):
 
     S, RA_k, counts = _t10_point_keys(L, A, RA)
 
-    def per_left_factor(left: np.ndarray, law) -> np.ndarray:
+    def per_left_factor(D: np.ndarray, law) -> np.ndarray:
         """law(transform(d . g), d . transform(g)) at every point, for each
-        distinct row d of left and each g in A, from one table per d over
-        the point keys, copied back to the repeats of d: a (len(left),
-        len(A)) verdict."""
-        first, (inverse,) = maps._rank_rows(L.n, left)
-        D = left[first]
+        row d of D and each g in A, from one table per d over the point
+        keys: a (len(D), len(A)) verdict."""
         lhs = np.full((len(D), len(S)), L.bottom, dtype=np.int32)
         for v in range(L.n):
             lhs = np.where(S[:, v], L.join[lhs, D[:, v, None]], lhs)
         bad = ~law(lhs, D[:, RA_k])
-        return ((bad.astype(np.float32) @ counts) == 0)[inverse]
+        return (bad.astype(np.float32) @ counts) == 0
 
     # lax composition law: transform(m . g) <= m . transform(g), m monotone
     yield "lax_composition", per_left_factor(

@@ -1603,6 +1603,14 @@ def _pointwise_leq_loop(cod, F, G):
     ("m3", "n5", 0, 6),
     ("m3", "n5", 6, 0),
     ("c1", "c1", 0, 0),
+    # word edges of the packed columns, no rows, a one-element codomain
+    ("c3", "n5", 5, 1),
+    ("b2", "m3", 7, 63),
+    ("n5", "b3", 6, 64),
+    ("c3", "n5", 9, 65),
+    ("m3", "b2", 4, 129),
+    ("b3", "n5", 0, 129),
+    ("n5", "c1", 5, 65),
 ])
 def test_pointwise_leq_matches_double_loop(zoo, dom, cod, rows, cols):
     D, C = zoo[dom], zoo[cod]

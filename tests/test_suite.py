@@ -336,20 +336,77 @@ def _same_family(a, b):
     return all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-def test_family_is_drawn_per_name_not_per_carrier(corpus):
+def _first_occurrences(F):
+    """The distinct rows of F in first-drawn order, by a plain loop."""
+    seen, keep = set(), []
+    for row in F:
+        if row.tobytes() not in seen:
+            seen.add(row.tobytes())
+            keep.append(row)
+    return np.array(keep).reshape(-1, F.shape[1])
+
+
+def _raw_family(monkeypatch, L, seed=0):
+    """SuiteContext(seed).family(L) and the raw draws of its parts (A, Mo,
+    J), spied from the first call of each maps function that draws them;
+    the raw J is the interior of every raw Mo row."""
+    got = {}
+
+    def spy(name, keep):
+        real = getattr(maps, name)
+
+        def call(*args):
+            out = real(*args)
+            if name not in got:
+                got[name] = keep(args, out)
+            return out
+        return call
+
+    with monkeypatch.context() as m:
+        for name in ("all_maps_array", "monotone_maps_array",
+                     "sample_monotone_maps"):
+            m.setattr(maps, name, spy(name, lambda args, out: out))
+        # A's second half is drawn above its first, the first call's
+        # argument (sample_monotone_maps calls it too, later)
+        m.setattr(maps, "_draw_above", spy(
+            "_draw_above", lambda args, out: np.vstack([args[1], out])))
+        family = suite.SuiteContext(seed=seed).family(L)
+    sampled = L.n > suite.EXHAUSTIVE_N
+    A = got["_draw_above" if sampled else "all_maps_array"]
+    Mo = got["sample_monotone_maps" if sampled else "monotone_maps_array"]
+    return family, (A, Mo, maps._batch_interior(L, L, Mo))
+
+
+def test_family_is_drawn_per_name_not_per_carrier(monkeypatch, corpus):
     # equal carriers under two names: the second name's family is the
     # same whether or not the first was drawn before it, and differs from
-    # the first's in every part
+    # the first's in every part; each part is the distinct rows of its
+    # SAMPLE_COUNT draws, in first-drawn order
     by = {L.name: L for L in corpus}
     for first, second in (("d3_1", "r27"), ("c5", "d4_15")):
         assert by[first] == by[second] and by[first].n > suite.EXHAUSTIVE_N
-        fresh = suite.SuiteContext(seed=1).family(by[second])
+        fresh, raw = _raw_family(monkeypatch, by[second], seed=1)
         ctx = suite.SuiteContext(seed=1)
         other = ctx.family(by[first])
         after = ctx.family(by[second])
         assert _same_family(fresh, after), second
-        assert [len(F) for F in after] == [suite.SAMPLE_COUNT] * 3
+        assert [len(F) for F in raw] == [suite.SAMPLE_COUNT] * 3
+        assert _same_family(after, map(_first_occurrences, raw)), second
         assert not any(np.array_equal(x, y) for x, y in zip(other, after))
+
+
+def test_family_parts_are_the_distinct_raw_draws(monkeypatch, corpus):
+    # on every exhaustive and sampled built-in, each part is a plain-loop
+    # first-occurrence dedup of its raw draws; sampled Mo and J repeat
+    repeats = 0
+    for L in corpus:
+        if L.n > suite.SAMPLED_N:
+            continue
+        family, raw = _raw_family(monkeypatch, L, seed=2)
+        for part, draws in zip(family, raw):
+            assert np.array_equal(part, _first_occurrences(draws)), L.name
+        repeats += L.n > suite.EXHAUSTIVE_N and len(family[2]) < len(raw[2])
+    assert repeats == 22
 
 
 def test_family_follows_the_seed(zoo):
@@ -418,8 +475,9 @@ def _t10_spied(monkeypatch, L, run=suite._t10, **spoils):
     spoils passed through it.  Returns run's result and, for each of
     sample_monotone_maps, _batch_interior and _batch_raney_join, the
     arguments and (spoiled) output of its first call: on a sampled carrier
-    these are the monotone left factors Mo, the jc left factors J, and the
-    rows g (A) with their transforms (RA)."""
+    these are the raw monotone draws Mo, the interior of their distinct
+    rows (J with its repeats), and the family's rows g (A) with their
+    transforms (RA)."""
     seen = {}
 
     def spy(name):
@@ -488,6 +546,55 @@ def test_t10_witness_on_a_repeated_bad_left_factor(monkeypatch, zoo, law):
     assert np.argwhere(~ok)[0][0] == 3 and not ok[7].all()
 
 
+def _t8_t9_sweep(L, F, check):
+    """T8's or T9's witness over every row of F, repeats and all: the
+    named rows at the first row where the check's law fails."""
+    if check == "T8":
+        rows = {"f": F, "roundtrip": maps._batch_raney_join(
+            L, L, maps._batch_raney_meet(L, L, F))}
+        ok = (rows["roundtrip"] == F).all(axis=1)
+    else:
+        o = maps.special(L, "o").values
+        om = maps.special(L, "omega").values
+        rows = {"f": F, "interior": maps._batch_interior(L, L, F),
+                "join_transform_after_omega": maps._batch_raney_join(
+                    L, L, F[:, om]),
+                "join_transform": maps._batch_raney_join(L, L, F),
+                "interior_after_o": maps._batch_interior(L, L, F[:, o])}
+        ok = ((rows["interior"] == rows["join_transform_after_omega"])
+              & (rows["join_transform"] == rows["interior_after_o"])
+              ).all(axis=1)
+    failing = np.flatnonzero(~ok)
+    return {k: v[failing[0]].tolist() for k, v in rows.items()}, failing
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("check", ["T8", "T9"])
+def test_t8_t9_witness_on_repeated_bad_rows(monkeypatch, zoo, check, swap):
+    # one bad row at positions 3 and 7 of the raw rows the check reads (J
+    # for T8, Mo for T9) and another at 5: the family keeps row 3 alone of
+    # the first, before row 5, so the witness is the full-row sweep's.
+    # Either row first, so a family in rank order would show
+    L = zoo["p23"]                    # CD, n > EXHAUSTIVE_N: sampled rows
+    up = np.full(L.n, L.bottom, dtype=np.int32)
+    up[L.bottom] = L.top
+    down = np.full(L.n, L.top, dtype=np.int32)
+    down[L.top] = L.bottom
+    twice, once = (down, up) if swap else (up, down)
+
+    def spoil(F):
+        F = F.copy()
+        F[[3, 7]], F[5] = twice, once
+        return F
+
+    source = "_batch_interior" if check == "T8" else "sample_monotone_maps"
+    got, seen = _t10_spied(monkeypatch, L, run=getattr(suite, "_t" + check[1:]),
+                           **{source: spoil})
+    want, failing = _t8_t9_sweep(L, seen[source][1], check)
+    assert not got.holds and got.witness == want
+    assert {3, 5, 7} <= set(failing) and failing[0] == 3
+
+
 @pytest.mark.parametrize("law", ["lax_composition", "exact_composition"])
 def test_t10_witness_on_a_spoiled_transform_row(monkeypatch, zoo, law):
     L = zoo["n5"]
@@ -527,7 +634,8 @@ def test_t10_composition_laws_match_the_full_sweep_beyond_the_gate(
     # factor among the monotone ones and a monotone non-jc one among the jc
     # ones give the lax and the exact law False entries as well as True.
     # The sweep runs the kernel once per distinct composite, as T10 did
-    # before its value-set tables
+    # before its value-set tables, over every distinct left factor: T10's
+    # own rows
     big = [L for L in corpus if L.n in (7, 8)]
     assert len(big) == 13
 
@@ -547,11 +655,14 @@ def test_t10_composition_laws_match_the_full_sweep_beyond_the_gate(
         (_, _, A), RA = seen["_batch_raney_join"]
         for law, lax in (("lax_composition", True),
                          ("exact_composition", False)):
-            left = _t10_left(seen, lax)
+            raw = _t10_left(seen, lax)
+            left = _first_occurrences(raw)
             T, ids = quantale._on_composites(maps._batch_raney_join, L,
                                              left, A)
             ok = _t10_holds(L, T[ids], left[:, RA], lax)
-            assert ok.all(axis=1).any() and not ok[5].all(), (L.name, law)
+            spoiled = (left == raw[5]).all(axis=1).argmax()
+            assert ok.all(axis=1).any() and not ok[spoiled].all(), \
+                (L.name, law)
             assert np.array_equal(got[law], ok), (L.name, law)
 
 
