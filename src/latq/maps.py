@@ -15,17 +15,10 @@ kernels rank nothing: each computes a row from that row alone, and most
 callers' rows are distinct already.  Callers whose rows repeat rank
 them through `_rank_rows`, several blocks at once (the suite's map
 families, T10's point keys, the axiom sweep's formulas), or as
-composites through `_composite_ids` (`quantale._on_composites`, below).
-
-The pair sweeps in `quantale` over composites rest on one pair kernel,
-`_pair_kernel`: out[a, b] = sum over x of W[a, x, F[b, x]], one matrix
-product with the one-hot codes of F.  With W a table of "not below", it
-counts the points where a composite is not below a row; with
-W[a, x, v] = P[a, v] * base ** x it gives the code of every composite
-P_a . Q_b (`_composite_ids`), so a sweep runs its kernels on the
-distinct composites without ever forming the (len(P), len(Q), n) array
-of them.  The plain pointwise order needs no product: it ANDs packed
-bit rows (`quantale._pointwise_leq`).
+composites P_a . Q_b through `_composite_ids`, one matrix product with
+the one-hot codes of Q, so that `quantale._on_composites` runs a kernel
+on the distinct composites without forming them all.  Order tests need
+no product: they AND packed bit rows (`quantale._pointwise_leq`).
 
 Families are folded through a join or meet table by `lattice._fold`.
 The interior folds over the covers of its domain, not over up-sets: two
@@ -187,15 +180,6 @@ def pointwise_meet(fs: Sequence[LatMap],
 # ---------------------------------------------------------------- kernels
 
 
-def _pair_kernel(W: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """out[a, b] = sum over x of W[a, x, F[b, x]], for W of shape (A, n, m)
-    and F of shape (B, n) with entries below m: one matrix product of W
-    with the one-hot codes of F, in W's dtype."""
-    A, n, m = W.shape
-    onehot = np.eye(m, dtype=W.dtype)[F].reshape(len(F), n * m)
-    return W.reshape(A, n * m) @ onehot.T
-
-
 def _dedup(codes: np.ndarray):
     """np.unique(codes, return_index=True, return_inverse=True) for a flat
     array of nonnegative int64 codes below 2 ** (63 - N.bit_length()), N
@@ -249,15 +233,19 @@ def _rank_rows(base: int, *blocks: np.ndarray):
 def _composite_ids(P: np.ndarray, Q: np.ndarray, base: int):
     """`_row_ids` over the rows P_a . Q_b, for (a, b) in row-major order,
     from P of shape (A, m) with entries below base and Q of shape (B, n)
-    with entries below m, without forming them: the code of a run of
-    columns is `_pair_kernel` with W[a, x, v] = P[a, v] * base ** x."""
+    with entries below m, without forming them: a run's codes are one
+    matrix product of W[a, x, v] = P[a, v] * base ** x with the one-hot
+    codes of Q."""
+    A, m = P.shape
     P = P.astype(np.float64)
 
     def codes(lo: int, hi: int) -> np.ndarray:
         W = P[:, None, :] * float(base) ** np.arange(hi - lo)[:, None]
-        return _pair_kernel(W, Q[:, lo:hi]).astype(np.int64).ravel()
+        onehot = np.eye(m)[Q[:, lo:hi]].reshape(len(Q), (hi - lo) * m)
+        return (W.reshape(A, (hi - lo) * m) @ onehot.T).astype(
+            np.int64).ravel()
 
-    return _row_ids(codes, Q.shape[1], base, len(P) * len(Q))
+    return _row_ids(codes, Q.shape[1], base, A * len(Q))
 
 
 def _batch_interior(dom: Lattice, cod: Lattice, H: np.ndarray) -> np.ndarray:

@@ -10,14 +10,14 @@ A right residual is a left residual on the order duals: `rho` reverses
 composition and the order, so `rho(h / f)` is the least meet-continuous
 map above `f . rho(h)`.
 
-The pair sweeps never form a (B, B, n) array of composites.  The
-pointwise order ANDs packed bit rows (`_pointwise_leq`): n gathers of
-len(G) / 64 words per row of F.  The order-reversal tests
-`f . g <= zero` are counts from `maps._pair_kernel`; the axiom sweep's
-residual formulas and the cyclic, dualizing and codualizing searches
-code every composite exactly (`maps._composite_ids`), run the kernels
-on the distinct composites alone (`_on_composites`), and compare
-results by rank or value.  The composite codes take 8 bytes a pair.
+The pair sweeps never form a (B, B, n) array of composites.  Every
+order test ANDs packed bit rows (`_pointwise_leq`), a composite below a
+map P . Q <= R as Q <= rho P . R (`_composites_below`).  The axiom
+sweep's residual formulas and the cyclic, dualizing and codualizing
+searches code every composite exactly (`maps._composite_ids`), run the
+kernels on the distinct composites alone (`_on_composites`), and
+compare results by rank or value.  The composite codes take 8 bytes a
+pair.
 The axiom check picks its rows from the carriers
 (`check_involutive_axioms`): over distributive L and M one family of
 |M(L)| |J(M)| + 1 maps a homset, built from them (`_epsilon_maps`),
@@ -52,7 +52,6 @@ from .maps import (
     _batch_raney_join,
     _batch_right_adjoint,
     _composite_ids,
-    _pair_kernel,
     _rank_rows,
     compose,
     interior,
@@ -375,7 +374,9 @@ def _pointwise_leq(cod: Lattice, F: np.ndarray, G: np.ndarray) -> np.ndarray:
 
     up[u, x] packs the bits [u <= G_j(x)] over j into uint64 words, the
     pad bits 0, so the AND over x of up[F_i(x), x] has bit j set exactly
-    when F_i <= G_j: n gathers of len(G) / 64 words per row of F.
+    when F_i <= G_j: n gathers of len(G) / 64 words per row of F.  The
+    table, and a cod.n * n * len(G) byte temporary, are built over G, so
+    the smaller family goes there.
     """
     words = -(-len(G) // 64)
     bits = np.zeros((cod.n, F.shape[1], 64 * words), dtype=bool)
@@ -388,13 +389,14 @@ def _pointwise_leq(cod: Lattice, F: np.ndarray, G: np.ndarray) -> np.ndarray:
                          count=len(G)).view(bool)
 
 
-def _composites_below(K: Lattice, P: np.ndarray, Q: np.ndarray,
+def _composites_below(K: Lattice, RP: np.ndarray, Q: np.ndarray,
                       R: np.ndarray) -> np.ndarray:
-    """out[a, b, r] iff P_a . Q_b <= R_r pointwise, into K: `_pair_kernel`
-    counts the x with P_a(Q_b(x)) not <= R_r(x)."""
-    W = ~K.leq[P[:, None, None, :], R[None, :, :, None]]
-    out = _pair_kernel(W.reshape(-1, *W.shape[2:]).astype(np.float32), Q)
-    return (out == 0).reshape(len(P), len(R), len(Q)).transpose(0, 2, 1)
+    """out[a, b, r] iff P_a . Q_b <= R_r, for rows Q_b into K and
+    join-continuous P_a with right adjoints RP_a: iff Q_b <= RP_a . R_r,
+    that is RP_a . R_r <= Q_b between the duals, bits built over Q."""
+    G = RP[:, R].reshape(len(RP) * len(R), Q.shape[1])
+    out = _pointwise_leq(K.op, G, Q).reshape(len(RP), len(R), len(Q))
+    return out.transpose(0, 2, 1)
 
 
 def _stars(dom: Lattice, cod: Lattice, F: np.ndarray) -> np.ndarray:
@@ -512,31 +514,37 @@ def _axiom_laws(L: Lattice, M: Lattice, X: np.ndarray, H, info: dict):
       below a meet exactly when it is below each part, and the star
       turns joins in e and f into meets and meets in g into joins.  So
       the rotation holds on Q(L, L) x A x A once it holds on E x X x Y.
+    - P.Q <= R is Q <= rho P.R for join-continuous P, as P(y) <= z iff
+      y <= rho P(z) (`_composites_below`).  Each P is: X and H pass the
+      double transform first (H is X when M == L), and f** is a join
+      transform; with H None, H is the stars of X; E is `_epsilon_maps`.
     """
     oL = special(L, "o").values
     oM = special(M, "o").values
 
     RX = _batch_right_adjoint(L, M, X)
     SX = _batch_raney_join(M, L, RX)                  # stars, maps M -> L
-    twice = _stars(M, L, SX)
+    RS = _batch_right_adjoint(M, L, SX)
+    twice = _batch_raney_join(L, M, RS)
     yield "double_transform", (twice == X).all(axis=1), {
         "f": X, "twice": twice}
 
-    # second arguments Y with stars H and right adjoints RY
+    # second arguments Y, with stars H; RY and RH are their right adjoints
     if H is None:
-        H, Y, RY = SX, X, RX
+        H, RH, Y, RY = SX, RS, X, RX
     else:
-        Y = _stars(M, L, H)
+        RH = _batch_right_adjoint(M, L, H)
+        Y = _batch_raney_join(L, M, RH)
+        RY = _batch_right_adjoint(L, M, Y)
         if M != L:
-            twice = _stars(L, M, Y)
+            twice = _batch_raney_join(M, L, RY)
             yield "double_transform", (twice == H).all(axis=1), {
                 "f": H, "twice": twice}
-        RY = _batch_right_adjoint(L, M, Y)
     info["pairs"] = len(X) * len(Y)
 
     LE = _pointwise_leq(M, X, Y)                      # f <= g
-    C1 = _composites_below(M, X, H, oM[None])[..., 0]     # f . g* <= zero_M
-    C2 = _composites_below(L, H, X, oL[None])[..., 0].T   # g* . f <= zero_L
+    C1 = _pointwise_leq(L, H, RX[:, oM]).T            # f . g* <= zero_M
+    C2 = _pointwise_leq(M, X, RH[:, oL])              # g* . f <= zero_L
     yield "order_reversal", (LE == C1) & (LE == C2), {
         "f": X[:, None], "g": Y[None], "leq": LE,
         "right_compose_below_zero": C1, "left_compose_below_zero": C2}
@@ -568,10 +576,12 @@ def _axiom_laws(L: Lattice, M: Lattice, X: np.ndarray, H, info: dict):
     if Y is X:                      # H was None: the members, no rotation
         return
     E = _epsilon_maps(L, L)
+    RE = _batch_right_adjoint(L, L, E)
     # f . e <= g, g* . f <= e* and e . g* <= f*, each as [f, e, g]
-    P1 = _composites_below(M, X, E, Y)
-    P2 = _composites_below(L, H, X, _stars(L, L, E)).transpose(1, 2, 0)
-    P3 = _composites_below(L, E, H, SX).transpose(2, 0, 1)
+    P1 = _composites_below(L, RX, E, Y)
+    P2 = _composites_below(M, RH, X, _batch_raney_join(L, L, RE)).transpose(
+        1, 2, 0)
+    P3 = _composites_below(L, RE, H, SX).transpose(2, 0, 1)
     yield "triangle_rotation", (P1 == P2) & (P1 == P3), {
         "f": X[:, None, None], "e": E[None, :, None], "g": Y[None, None],
         "compose_below": P1, "rotated_left": P2, "rotated_right": P3}

@@ -668,22 +668,6 @@ def test_deduplicated_kernels_match_loop_oracles(LF):
     _kernels_match_oracles(L, L, F)
 
 
-@pytest.mark.parametrize("A, B, n, m", [
-    (5, 5, 4, 3), (7, 3, 2, 6), (2, 9, 5, 1), (0, 4, 3, 3), (4, 0, 3, 3),
-    (0, 0, 2, 2),
-])
-def test_pair_kernel_matches_double_loop(A, B, n, m):
-    rng = np.random.RandomState(A * 100 + B * 10 + n)
-    W = rng.randint(-4, 5, size=(A, n, m)).astype(np.float64)
-    F = rng.randint(0, m, size=(B, n))
-    want = np.zeros((A, B))
-    for a in range(A):
-        for b in range(B):
-            want[a, b] = sum(W[a, x, F[b, x]] for x in range(n))
-    got = maps._pair_kernel(W, F)
-    assert got.shape == (A, B) and np.array_equal(got, want)
-
-
 def _ranks_by_loop(rows, base):
     """np.unique's index and inverse over the codes sum of row[x] * base ** x
     as Python integers, which have no width limit."""

@@ -1157,9 +1157,9 @@ def test_rotation_mutants_are_caught_by_both_routes(
     else:
         real_below, real_composites = quantale._composites_below, _composites
 
-        def spoiled_below(K, P, Q, R):     # P_a . Q_b <= R_r, [a, b, r]
-            out = real_below(K, P, Q, R)
-            if K is L and P.shape[1] == M.n:
+        def spoiled_below(K, RP, Q, R):    # P_a . Q_b <= R_r, [a, b, r]
+            out = real_below(K, RP, Q, R)
+            if K is M and RP.shape[1] == L.n:      # g* . f <= e*
                 out[0, 0] = (R == L.top).all(axis=1)
             return out
 
@@ -1443,6 +1443,51 @@ def test_axiom_sweep_peak_memory_on_d4_7(corpus):
         tracemalloc.stop()
     assert res.holds and res.info["homset_size"] == 746
     assert peak <= 124.8 / 2 * 2 ** 20
+
+
+def test_axiom_laws_on_the_generators_of_b8_in_bounded_memory(large_corpus):
+    # b8's homset is over the cap; on its 65 maps eps_{t,b} a side the
+    # rotation's (|X|, |E|, n, n) "not below" table peaked at 1.34 GB,
+    # where each composite below a map through the right adjoint takes
+    # about 18 MB
+    L = {L.name: L for L in large_corpus}["b8"]
+    X = quantale._epsilon_maps(L, L)
+    tracemalloc.start()
+    try:
+        w = first_failing_law(quantale._axiom_laws(L, L, X, X, {}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w is None and len(X) == 65
+    assert peak < 128 * 2 ** 20
+
+
+@pytest.mark.parametrize("empty", [None, "P", "Q", "R"])
+@pytest.mark.parametrize("D, N, T", [("c3", "b2", "c4"), ("m3", "m3", "n5"),
+                                     ("n5", "n5", "n5")])
+def test_composites_below_match_plain_loops(zoo, D, N, T, empty):
+    # P_a . Q_b <= R_r for members P of Q(N, T), Q of Q(D, N) and R of
+    # Q(D, T), given the right adjoints of the P; m3 and n5 are not
+    # distributive, and n5 -> n5 is an endo case, where P and its right
+    # adjoints have one shape
+    D, N, T = zoo[D], zoo[N], zoo[T]
+    A = latq.enumerate_homset(N, T)
+    P, RP = A.matrix[::3], A.rho[::3]
+    Q = latq.enumerate_homset(D, N).matrix[::2]
+    R = latq.enumerate_homset(D, T).matrix[::2]
+    if empty == "P":
+        P, RP = P[:0], RP[:0]
+    elif empty == "Q":
+        Q = Q[:0]
+    elif empty == "R":
+        R = R[:0]
+    got = quantale._composites_below(N, RP, Q, R)
+    want = np.array([[[T.leq[P[a][Q[b]], R[r]].all() for r in range(len(R))]
+                      for b in range(len(Q))] for a in range(len(P))],
+                    dtype=bool).reshape(len(P), len(Q), len(R))
+    assert got.shape == want.shape and np.array_equal(got, want)
+    if empty is None:
+        assert 0 < want.sum() < want.size
 
 
 def test_axiom_sweep_on_generators_peak_memory_on_d4_1(corpus):
