@@ -122,6 +122,11 @@ class Poset:
         )
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """Made once: the order is frozen, and a lookup would copy it."""
         return hash((self.n, self.leq.tobytes()))
 
     def __repr__(self) -> str:

@@ -8,8 +8,8 @@ operation is its join-side twin run between the order duals (`_op`).
 
 Rows are told apart by exact ranks (`_row_ids`): a run of columns is
 coded as sum of row[x] * base ** x, and `_dedup` ranks the codes with
-one sort of (code << k) | position keys, where np.unique would take
-three times as long.  A row too wide for one code is ranked run by run,
+one sort of (code << k) | position keys, where np.unique takes up to
+four times as long.  A row too wide for one code is ranked run by run,
 each run's codes appended to the ranks of the columns above it.  The
 kernels rank nothing: each computes a row from that row alone, and most
 callers' rows are distinct already.  Callers whose rows repeat rank
@@ -183,14 +183,16 @@ def pointwise_meet(fs: Sequence[LatMap],
 def _dedup(codes: np.ndarray):
     """np.unique(codes, return_index=True, return_inverse=True) for a flat
     array of nonnegative int64 codes below 2 ** (63 - N.bit_length()), N
-    the number of codes: one sort of the keys (code << k) | position."""
+    the number of codes: one sort of the keys (code << k) | position, then
+    a rank that counts the changes between neighbours."""
     k = len(codes).bit_length()
     keys = np.sort((codes << k) | np.arange(len(codes)))
     at, codes = keys & ((1 << k) - 1), keys >> k
-    starts = np.flatnonzero(np.diff(codes, prepend=-1))
-    inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[at] = np.repeat(np.arange(len(starts)),
-                            np.diff(starts, append=len(keys)))
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    inverse = np.empty_like(at)
+    inverse[at] = np.cumsum(new) - 1
     return codes[starts], at[starts], inverse
 
 

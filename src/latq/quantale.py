@@ -141,7 +141,9 @@ def enumerate_homset(dom: Lattice, cod: Lattice,
     pair, so the minimal ones decide (`Lattice.minimal_binding_pairs`,
     none when dom is distributive).  Each is checked at the level of the
     last join-irreducible below x v y, the first level at which all three
-    values are final.
+    values are final.  The frontier and its join table are of the smallest
+    unsigned type that holds cod's labels (one byte up to 256), and the
+    kept rows become the int32 matrix once, at the end.
     """
     irr = dom.join_irreducibles
     est = cod.n ** len(irr)
@@ -150,17 +152,18 @@ def enumerate_homset(dom: Lattice, cod: Lattice,
     xs, ys, zs = dom.minimal_binding_pairs
     ranks = np.arange(len(irr))[:, None]
     level = np.where(dom.leq[list(irr)], ranks, -1).max(axis=0, initial=-1)[zs]
-    V = np.full((1, dom.n), cod.bottom, dtype=np.int32)
+    join = cod.join.astype(np.min_scalar_type(cod.n - 1))
+    V = np.full((1, dom.n), cod.bottom, dtype=join.dtype)
     for k, j in enumerate(irr):
         parent, v = np.nonzero(cod.leq[V[:, j]])
         V = V[parent]
         span = np.flatnonzero(dom.leq[j])
-        V[:, span] = cod.join[V[:, span], v[:, None]]
+        V[:, span] = join[V[:, span], v[:, None]]
         now = level == k
         if now.any():
             keep = np.ones(len(V), dtype=bool)
             for x, y, z in zip(xs[now], ys[now], zs[now]):
-                keep &= cod.join[V[:, x], V[:, y]] == V[:, z]
+                keep &= join[V[:, x], V[:, y]] == V[:, z]
             V = V[keep]
     return HomsetEnumeration(dom, cod, V)
 

@@ -4,12 +4,13 @@ Each check declares its applicability (carrier size, complete
 distributivity, homset bounds) and runs against every corpus member,
 producing a pass/fail/skip matrix.  Skips from declared applicability
 are expected; a cap tripping mid-run is not, and the CLI treats those
-as failures on the built-in corpus.
+as failures on the built-in corpus.  A run goes carrier by carrier and
+drops a carrier's facts after the last member equal to it, so the facts
+it holds do not grow with the corpus.
 """
 
 from __future__ import annotations
 
-import functools
 import zlib
 from dataclasses import dataclass
 from typing import Callable
@@ -60,36 +61,52 @@ def builtin_corpus() -> list[Lattice]:
 
 
 class SuiteContext:
-    """Per-run caches: profiles, endo homsets, axioms, cyclic members,
-    dualizing verdicts, and each carrier's map family (`family`)."""
+    """Per-run facts, kept by carrier: each carrier's profile, endo homset
+    (or its refusal), axiom verdict, cyclic members, dualizing verdicts
+    and, per name, map family (`family`).  Equal carriers share one
+    entry, and `release` drops it.  Each fact looks its function up per
+    call, as wrappers rebind it."""
 
     def __init__(self, seed: int = 0, cap: int = quantale.DEFAULT_CAP):
         self.seed = seed
         self.cap = cap
-        # each lambda looks its function up per call, as wrappers rebind it
-        self.profile = functools.cache(lambda L: cd.classify_lattice(L))
-        self._homset = functools.cache(self._enumerate)
-        self.axioms = functools.cache(
-            lambda L: quantale.check_involutive_axioms(L, L, cap))
-        self.cyclic = functools.cache(
-            lambda L: quantale.cyclic_elements(self.homset(L)))
-        self.dualizing = functools.cache(
-            lambda f: quantale.is_dualizing(f, self.homset(f.dom)).holds)
-        self._family = functools.cache(self._draw_family)
+        self.facts: dict[Lattice, dict] = {}
+
+    def _fact(self, L: Lattice, key, make: Callable, *args):
+        """make(*args), made once for L's carrier under key; a refusal is
+        kept too, and raised again on every call."""
+        facts = self.facts.setdefault(L, {})
+        if key not in facts:
+            try:
+                facts[key] = make(*args)
+            except CapExceeded as e:
+                facts[key] = e
+        if isinstance(facts[key], CapExceeded):
+            raise facts[key].with_traceback(None)
+        return facts[key]
+
+    def release(self, L: Lattice) -> None:
+        """Drop every fact of L's carrier, under every name."""
+        self.facts.pop(L, None)
+
+    def profile(self, L: Lattice) -> cd.LatticeProfile:
+        return self._fact(L, "profile", cd.classify_lattice, L)
 
     def homset(self, L: Lattice) -> quantale.HomsetEnumeration:
-        """The endo homset of L, or its refusal: each is made once per run,
-        and a kept `CapExceeded` is raised again on every call."""
-        Q = self._homset(L)
-        if isinstance(Q, CapExceeded):
-            raise Q.with_traceback(None)
-        return Q
+        return self._fact(L, "homset", quantale.enumerate_homset, L, L,
+                          self.cap)
 
-    def _enumerate(self, L: Lattice):
-        try:
-            return quantale.enumerate_homset(L, L, self.cap)
-        except CapExceeded as e:
-            return e
+    def axioms(self, L: Lattice) -> CheckResult:
+        return self._fact(L, "axioms", quantale.check_involutive_axioms,
+                          L, L, self.cap)
+
+    def cyclic(self, L: Lattice) -> list[maps.LatMap]:
+        return self._fact(L, "cyclic", quantale.cyclic_elements,
+                          self.homset(L))
+
+    def dualizing(self, f: maps.LatMap) -> bool:
+        return self._fact(f.dom, ("dualizing", f.key), lambda: (
+            quantale.is_dualizing(f, self.homset(f.dom)).holds))
 
     def family(self, L: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(A, Mo, J), the maps, monotone maps and jc maps L -> L that T8,
@@ -109,13 +126,13 @@ class SuiteContext:
         distinct rows.  The interior of a repeat is a repeat, so the
         distinct rows of J are those of the interior of the distinct Mo, in
         the same order."""
-        return self._family(L.name, L)
+        return self._fact(L, ("family", L.name), self._draw_family, L)
 
-    def _draw_family(self, name: str, L: Lattice):
+    def _draw_family(self, L: Lattice):
         if L.n <= EXHAUSTIVE_N:
             A, Mo = maps.all_maps_array(L, L), maps.monotone_maps_array(L, L)
         else:
-            tag = f"{self.seed}:{name}".encode()
+            tag = f"{self.seed}:{L.name}".encode()
             rng = np.random.RandomState(zlib.crc32(tag) & 0xFFFFFFFF)
             G = rng.randint(0, L.n, (SAMPLE_COUNT // 2, L.n)).astype(np.int32)
             # partners pointwise below G, so T10's first law has real pairs
@@ -538,7 +555,10 @@ def run_suite(corpus: list[Lattice] | None = None,
               checks: list[str] | None = None,
               seed: int = 0,
               cap: int = quantale.DEFAULT_CAP) -> SuiteReport:
-    """Run the registry (or a subset) over the corpus (builtin by default)."""
+    """Run the registry (or a subset) over the corpus (builtin by default),
+    carrier-major: every check on one carrier, then the next.  The facts
+    of a carrier are released after the last corpus member equal to it.
+    Cells are reported check by check, each row in corpus order."""
     if corpus is None:
         corpus = builtin_corpus()
     names = [L.name for L in corpus]
@@ -554,10 +574,11 @@ def run_suite(corpus: list[Lattice] | None = None,
             raise ValueError(f"unknown check ids: {sorted(unknown)}")
         registry = [c for c in registry if c.id in set(checks)]
     ctx = SuiteContext(seed=seed, cap=cap)
-    results: dict[str, dict[str, CheckResult]] = {}
-    for chk in registry:
-        row: dict[str, CheckResult] = {}
-        for L in corpus:
+    results: dict[str, dict[str, CheckResult]] = {c.id: {} for c in registry}
+    last = {L: k for k, L in enumerate(corpus)}
+    for k, L in enumerate(corpus):
+        for chk in registry:
+            row = results[chk.id]
             reason = chk.applies(ctx, L)
             if reason is not None:
                 row[L.name] = CheckResult(chk.id, False, reason=reason)
@@ -567,7 +588,8 @@ def run_suite(corpus: list[Lattice] | None = None,
             except CapExceeded as e:
                 row[L.name] = CheckResult(chk.id, False, reason=str(e),
                                           expected=False)
-        results[chk.id] = row
+        if last[L] == k:
+            ctx.release(L)
     return SuiteReport(
         corpus=names,
         checks=[c.id for c in registry],

@@ -742,8 +742,10 @@ def test_composite_ids_past_62_bits_on_a_rectangular_homset(corpus):
 
 
 @pytest.mark.parametrize("N, top", [(0, 5), (1, 5), (2, 1), (1000, 50),
-                                    (5000, 1 << 40)])
+                                    (5000, 1 << 40), (64, 1), (50_000, 1),
+                                    (50_000, 1_000), (50_000, 1 << 40)])
 def test_dedup_equals_np_unique(N, top):
+    # top 1 makes every code equal
     codes = np.random.RandomState(N).randint(0, top, size=N, dtype=np.int64)
     got = maps._dedup(codes)
     want = np.unique(codes, return_index=True, return_inverse=True)

@@ -87,6 +87,30 @@ def test_endo_homset_bytes_are_pinned(corpus):
         "81e0ceca4504cbaf517c2ad50bcfafd5f523301aa36b94418e7e2c8839690b95")
 
 
+def _relabelled_grid(side: int, top: bool, seed: int):
+    """The side x side grid of pairs, with a new top above it when top is
+    set, its labels a seeded permutation."""
+    n = side * side + top
+    label = np.random.RandomState(seed).permutation(n)
+    covers = [(x, x + 1) for x in range(side * side) if (x + 1) % side]
+    covers += [(x, x + side) for x in range(side * side - side)]
+    covers += [(n - 2, n - 1)] * top
+    return build_lattice(latq.build_poset(
+        n, [(label[a], label[b]) for a, b in covers]))
+
+
+@pytest.mark.parametrize("top", [False, True])
+def test_homset_on_codomains_past_one_byte(zoo, top):
+    # 256 labels fit the one-byte frontier, 257 need two; bottom and top
+    # sit at seeded labels, so the values span the whole range
+    K = _relabelled_grid(16, top, seed=256 + top)
+    assert K.n == 256 + top and K.bottom != 0
+    Q = latq.enumerate_homset(zoo["c2"], K)
+    assert Q.matrix.dtype == np.int32
+    assert Q.matrix.tolist() == [list(v) for v in oracles.jc_maps(zoo["c2"], K)]
+    assert Q.matrix[:, 1].max() == K.n - 1
+
+
 def test_homset_cap(zoo):
     with pytest.raises(latq.CapExceeded):
         latq.enumerate_homset(zoo["b3"], zoo["b3"], cap=100)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -690,3 +692,62 @@ def test_each_refused_homset_is_refused_once_per_run(monkeypatch):
             if cell.reason and cell.reason.startswith("homset estimate"):
                 asked[name] = asked.get(name, 0) + 1
     assert set(asked) == refused and min(asked.values()) >= 2
+
+
+def test_each_carrier_is_released_after_its_last_equal_member(
+        monkeypatch, corpus):
+    # the run goes carrier by carrier, every check on one carrier before
+    # the next, and drops a carrier's facts right after the last member
+    # equal to it; a release finds only that carrier and carriers with a
+    # member still to come in the store, and the run ends with it empty
+    events, ctxs = [], []
+
+    def logged(chk):
+        def applies(ctx, L):
+            events.append(("cell", chk.id, L.name))
+            return chk.applies(ctx, L)
+        return dataclasses.replace(chk, applies=applies)
+
+    real = suite.SuiteContext.release
+
+    def release(ctx, L):
+        k = sum(e[0] == "cell" for e in events) // len(suite.REGISTRY) - 1
+        assert corpus[k] is L and L in ctx.facts
+        assert all(M == L or any(M == N for N in corpus[k + 1:])
+                   for M in ctx.facts), L.name
+        events.append(("release", L.name))
+        ctxs.append(ctx)
+        real(ctx, L)
+        assert L not in ctx.facts
+
+    monkeypatch.setattr(suite, "REGISTRY",
+                        tuple(map(logged, suite.REGISTRY)))
+    monkeypatch.setattr(suite.SuiteContext, "release", release)
+    assert latq.run_suite(corpus=corpus, seed=1).ok
+    want = []
+    for k, L in enumerate(corpus):
+        want += [("cell", c.id, L.name) for c in suite.REGISTRY]
+        if not any(M == L for M in corpus[k + 1:]):
+            want.append(("release", L.name))
+    assert events == want
+    assert 50 < len(ctxs) < len(corpus)
+    assert len(set(map(id, ctxs))) == 1 and ctxs[0].facts == {}
+
+
+def _suite_peak(seeds) -> int:
+    """The tracemalloc peak of one run over fresh random carriers."""
+    spec = latq.GeneratorSpec
+    corpus = [latq.generate(spec("random", seed=s, n=3 + s % 6)).rename(
+        f"x{s:03d}") for s in seeds]
+    tracemalloc.start()
+    try:
+        assert latq.run_suite(corpus=corpus, seed=0).ok
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_suite_memory_is_bounded_by_a_carrier_not_the_corpus():
+    # three times the carriers put the peaks about 1.3 MB apart; keeping
+    # every carrier's facts for the whole run puts them 7 MB apart
+    assert _suite_peak(range(120)) - _suite_peak(range(40)) <= 3 << 20
