@@ -27,6 +27,7 @@ from .errors import CycleDetected, IndexOutOfRange, NotALattice, TooLarge
 # `latq verify --corpus` on the 1,024-element chain (0.7 s, T2 about 0.1 s
 # of it).
 MAX_ELEMENTS = 1024
+_CHUNK_BYTES = 1 << 23    # bytes one block of any chunked sweep may take
 
 
 def _admit(n: int) -> None:
@@ -327,8 +328,8 @@ def _meet_table(leq: np.ndarray, f: np.ndarray, cover_tops: np.ndarray,
     out = np.empty((n, n), dtype=np.int32)
     ok = np.empty((n, n), dtype=bool)
     cols = np.arange(n)
-    # rows per chunk, so the pair codes stay within 2**20 words (8 MB)
-    step = max(1, (1 << 20) // (n * words))
+    # rows per chunk, so the pair codes fit _CHUNK_BYTES
+    step = max(1, _CHUNK_BYTES // (8 * n * words))
     for r in range(0, n, step):
         rows = cols[r:r + step, None]
         pos = np.searchsorted(

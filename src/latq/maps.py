@@ -7,18 +7,19 @@ and the bulk detectors in `quantale` reuse them directly.  Each meet-side
 operation is its join-side twin run between the order duals (`_op`).
 
 Rows are told apart by exact ranks (`_row_ids`): a run of columns is
-coded as sum of row[x] * base ** x, and `_dedup` ranks the codes with
-one sort of (code << k) | position keys, where np.unique takes up to
-four times as long.  A row too wide for one code is ranked run by run,
-each run's codes appended to the ranks of the columns above it.  The
-kernels rank nothing: each computes a row from that row alone, and most
-callers' rows are distinct already.  Callers whose rows repeat rank
-them through `_rank_rows`, several blocks at once (the suite's map
+coded in int64 as sum of row[x] * base ** x, and `_dedup` ranks the
+codes with one sort of (code << k) | position keys, where np.unique
+takes up to four times as long.  A row too wide for one code is ranked
+run by run, each run's codes appended to the ranks of the columns above
+it.  The kernels rank nothing: each computes a row from that row alone,
+and most callers' rows are distinct already.  Callers whose rows repeat
+rank them through `_rank_rows`, several blocks at once (the suite's map
 families, T10's point keys, the axiom sweep's formulas), or as
-composites P_a . Q_b through `_composite_ids`, one matrix product with
-the one-hot codes of Q, so that `quantale._on_composites` runs a kernel
-on the distinct composites without forming them all.  Order tests need
-no product: they AND packed bit rows (`quantale._pointwise_leq`).
+composites P_a . Q_b through `_composite_ids`, whose codes Horner's rule
+builds from one gather of P per column of Q, so that
+`quantale._on_composites` runs a kernel on the distinct composites
+without forming them all.  Order tests need no product: they AND packed
+bit rows (`quantale._pointwise_leq`).
 
 Families are folded through a join or meet table by `lattice._fold`.
 The interior folds over the covers of its domain, not over up-sets: two
@@ -39,11 +40,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import lattice
 from .errors import CapExceeded, DomainMismatch, IndexOutOfRange, NotContinuous
 from .lattice import Lattice, _fold, _frozen
-
-# Bytes one gather of `_batch_raney_join` may take.
-_RANEY_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -202,20 +201,20 @@ def _row_ids(codes: Callable[[int, int], np.ndarray], width: int, base: int,
     ids[r] ranks row r's values as np.unique ranks the codes sum of
     row[x] * base ** x, and first[i] is the first row of rank i.
 
-    codes(lo, hi) gives each row's code over columns lo..hi-1 alone, and is
-    asked only for runs with base ** (hi - lo) <= 2 ** 53.  The runs are
-    taken from the last column down, each as wide as the ranks so far
-    times its codes fit `_dedup`, and each run's codes are appended to the
-    ranks of the columns above it; so every code is exact at any width.
+    codes(lo, hi) gives each row's int64 code over columns lo..hi-1 alone.
+    The runs are taken from the last column down, each as wide as the
+    ranks so far times its codes stay within `_dedup`'s bound, and each
+    run's codes are appended to the ranks of the columns above it; so
+    every code is exact at any width.
     """
     ids = np.zeros(N, dtype=np.int64)
     first, count, hi = np.zeros(min(N, 1), dtype=np.int64), 1, width
+    limit = 1 << (63 - max(N, 1).bit_length())    # `_dedup`'s code bound
     while hi > 0:
-        room = min(53, 63 - N.bit_length() - (count - 1).bit_length())
         lo = hi - 1
-        while lo > 0 and base ** (hi - lo + 1) <= 1 << room:
+        while lo > 0 and count * base ** (hi - lo + 1) <= limit:
             lo -= 1
-        if base ** (hi - lo) > 1 << room:
+        if count * base ** (hi - lo) > limit:
             raise CapExceeded(f"{N} rows are too many to rank exactly")
         distinct, first, ids = _dedup(ids * base ** (hi - lo) + codes(lo, hi))
         count, hi = len(distinct), lo
@@ -235,19 +234,17 @@ def _rank_rows(base: int, *blocks: np.ndarray):
 def _composite_ids(P: np.ndarray, Q: np.ndarray, base: int):
     """`_row_ids` over the rows P_a . Q_b, for (a, b) in row-major order,
     from P of shape (A, m) with entries below base and Q of shape (B, n)
-    with entries below m, without forming them: a run's codes are one
-    matrix product of W[a, x, v] = P[a, v] * base ** x with the one-hot
-    codes of Q."""
-    A, m = P.shape
-    P = P.astype(np.float64)
+    with entries below m, without forming them: a run's codes are built by
+    Horner's rule, from the last column down, one gather of P per column."""
+    PT = np.ascontiguousarray(P.T)
 
     def codes(lo: int, hi: int) -> np.ndarray:
-        W = P[:, None, :] * float(base) ** np.arange(hi - lo)[:, None]
-        onehot = np.eye(m)[Q[:, lo:hi]].reshape(len(Q), (hi - lo) * m)
-        return (W.reshape(A, (hi - lo) * m) @ onehot.T).astype(
-            np.int64).ravel()
+        out = np.zeros((len(Q), len(P)), dtype=np.int64)
+        for x in range(hi - 1, lo - 1, -1):
+            out = out * base + PT[Q[:, x]]
+        return out.T.ravel()
 
-    return _row_ids(codes, Q.shape[1], base, A * len(Q))
+    return _row_ids(codes, Q.shape[1], base, len(P) * len(Q))
 
 
 def _batch_interior(dom: Lattice, cod: Lattice, H: np.ndarray) -> np.ndarray:
@@ -385,11 +382,11 @@ def _batch_raney_join(dom: Lattice, cod: Lattice, F: np.ndarray) -> np.ndarray:
 def _gathered_joins(join: np.ndarray, F: np.ndarray, idx: np.ndarray
                     ) -> np.ndarray:
     """_fold(join, F[:, idx]), by blocks of rows of F, and of idx where one
-    row of F needs it, whose gathers fit `_RANEY_CHUNK_BYTES`."""
+    row of F needs it, whose gathers fit `lattice._CHUNK_BYTES`."""
     out = np.empty((len(F), len(idx)), dtype=np.int32)
-    cell = 4 * idx.shape[1]
-    rows = max(1, _RANEY_CHUNK_BYTES // (cell * max(1, len(idx))))
-    width = max(1, _RANEY_CHUNK_BYTES // (cell * rows))
+    cell, budget = 4 * idx.shape[1], lattice._CHUNK_BYTES
+    rows = max(1, budget // (cell * max(1, len(idx))))
+    width = max(1, budget // (cell * rows))
     for r in range(0, len(F), rows):
         for k in range(0, len(idx), width):
             out[r:r + rows, k:k + width] = _fold(

@@ -14,10 +14,10 @@ The pair sweeps never form a (B, B, n) array of composites.  Every
 order test ANDs packed bit rows (`_pointwise_leq`), a composite below a
 map P . Q <= R as Q <= rho P . R (`_composites_below`).  The axiom
 sweep's residual formulas and the cyclic, dualizing and codualizing
-searches code every composite exactly (`maps._composite_ids`), run the
-kernels on the distinct composites alone (`_on_composites`), and
-compare results by rank or value.  The composite codes take 8 bytes a
-pair.
+searches code every composite exactly in int64 (`maps._composite_ids`,
+by Horner's rule over gathers of one factor), run the kernels on the
+distinct composites alone (`_on_composites`), and compare results by
+rank or value.
 The axiom check picks its rows from the carriers
 (`check_involutive_axioms`): over distributive L and M one family of
 |M(L)| |J(M)| + 1 maps a homset, built from them (`_epsilon_maps`),
@@ -42,6 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import lattice
 from .cd import CheckResult, first_failing_law, verdict
 from .errors import CapExceeded, DomainMismatch, NotContinuous, NotEndoHomset
 from .lattice import Lattice, Poset, _admit, build_lattice
@@ -62,7 +63,6 @@ from .maps import (
 )
 
 DEFAULT_CAP = 1 << 20
-_CHUNK_BYTES = 1 << 23    # a narrowed block's len(K) * len(C) rows
 
 
 class HomsetEnumeration:
@@ -97,7 +97,7 @@ class HomsetEnumeration:
     @cached_property
     def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
         """The members' rows as raw bytes, sorted, and their positions."""
-        keys = self.matrix.view((np.void, self.matrix[0].nbytes)).ravel()
+        keys = self.matrix.view((np.void, 4 * self.dom.n)).ravel()
         order = np.argsort(keys)
         return keys[order], order
 
@@ -105,6 +105,8 @@ class HomsetEnumeration:
         """Each row's position among the members, -1 for a non-member."""
         keys, order = self._sorted
         rows = np.ascontiguousarray(rows, np.int32).view(keys.dtype).ravel()
+        if not len(keys):
+            return np.full(len(rows), -1)
         at = np.searchsorted(keys, rows).clip(max=len(keys) - 1)
         return np.where(keys[at] == rows, order[at], -1)
 
@@ -290,14 +292,14 @@ def _central(Q: HomsetEnumeration, C, K):
 
 def _narrowed(Q: HomsetEnumeration, test) -> list[LatMap]:
     """The members c of Q with test(K, C) true at c for every block K of
-    member positions, C the candidates still kept: only survivors meet the
-    next block.  A block is at least as long as all before it, longer when
-    few candidates are left, and len(K) * len(C) rows fit _CHUNK_BYTES."""
+    member positions, C the candidates still kept: only survivors meet
+    the next block.  A block is at least as long as all before it, longer
+    when few are left, and its len(K) * len(C) rows fit the block budget."""
     F = Q.matrix
     keep, done = np.arange(len(F)), 0
     while done < len(F) and len(keep):
         step = min(max(1, done, len(F) // len(keep)),
-                   max(1, _CHUNK_BYTES // (len(keep) * F[0].nbytes)))
+                   max(1, lattice._CHUNK_BYTES // (len(keep) * F[0].nbytes)))
         keep = keep[test(slice(done, done + step), keep)]
         done += step
     return Q.members(keep)

@@ -355,15 +355,14 @@ def _t10_laws(ctx: SuiteContext, L: Lattice):
         "f": A[:, None], "g": A[None]}
 
     S, RA_k, counts = _t10_point_keys(L, A, RA)
+    keys = maps._padded(S, L.n)    # pad n: a bottom column on each factor
 
     def per_left_factor(D: np.ndarray, law) -> np.ndarray:
         """law(transform(d . g), d . transform(g)) at every point, for each
         row d of D and each g in A, from one table per d over the point
-        keys: a (len(D), len(A)) verdict."""
-        lhs = np.full((len(D), len(S)), L.bottom, dtype=np.int32)
-        for v in range(L.n):
-            lhs = np.where(S[:, v], L.join[lhs, D[:, v, None]], lhs)
-        bad = ~law(lhs, D[:, RA_k])
+        keys, d joined over each key's S: a (len(D), len(A)) verdict."""
+        D = np.pad(D, [(0, 0), (0, 1)], constant_values=L.bottom)
+        bad = ~law(maps._gathered_joins(L.join, D, keys), D[:, RA_k])
         return (bad.astype(np.float32) @ counts) == 0
 
     # lax composition law: transform(m . g) <= m . transform(g), m monotone

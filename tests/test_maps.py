@@ -9,7 +9,7 @@ from hypothesis import assume, given, strategies as st
 
 import latq
 import oracles
-from latq import maps, quantale
+from latq import lattice, maps, quantale
 
 
 @st.composite
@@ -702,9 +702,13 @@ def test_rank_rows_ranks_several_blocks_as_one(base, width, sizes):
 
 
 def test_rank_rows_refuses_entries_too_wide_to_code_exactly():
-    # one column of base 2 ** 60 is past the 53 bits a run may take
+    # over 4 rows a code may take 60 bits of int64, `_dedup` keeping 3 for
+    # the position: one column of base 2 ** 61 is past them, 2 ** 60 fits
     with pytest.raises(latq.CapExceeded):
-        maps._rank_rows(2 ** 60, np.zeros((4, 1), np.int64))
+        maps._rank_rows(2 ** 61, np.zeros((4, 1), np.int64))
+    F = np.array([[2 ** 60 - 1], [0], [2 ** 60 - 1], [5]], np.int64)
+    first, (ids,) = maps._rank_rows(2 ** 60, F)
+    assert first.tolist() == [1, 3, 0] and ids.tolist() == [2, 0, 2, 1]
 
 
 @pytest.mark.parametrize("P_shape, Q_shape, base", [
@@ -713,6 +717,9 @@ def test_rank_rows_refuses_entries_too_wide_to_code_exactly():
     ((0, 3), (4, 2), 3),          # no rows in P
     ((4, 3), (0, 2), 3),          # no rows in Q
     ((9, 30), (7, 30), 30),       # rows of 30 log2 30 > 62 bits
+    ((2, 6), (3, 6), 1024),       # 60 bits a row, one run past 53 bits
+    ((5, 6), (6, 6), 1024),       # 60 bits a row, two runs
+    ((1, 1), (1, 1), 3),          # one composite of one column
 ])
 def test_composite_ids_match_double_loop(P_shape, Q_shape, base):
     rng = np.random.RandomState(base + P_shape[0])
@@ -807,9 +814,11 @@ def test_raney_join_from_zero_rows_past_its_chunk_budget(
     for dom in (zoo["c1"], zoo["b2"], L):
         out = maps._batch_raney_join(dom, dom, np.zeros((0, dom.n), np.int32))
         assert out.shape == (0, dom.n) and out.dtype == np.int32
-    # rows enough for three blocks of each gather
+    # rows enough for three blocks of each gather, under a 1 MB budget
+    # that keeps the blocks to 17 rows
+    monkeypatch.setattr(lattice, "_CHUNK_BYTES", 1 << 20)
     T, P = maps._raney_tables(L)
-    rows = maps._RANEY_CHUNK_BYTES // (4 * min(T.size, P.size))
+    rows = lattice._CHUNK_BYTES // (4 * min(T.size, P.size))
     F = np.random.RandomState(7).randint(0, L.n, size=(2 * rows + 3, L.n))
     whole = maps._batch_raney_join(L, L, F)
     alone = [maps._batch_raney_join(L, L, F[k:k + 1]) for k in range(len(F))]
@@ -817,7 +826,7 @@ def test_raney_join_from_zero_rows_past_its_chunk_budget(
     edges = [0, rows - 1, rows, len(F) - 1]
     _kernels_match_oracles(L, L, F[edges], RANEY_ORACLES[:1])
     # a budget below one row's gather: a row, and a row of T or P, at a time
-    monkeypatch.setattr(maps, "_RANEY_CHUNK_BYTES", 1)
+    monkeypatch.setattr(lattice, "_CHUNK_BYTES", 1)
     part = maps._batch_raney_join(L, L, F[:rows + 1])
     assert (part == whole[:rows + 1]).all()
     for dom in zoo.values():

@@ -8,7 +8,7 @@ import pytest
 
 import latq
 import oracles
-from latq import quantale
+from latq import lattice, quantale
 from latq.cd import first_failing_law
 from latq.errors import NotALattice, NotContinuous
 from latq.lattice import Poset, build_lattice
@@ -146,6 +146,13 @@ def test_homset_positions_match_a_plain_loop(zoo, dom, cod):
     want = [members.index(r) if r in members else -1 for r in rows.tolist()]
     assert Q.positions(rows).tolist() == want
     assert 0 < want.count(-1) < 80
+    # an enumeration with no members places no row
+    empty = quantale.HomsetEnumeration(L, M, Q.matrix[:0])
+    assert empty.positions(rows).tolist() == [-1] * 80
+    f = latq.LatMap(L, M, Q.matrix[0])
+    assert f not in empty
+    with pytest.raises(NotContinuous):
+        empty.position(f)
 
 
 def test_homset_positions_past_62_bits():
@@ -615,7 +622,7 @@ def test_narrowing_keeps_a_candidate_only_after_every_member(
         at = fails_at[C]
         return ~((K.start <= at) & (at < K.stop) & (at % 2 == 1))
     budget = 1 << 16
-    monkeypatch.setattr(quantale, "_CHUNK_BYTES", budget)
+    monkeypatch.setattr(lattice, "_CHUNK_BYTES", budget)
     blocks = _logged_blocks(monkeypatch, len(Q))
     kept = quantale._narrowed(Q, test)
     assert [Q.position(f) for f in kept] == \
@@ -634,15 +641,32 @@ def test_narrowing_blocks_tile_the_members_within_budget(corpus, monkeypatch):
                          (latq.codualizing_elements, 1)):
         blocks.clear()
         assert len(search(Q)) == kept
-        _tile_within(blocks, len(Q), quantale._CHUNK_BYTES,
+        _tile_within(blocks, len(Q), lattice._CHUNK_BYTES,
                      Q.matrix[0].nbytes)
         assert len(blocks) <= 11
     # a test that drops nothing still meets O(log B) blocks: 1, 1, 2, 4, ...
     blocks.clear()
     everyone = quantale._narrowed(Q, lambda K, C: np.ones(len(C), bool))
     assert len(everyone) == len(Q)
-    _tile_within(blocks, len(Q), quantale._CHUNK_BYTES, Q.matrix[0].nbytes)
+    _tile_within(blocks, len(Q), lattice._CHUNK_BYTES, Q.matrix[0].nbytes)
     assert len(blocks) == 11
+
+
+@pytest.mark.parametrize("search", ["cyclic_elements", "dualizing_elements"])
+def test_composite_searches_peak_within_a_few_mb(corpus, search):
+    # d4_1 has 7,776 members; the searches code their composites by
+    # integer gathers, in blocks within the chunk budget, and each peaks
+    # at about 2 MB
+    L = {L.name: L for L in corpus}["d4_1"]
+    Q = latq.enumerate_homset(L, L)
+    tracemalloc.start()
+    try:
+        kept = getattr(latq, search)(Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(Q) == 7776 and len(kept) == 2
+    assert peak <= 4 << 20
 
 
 def test_codualizing_search_matches_loop_and_definition(
@@ -665,7 +689,7 @@ def test_codualizing_search_matches_loop_and_definition(
     Q = latq.enumerate_homset(L, L)
     blocks = _logged_blocks(monkeypatch, len(Q))
     assert len(latq.codualizing_elements(Q)) == 1
-    _tile_within(blocks, len(Q), quantale._CHUNK_BYTES, Q.matrix[0].nbytes)
+    _tile_within(blocks, len(Q), lattice._CHUNK_BYTES, Q.matrix[0].nbytes)
     assert len(blocks) > 1
     for name in ("c1", "c2", "c3", "c4", "b2", "m3", "n5"):
         L = zoo[name]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import latq
-from latq import cli, docio, maps, quantale, suite
+from latq import cli, docio, lattice, maps, quantale, suite
 from latq.cd import CheckResult, first_failing_law
 from latq.suite import SuiteReport
 
@@ -668,6 +668,42 @@ def test_t10_composition_laws_match_the_full_sweep_beyond_the_gate(
             assert np.array_equal(got[law], ok), (L.name, law)
 
 
+@pytest.mark.parametrize("name", ["n5", "p23"])
+def test_t10_composition_laws_in_blocks_of_rows_and_keys(
+        monkeypatch, zoo, name):
+    # a budget below one left factor's join over all the point keys, so
+    # `_gathered_joins` joins one factor at a time and the keys in blocks
+    # of about a third: the laws still equal the full sweep, a kernel run
+    # on every composite, with False entries planted as beyond the gate
+    L = zoo[name]
+    A, _, _ = suite.SuiteContext().family(L)
+    S = suite._t10_point_keys(L, A, maps._batch_raney_join(L, L, A))[0]
+    keys = maps._padded(S, L.n)
+    cell = 4 * keys.shape[1]                   # one factor at one key
+    monkeypatch.setattr(lattice, "_CHUNK_BYTES", cell * len(keys) // 3)
+    assert 1 < len(keys) // 3 < len(keys)      # the keys a block joins
+
+    def mixed(F, row):
+        F = F.copy()
+        F[5] = row
+        return F
+
+    down = np.full(L.n, L.top, dtype=np.int32)
+    down[L.top] = L.bottom
+    got, seen = _t10_spied(
+        monkeypatch, L, run=lambda ctx, L: {
+            law: ok for law, ok, _ in suite._t10_laws(ctx, L)},
+        sample_monotone_maps=lambda F: mixed(F, down),
+        _batch_interior=lambda F: mixed(F, np.full(L.n, L.top)))
+    (_, _, A), RA = seen["_batch_raney_join"]
+    for law, lax in (("lax_composition", True),
+                     ("exact_composition", False)):
+        left = _first_occurrences(_t10_left(seen, lax))
+        ok = _t10_holds(L, _t10_composites(L, left, A), left[:, RA], lax)
+        assert ok.all(axis=1).any() and not ok.all(), (name, law)
+        assert np.array_equal(got[law], ok), (name, law)
+
+
 def test_each_refused_homset_is_refused_once_per_run(monkeypatch):
     # T6n, T7 and T13 each ask for the endo homset of a carrier that
     # enumerate_homset refuses; the run keeps the refusal, so each refused
@@ -751,3 +787,122 @@ def test_suite_memory_is_bounded_by_a_carrier_not_the_corpus():
     # three times the carriers put the peaks about 1.3 MB apart; keeping
     # every carrier's facts for the whole run puts them 7 MB apart
     assert _suite_peak(range(120)) - _suite_peak(range(40)) <= 3 << 20
+
+
+# ------------------------------------------------ every check able to fail
+
+def _every_pair_holds(Q, C, K):
+    """A detector that finds its law holding at every pair (k, c)."""
+    return np.ones((1, len(C)), dtype=bool), {}
+
+
+def _first_row_top(real):
+    """The kernel real, with its first output row sent to the top."""
+    def spoiled(dom, cod, F):
+        out = np.array(real(dom, cod, F))
+        out[:1] = cod.top
+        return out
+    return spoiled
+
+
+def _first_call_negated(real):
+    """real, with the output of its first call negated."""
+    calls = []
+
+    def spoiled(*args):
+        calls.append(None)
+        return ~real(*args) if len(calls) == 1 else real(*args)
+    return spoiled
+
+
+def _interior_by_the_cd_formula(dom, cod, H):
+    """The interior as T9 computes it on CD carriers alone: the join
+    transform after omega."""
+    omega = maps.special(dom, "omega").values
+    return maps._batch_raney_join(dom, cod, H[:, omega])
+
+
+def _non_monotone_first_row(real):
+    """real, with its first row sending the bottom alone to the top."""
+    def spoiled(dom, cod):
+        out = real(dom, cod).copy()
+        out[0] = cod.bottom
+        out[0, cod.bottom] = cod.top
+        return out
+    return spoiled
+
+
+def _plant(module, name, make):
+    """A plant that rebinds module.name to make(the real one)."""
+    return lambda m, L: m.setattr(module, name, make(getattr(module, name)))
+
+
+# check -> (carrier, plant, law, witness keys): the plant is a fault in a
+# fact or kernel the check's body reads, on a carrier its gate admits
+PLANTS = {
+    "T1": ("b2", _plant(maps, "special_table", lambda real: (  # a is alpha
+        lambda L, kind, x=slice(None): real(
+            L.op if kind == "a" else L, kind, x))),
+        None, {"computed", "o"}),
+    "T2": ("c3", _plant(maps, "_batch_interior", _first_row_top),
+           None, {"x", "interior", "annihilator_at_o(x)"}),
+    "T3": ("c3", _plant(quantale, "_cyclic", lambda _: _every_pair_holds),
+           None, {"cyclic_but_unexpected"}),
+    "T4": ("c2", _plant(quantale, "_dualizing", lambda _: _every_pair_holds),
+           None, {"constant_top_dualizing"}),
+    "T5": ("n5", _plant(quantale, "_cyclic", lambda _: _every_pair_holds),
+           None, {"premise", "meet_criterion", "distributive"}),
+    "T6": ("c2", _plant(quantale, "_batch_raney_join", _first_row_top),
+           "double_transform", {"law", "f", "twice"}),
+    "T6n": ("m3", _plant(quantale, "_axiom_laws",
+                         lambda _: lambda *args: iter(())),
+            None, {"axioms_hold_on_non_cd"}),
+    "T7": ("c3", _plant(quantale, "_central", lambda _: _every_pair_holds),
+           None, {"difference_member"}),
+    "T8": ("c3", _plant(maps, "_batch_interior", _first_row_top),
+           None, {"f", "roundtrip"}),
+    "T8n": ("n5", _plant(maps, "_batch_raney_join",
+                         lambda _: lambda dom, cod, F: np.array(F)),
+            None, {"roundtrip_fixed_identity"}),
+    "T9": ("c3", _plant(maps, "_batch_interior", _first_row_top),
+           None, {"f", "interior", "join_transform_after_omega",
+                  "join_transform", "interior_after_o"}),
+    "T9n": ("n5", _plant(maps, "_batch_interior",
+                         lambda _: _interior_by_the_cd_formula),
+            None, {"interior_formula_held_on_non_cd"}),
+    "T10": ("c3", _plant(maps, "monotone_maps_array",
+                         _non_monotone_first_row),
+            "lax_composition", {"law", "monotone", "g"}),
+    "T11": ("c3", _plant(suite, "is_chain", lambda real: (
+        lambda L: not real(L))),
+        None, {"o_below_id", "chain", "id_below_o", "smooth"}),
+    "T12": ("c2", _plant(maps, "_batch_interior", _first_row_top),
+            None, {"f", "g", "big_meet", "interior_of_meet",
+                   "enumerated_infimum"}),
+    "T12n": ("m3", _plant(maps, "_batch_big_meet",
+                          lambda _: maps._batch_interior),
+             None, {"big_meet_matched_on_non_cd"}),
+    "T13": ("n5", _plant(quantale, "_dualizing", lambda _: _every_pair_holds),
+            None, {"distributive_oracle", "involutive_axioms",
+                   "cyclic_dualizing_found"}),
+    "T14": ("c2", _plant(quantale, "_composites_below", _first_call_negated),
+            "triangle_rotation", {"law", "f", "e", "g", "compose_below",
+                                  "rotated_left", "rotated_right"}),
+}
+
+
+@pytest.mark.parametrize("check", sorted(set(suite.CHECK_IDS) | set(PLANTS)))
+def test_every_check_fails_on_a_planted_fault(monkeypatch, zoo, check):
+    # the gate admits the carrier before the plant, and the body, run on
+    # the same facts with the plant in place, fails with its witness; a
+    # body that always held, or a check with no plant, fails here
+    assert check in suite.CHECK_IDS and check in PLANTS, check
+    name, plant, law, keys = PLANTS[check]
+    L = zoo[name].rename(name)       # tables of its own, which plants spoil
+    entry = next(c for c in suite.REGISTRY if c.id == check)
+    ctx = suite.SuiteContext()
+    assert entry.applies(ctx, L) is None
+    plant(monkeypatch, L)
+    res = entry.run(ctx, L)
+    assert res.status == "fail" and set(res.witness) == keys
+    assert law is None or res.witness["law"] == law
