@@ -9,28 +9,21 @@ and the binding pairs (`is_distributive`).
 """
 
 import argparse
-from dataclasses import dataclass
 
 import latq
 
 
-@dataclass(frozen=True)
-class CensusConfig:
-    sizes: tuple[int, ...] = (3, 4, 5, 6, 7)
-    samples: int = 200
-    seed0: int = 10_000
-
-
-def census(config: CensusConfig) -> None:
+def census(sizes: list[int], samples: int, seed: int) -> None:
+    """Draw `samples` lattices per ground-set size, from consecutive seeds
+    starting at `seed`, and print one row per size."""
     header = (f"{'bits':>4}{'samples':>9}{'cd rate':>9}{'smooth':>8}"
               f"{'min n':>7}{'mean n':>8}{'max n':>7}")
     print(header)
     print("-" * len(header))
-    seed = config.seed0
-    for bits in config.sizes:
+    for bits in sizes:
         cd = smooth = 0
-        sizes = []
-        for _ in range(config.samples):
+        ns = []
+        for _ in range(samples):
             L = latq.generate(
                 latq.GeneratorSpec("random", seed=seed, n=bits))
             seed += 1
@@ -41,11 +34,11 @@ def census(config: CensusConfig) -> None:
                     f"criteria disagree on seed {seed - 1}")
             cd += res.holds
             smooth += latq.classify_lattice(L).smooth
-            sizes.append(L.n)
-        mean = sum(sizes) / len(sizes)
-        print(f"{bits:>4}{config.samples:>9}"
-              f"{cd / config.samples:>9.3f}{smooth / config.samples:>8.3f}"
-              f"{min(sizes):>7}{mean:>8.2f}{max(sizes):>7}")
+            ns.append(L.n)
+        mean = sum(ns) / len(ns)
+        print(f"{bits:>4}{samples:>9}"
+              f"{cd / samples:>9.3f}{smooth / samples:>8.3f}"
+              f"{min(ns):>7}{mean:>8.2f}{max(ns):>7}")
 
 
 def main() -> None:
@@ -55,11 +48,7 @@ def main() -> None:
     ap.add_argument("--sizes", type=str, default="3,4,5,6,7",
                     help="comma-separated ground-set sizes")
     args = ap.parse_args()
-    census(CensusConfig(
-        sizes=tuple(int(s) for s in args.sizes.split(",")),
-        samples=args.samples,
-        seed0=args.seed,
-    ))
+    census([int(s) for s in args.sizes.split(",")], args.samples, args.seed)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
-"""Complete-distributivity criteria, the independent oracle, profiles.
+"""Complete-distributivity criteria, the oracle, profiles and verdicts.
 
 Three routes to the same verdict on a finite lattice: the two transform
 criteria (join of meets-of-complements, meet of joins-of-complements)
-and a plain triple-distributivity scan.  Finiteness makes them agree;
-the suite and the acceptance tests quantify that agreement.
+and a plain triple-distributivity scan.  Finiteness makes them agree
+with `Lattice.is_distributive`, the suite's one decider; the suite's
+twin checks and the acceptance tests quantify that agreement.
 """
 
 from __future__ import annotations

@@ -80,7 +80,10 @@ def _stable_topo(n: int, covers: np.ndarray) -> list[int]:
 
 
 class Poset:
-    """Finite poset as a reflexive, antisymmetric, transitive bool matrix."""
+    """Finite poset as a reflexive, antisymmetric, transitive bool matrix,
+    and its Hasse edges `covers` (lower, upper): a read-only (E, 2) intp
+    array in lexicographic order.  Entry [i, j] of leq @ leq counts the k
+    with i <= k <= j, so it is 2 exactly where j covers i."""
 
     def __init__(self, leq: np.ndarray):
         leq = np.array(leq, dtype=bool)
@@ -92,12 +95,13 @@ class Poset:
             raise ValueError("leq must be reflexive")
         if (leq & leq.T & ~np.eye(n, dtype=bool)).any():
             raise ValueError("leq must be antisymmetric")
-        # path counts are at most n; float32 holds them exactly below 2**24
-        closed = (leq.astype(np.float32) @ leq.astype(np.float32)) > 0
-        if (closed & ~leq).any():
+        # interval counts are at most n; float32 holds them exactly below 2**24
+        counts = leq.astype(np.float32) @ leq.astype(np.float32)
+        if ((counts > 0) & ~leq).any():
             raise ValueError("leq must be transitive")
         self.n = n
         self.leq = _frozen(leq)
+        self.covers = _frozen(np.argwhere(leq & (counts == 2)))
 
     @cached_property
     def toposort(self) -> tuple[int, ...]:
@@ -106,14 +110,6 @@ class Poset:
         if not np.tril(self.leq, -1).any():
             return tuple(range(self.n))
         return tuple(_stable_topo(self.n, self.covers))
-
-    @cached_property
-    def covers(self) -> np.ndarray:
-        """Hasse edges (lower, upper), the rows of a read-only (E, 2) intp
-        array in ascending lexicographic order."""
-        strict = self.leq & ~np.eye(self.n, dtype=bool)
-        via = (strict.astype(np.float32) @ strict.astype(np.float32)) > 0
-        return _frozen(np.argwhere(strict & ~via))
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
@@ -190,8 +186,7 @@ class Lattice:
         # and turns each Hasse edge around, kept in lexicographic order
         p = Poset.__new__(Poset)
         p.n, p.leq, c = self.n, self.leq.T, self.poset.covers
-        p.__dict__["covers"] = _frozen(
-            c[np.argsort(c[:, 1], kind="stable"), ::-1])
+        p.covers = _frozen(c[np.argsort(c[:, 1], kind="stable"), ::-1])
         name = f"{self.name}_dual" if self.name else None
         D = Lattice(p, self.meet, self.join, self.top, self.bottom, name)
         D.__dict__["op"] = self
@@ -217,7 +212,11 @@ class Lattice:
 
     @cached_property
     def is_distributive(self) -> bool:
-        """No pair binds: every join-irreducible is join-prime."""
+        """No pair binds: every join-irreducible is join-prime.  On a
+        finite lattice that is complete distributivity (Raney 1952), and
+        this is its one decider: the gates, the axiom route, T5 and T13
+        read it, and T8/T8n, T9/T9n and T12/T12n check Raney's criteria
+        against it."""
         return not len(self.minimal_binding_pairs[0])
 
     @cached_property

@@ -299,12 +299,13 @@ def _interior_tables(dom: Lattice) -> tuple:
 
     G lists the elements by height, the length of the longest chain from
     the bottom up to them, lowest first, so that an element's upper
-    covers are higher than it and its lower covers lower.  Row k of U
-    holds G[k], its upper covers and the top as pad, and row k of D holds
-    G[k], its lower covers and the bottom as pad (`Lattice.lower_covers`).
-    `groups` holds (a, b, u, d) for each height: G[a:b] are its elements,
-    whose rows need only the first u columns of U and d of D.  `non_j`
-    holds the elements that are not join-irreducible.  The binding-pair
+    covers are higher than it and its lower covers lower.  Row k of D
+    holds G[k], its lower covers and the bottom as pad, and row k of U
+    the same on the dual: G[k], its upper covers and the top as pad
+    (`Lattice.lower_covers`).  `groups` holds (a, b, u, d) for each
+    height: G[a:b] are its elements, whose rows need only the first u
+    columns of U and d of D.  `non_j` holds the elements that are not
+    join-irreducible.  The binding-pair
     step reads `pairs`, (ix, iy, zs, first), with ix and iy as in
     `Lattice.minimal_binding_pairs`, zs their distinct joins and first the
     start of each run of one join; and `hops`, the (at, to) steps that
@@ -313,24 +314,20 @@ def _interior_tables(dom: Lattice) -> tuple:
     """
     if "interior" in dom.derived:
         return dom.derived["interior"]
-    n = dom.n
+    n, covers = dom.n, dom.poset.covers
     rank = dom.leq.sum(axis=0).tolist()
-    up, down, height = [[x] for x in range(n)], [0] * n, [0] * n
+    height = [0] * n
     # each cover after those into its lower end: down-sets grow along covers
-    for i, j in sorted(dom.poset.covers.tolist(), key=lambda e: rank[e[0]]):
-        up[i].append(j)
-        down[j] += 1
+    for i, j in sorted(covers.tolist(), key=lambda e: rank[e[0]]):
         if height[j] <= height[i]:
             height[j] = height[i] + 1
     G = sorted(range(n), key=height.__getitem__)
-    width = max(map(len, up))
-    U = np.array([up[x] + [dom.top] * (width - len(up[x])) for x in G],
-                 np.intp)
+    up, down = (np.bincount(c, minlength=n) for c in covers.T)
     groups, a = [], 0
     for _, xs in itertools.groupby(G, key=height.__getitem__):
         xs = list(xs)
-        groups.append((a, a + len(xs), max(len(up[x]) for x in xs),
-                       1 + max(down[x] for x in xs)))
+        groups.append((a, a + len(xs), 1 + int(up[xs].max()),
+                       1 + int(down[xs].max())))
         a += len(xs)
     ix, iy, ij = dom.minimal_binding_pairs
     joins = ij.tolist()
@@ -344,9 +341,8 @@ def _interior_tables(dom: Lattice) -> tuple:
         hops.append((at, at + (1 << b)))
     first = np.array(first, np.intp)
     dom.derived["interior"] = (
-        np.array(G), U, dom.lower_covers[G], groups,
-        np.array([x for x in range(n) if down[x] != 1], np.intp),
-        (ix, iy, ij[first], first), hops)
+        np.array(G), dom.op.lower_covers[G], dom.lower_covers[G], groups,
+        np.flatnonzero(down != 1), (ix, iy, ij[first], first), hops)
     return dom.derived["interior"]
 
 
@@ -563,11 +559,10 @@ def sample_monotone_maps(dom: Lattice, cod: Lattice, count: int,
 
 
 def _upsets(L: Lattice) -> tuple[np.ndarray, np.ndarray]:
-    """The table `_draw_above` draws from: the stable argsort of ~L.leq,
-    whose row v lists the elements above v first, ascending, and the
-    number of elements above each v."""
-    return (np.argsort(~L.leq, axis=1, kind="stable").astype(np.int32),
-            L.leq.sum(axis=1))
+    """The table `_draw_above` draws from: row v lists the elements above
+    v, ascending, padded with the top (`_padded`), and the number of
+    elements above each v, the part of the row a draw reads."""
+    return _padded(L.leq, L.top), L.leq.sum(axis=1)
 
 
 def _draw_above(upsets: tuple[np.ndarray, np.ndarray], lo: np.ndarray,

@@ -61,11 +61,11 @@ def builtin_corpus() -> list[Lattice]:
 
 
 class SuiteContext:
-    """Per-run facts, kept by carrier: each carrier's profile, endo homset
-    (or its refusal), axiom verdict, cyclic members, dualizing verdicts
-    and, per name, map family (`family`).  Equal carriers share one
-    entry, and `release` drops it.  Each fact looks its function up per
-    call, as wrappers rebind it."""
+    """Per-run facts, kept by carrier: each carrier's endo homset (or its
+    refusal), axiom verdict, cyclic members, dualizing verdicts and, per
+    name, map family (`family`).  Equal carriers share one entry, and
+    `release` drops it.  Each fact looks its function up per call, as
+    wrappers rebind it."""
 
     def __init__(self, seed: int = 0, cap: int = quantale.DEFAULT_CAP):
         self.seed = seed
@@ -88,9 +88,6 @@ class SuiteContext:
     def release(self, L: Lattice) -> None:
         """Drop every fact of L's carrier, under every name."""
         self.facts.pop(L, None)
-
-    def profile(self, L: Lattice) -> cd.LatticeProfile:
-        return self._fact(L, "profile", cd.classify_lattice, L)
 
     def homset(self, L: Lattice) -> quantale.HomsetEnumeration:
         return self._fact(L, "homset", quantale.enumerate_homset, L, L,
@@ -162,15 +159,16 @@ _WORDS = "no one two three four five six seven eight nine".split()
 def _gate(cd: bool | None = None, min_n: int = 1, max_n: int | None = None,
           max_q: int | None = None):
     """Applicability: at least min_n (below 10) elements, completely
-    distributive when cd is True and not when it is False, at most max_n
-    elements, and an endo homset that `enumerate_homset` admits under the
-    run's cap and which has at most max_q members.  They are tested in
-    that order, and the first that fails gives the skip reason: for a
-    refused homset, the refusal's own message."""
+    distributive (`Lattice.is_distributive`) when cd is True and not when
+    it is False, at most max_n elements, and an endo homset that
+    `enumerate_homset` admits under the run's cap and which has at most
+    max_q members.  They are tested in that order, and the first that
+    fails gives the skip reason: for a refused homset, the refusal's own
+    message."""
     def applies(ctx: SuiteContext, L: Lattice) -> str | None:
         if L.n < min_n:
             return f"needs at least {_WORDS[min_n]} elements"
-        if cd is not None and ctx.profile(L).completely_distributive != cd:
+        if cd is not None and L.is_distributive != cd:
             return ("needs a completely distributive carrier" if cd else
                     "needs a non completely distributive carrier")
         if max_n is not None and L.n > max_n:
@@ -237,8 +235,8 @@ def _t2(ctx: SuiteContext, L: Lattice) -> CheckResult:
 def _t3(ctx: SuiteContext, L: Lattice) -> CheckResult:
     """cyclic members of the endo homset all equal constant-top or special
     o"""
-    allowed = {maps.special(L, "c", L.top).key, maps.special(L, "o").key}
-    extras = [f for f in ctx.cyclic(L) if f.key not in allowed]
+    allowed = {maps.special(L, "c", L.top), maps.special(L, "o")}
+    extras = [f for f in ctx.cyclic(L) if f not in allowed]
     return CheckResult("T3", not extras, None if not extras else {
         "cyclic_but_unexpected": extras[0].values.tolist()})
 
@@ -286,11 +284,10 @@ def _t6n(ctx: SuiteContext, L: Lattice) -> CheckResult:
 def _t7(ctx: SuiteContext, L: Lattice) -> CheckResult:
     """the composition center is exactly the identity and constant-bottom"""
     Q = ctx.homset(L)
-    expect = {maps.identity(L).key, maps.special(L, "c", L.bottom).key}
-    got = {f.key for f in quantale.central_elements(Q)}
+    expect = {maps.identity(L), maps.special(L, "c", L.bottom)}
+    got = set(quantale.central_elements(Q))
     return CheckResult("T7", got == expect, None if got == expect else {
-        "difference_member": np.frombuffer(next(iter(got ^ expect)),
-                                           dtype=np.int32).tolist()})
+        "difference_member": next(iter(got ^ expect)).values.tolist()})
 
 
 @_check("T8", cd=True, max_n=SAMPLED_N)
@@ -414,7 +411,7 @@ def _t11(ctx: SuiteContext, L: Lattice) -> CheckResult:
     mix = bool(L.leq[o, idx].all())
     comix = bool(L.leq[idx, o].all())
     chain = is_chain(L)
-    smooth = ctx.profile(L).smooth
+    smooth = cd.is_smooth(L)
     holds = (mix == chain) and (comix == smooth)
     return CheckResult("T11", holds, None if holds else {
         "o_below_id": mix, "chain": chain, "id_below_o": comix,
@@ -467,11 +464,7 @@ def _t14(ctx: SuiteContext, L: Lattice) -> CheckResult:
     """residual-via-transform formulas plus full triangle rotation hold on
     small completely distributive carriers"""
     res = ctx.axioms(L)
-    rotation = res.info["generators"] is not None
-    holds = res.holds and rotation
-    witness = res.witness if not res.holds else (
-        None if rotation else {"rotation_not_covered": True})
-    return CheckResult("T14", holds, witness)
+    return CheckResult("T14", res.holds, res.witness)
 
 
 CHECK_IDS = tuple(c.id for c in REGISTRY)

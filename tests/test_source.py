@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,3 +87,22 @@ def test_every_python_file_parses_as_python_3_10():
     for path in files:
         ast.parse(path.read_text(), filename=str(path),
                   feature_version=(3, 10))
+
+
+def test_each_catalogued_mutant_applies_to_one_place_and_names_real_tests():
+    # scripts/mutants.py mutates a copy by exact replacement: each old text
+    # occurs once in src/ and in its own file, and each test it expects to
+    # catch the mutant is a test function of the file it names
+    catalogue = json.loads((ROOT / "scripts" / "mutants.json").read_text())
+    assert len(catalogue) >= 8
+    assert len({m["name"] for m in catalogue}) == len(catalogue)
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    for m in catalogue:
+        assert m["old"] != m["new"] and m["tests"], m["name"]
+        assert sum(text.count(m["old"]) for text in sources) == 1, m["name"]
+        assert (ROOT / m["file"]).read_text().count(m["old"]) == 1, m["name"]
+        for test in m["tests"]:
+            path, name = test.split("[")[0].split("::")
+            tree = ast.parse((ROOT / path).read_text())
+            assert name in {node.name for node in tree.body
+                            if isinstance(node, ast.FunctionDef)}, test

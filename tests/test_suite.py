@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import latq
-from latq import cli, docio, lattice, maps, quantale, suite
+from latq import cd, cli, docio, lattice, maps, quantale, suite
 from latq.cd import CheckResult, first_failing_law
 from latq.suite import SuiteReport
 
@@ -236,18 +236,58 @@ def test_verify_large_cells_match_committed_reference(
     assert (cells, ran) == (288, 84)
 
 
-def test_t14_fails_where_the_axioms_ran_on_the_members(zoo):
-    # a CD carrier read as non-distributive sends the axiom check down the
-    # member route, which runs no rotation: T6 still passes on the
-    # members, and T14 refuses to count that as its rotation; a renamed
-    # copy keeps the forced verdict off the shared carrier
-    L = zoo["c3"].rename("c3")
-    L.__dict__["is_distributive"] = False
-    report = latq.run_suite(corpus=[L], checks=["T6", "T14"])
-    t6, t14 = report.results["T6"]["c3"], report.results["T14"]["c3"]
-    assert t6.status == "pass"
-    assert t14.status == "fail"
-    assert t14.witness == {"rotation_not_covered": True}
+@pytest.mark.parametrize("name, forced, failing", [
+    ("c3", False, {"T5", "T6n", "T8n", "T9n", "T12n", "T13"}),
+    ("n5", True, {"T6", "T8", "T9", "T13"}),
+], ids=["c3_read_as_non_cd", "n5_read_as_cd"])
+def test_a_forced_binding_pair_reading_fails_the_cross_checks(
+        zoo, name, forced, failing):
+    # the gates and the axiom route read one decider, is_distributive;
+    # forced wrong on a renamed copy (the shared carrier keeps its own),
+    # it admits the carrier to the wrong twins, and the checks that
+    # compute Raney's criterion, the axioms or a cyclic dualizing element
+    # their own way fail there
+    L = zoo[name].rename(name)
+    L.__dict__["is_distributive"] = forced
+    report = latq.run_suite(corpus=[L])
+    assert {check for check, row in report.results.items()
+            if row[name].status == "fail"} == failing
+
+
+def test_the_suite_decides_complete_distributivity_once(
+        monkeypatch, corpus):
+    # no cell asks the Raney criterion for a profile: the gates, T11 and
+    # the axiom route read the carrier's own binding-pair table
+    calls = []
+    monkeypatch.setattr(cd, "classify_lattice", lambda L, real=(
+        cd.classify_lattice): calls.append(L.name) or real(L))
+    assert latq.run_suite(corpus=corpus).ok
+    assert calls == []
+
+
+def test_each_gate_bound_admits_at_the_bound_and_skips_past_it(corpus):
+    # the gates bind their caps at import, so each is built here; c3 is
+    # distributive, and its 6 jc endomaps lie under the estimate 3 ** 2
+    L = next(M for M in corpus if M.name == "c3")
+    ctx = suite.SuiteContext()
+    q = len(ctx.homset(L))
+    est = L.n ** len(L.join_irreducibles)
+    with pytest.raises(latq.CapExceeded) as refused:
+        quantale.enumerate_homset(L, L, est - 1)
+    admits = [(ctx, {"max_q": q}), (ctx, {"max_n": L.n}),
+              (ctx, {"min_n": L.n}), (ctx, {"cd": True}),
+              (suite.SuiteContext(cap=est), {"max_q": q})]
+    skips = [(ctx, {"max_q": q - 1}, f"homset too large (|Q| > {q - 1})"),
+             (ctx, {"max_n": L.n - 1}, "carrier too large (n=3 > 2)"),
+             (ctx, {"min_n": L.n + 1}, "needs at least four elements"),
+             (ctx, {"cd": False},
+              "needs a non completely distributive carrier"),
+             (suite.SuiteContext(cap=est - 1), {"max_q": q},
+              str(refused.value))]
+    for at, gate in admits:
+        assert suite._gate(**gate)(at, L) is None, gate
+    for at, gate, reason in skips:
+        assert suite._gate(**gate)(at, L) == reason, gate
 
 
 def test_a_refusal_inside_a_check_is_an_unexpected_skip(
@@ -458,7 +498,7 @@ def test_t12_batch_matches_per_pair_loop(corpus):
     ctx = suite.SuiteContext()
     failed = 0
     for L in corpus:
-        if ctx.profile(L).completely_distributive:
+        if L.is_distributive:
             continue
         try:
             Q = ctx.homset(L)
