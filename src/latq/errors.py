@@ -33,6 +33,10 @@ class CapExceeded(LatqError):
     """Estimated enumeration size exceeds the work cap."""
 
 
+class HomsetTooLarge(CapExceeded):
+    """An enumeration found more members than its limit."""
+
+
 class NotEndoHomset(LatqError):
     """Operation requires maps from a lattice to itself."""
 

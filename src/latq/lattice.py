@@ -222,7 +222,9 @@ class Lattice:
     @cached_property
     def derived(self) -> dict:
         """Maps and tables built from this carrier alone, kept by `maps`
-        (`special`, `_interior_tables`, `_raney_tables`)."""
+        (`special`, `_interior_tables`, `_raney_tables`) and by `quantale`
+        (`_level_plan`, the enumeration's binding pairs by level, with this
+        as a non-distributive domain)."""
         return {}
 
     @cached_property

@@ -1,8 +1,12 @@
 """The quantale of join-continuous endomaps and its quantaloid structure.
 
-Homsets are enumerated as a breadth-first numpy frontier, one level per
-join-irreducible of the domain; each minimal binding pair's join is
-checked at the first level where its three values are final.
+Homsets are enumerated depth first over numpy blocks of partial rows,
+one level per join-irreducible of the domain, each block's head
+expanded before its tail, so the rows come out in order; each level's
+minimal binding pairs, those whose three values are first final there,
+are checked by one vectorised test.  A block fits the chunk budget, and
+given a `limit` the enumeration yields at most limit + 1 rows a block
+and stops as soon as more than limit members are found.
 The detectors (cyclic, central, dualizing, codualizing, involutive
 axioms) run on the stacked value matrix through the batch kernels in
 `maps`, with the single-map operations as their spot-checkable face.
@@ -44,7 +48,13 @@ import numpy as np
 
 from . import lattice
 from .cd import CheckResult, first_failing_law, verdict
-from .errors import CapExceeded, DomainMismatch, NotContinuous, NotEndoHomset
+from .errors import (
+    CapExceeded,
+    DomainMismatch,
+    HomsetTooLarge,
+    NotContinuous,
+    NotEndoHomset,
+)
 from .lattice import Lattice, Poset, _admit, build_lattice
 from .maps import (
     LatMap,
@@ -126,48 +136,93 @@ class HomsetEnumeration:
         return f"HomsetEnumeration({self.dom!r} -> {self.cod!r}, {len(self)})"
 
 
-def enumerate_homset(dom: Lattice, cod: Lattice,
-                     cap: int = DEFAULT_CAP) -> HomsetEnumeration:
+def enumerate_homset(dom: Lattice, cod: Lattice, cap: int = DEFAULT_CAP,
+                     limit: int | None = None) -> HomsetEnumeration:
     """Exactly the join-continuous maps dom -> cod, refused with
     `CapExceeded` when the bound cod.n ** |J(dom)| on their count exceeds
-    cap.  This is the one place that decides whether a homset fits: the
-    suite's gates ask it and skip on its refusal.
+    cap, and, given a limit, with `HomsetTooLarge` as soon as more than
+    limit members are found.  This is the one place that decides whether a
+    homset fits: the suite's gates ask it and skip on its refusal.
 
-    A breadth-first frontier over the join-irreducibles j_0, j_1, ... of
-    dom in toposort order.  At level k every partial row takes, at once,
-    each value v at or above its current value at j_k (the join of the
-    values already given below j_k), and v is joined into the up-set of
-    j_k.  Parents stay in order and values ascend, so the rows come out in
-    lexicographic order of their values on J(dom).  Every row so built is
-    monotone and has f(x v y) == f(x) v f(y) except perhaps at a binding
-    pair, so the minimal ones decide (`Lattice.minimal_binding_pairs`,
-    none when dom is distributive).  Each is checked at the level of the
-    last join-irreducible below x v y, the first level at which all three
-    values are final.  The frontier and its join table are of the smallest
-    unsigned type that holds cod's labels (one byte up to 256), and the
-    kept rows become the int32 matrix once, at the end.
+    Depth first over blocks of partial rows, one level per
+    join-irreducible j_0, j_1, ... of dom in toposort order
+    (`_level_plan`).  A block at level k expands its head, as many rows
+    as fit `lattice._CHUNK_BYTES` (and at most limit + 1 rows, given a
+    limit) were each to take all of cod's values, and at least one: each
+    row takes, at once, each value v at or above its current value at j_k
+    (the join of the values already given below j_k), and v is joined
+    into the up-set of j_k.  The tail goes on the stack under the head's
+    expansion, so the head's rows are finished first.  Rows stay in order
+    and values ascend, so the rows come out in lexicographic order of
+    their values on J(dom), whatever the blocks.
+    Every row so built is monotone and has f(x v y) == f(x) v f(y) except
+    perhaps at a binding pair, so the minimal ones decide
+    (`Lattice.minimal_binding_pairs`, none when dom is distributive).
+    Each is checked at the level of the last join-irreducible below
+    x v y, the first level at which all three values are final.  The
+    blocks and the join table are of the smallest unsigned type that
+    holds cod's labels (one byte up to 256), and the kept rows become the
+    int32 matrix once, at the end.
     """
     irr = dom.join_irreducibles
     est = cod.n ** len(irr)
     if est > cap:
         raise CapExceeded(f"homset estimate {est} beyond enumeration cap")
-    xs, ys, zs = dom.minimal_binding_pairs
-    ranks = np.arange(len(irr))[:, None]
-    level = np.where(dom.leq[list(irr)], ranks, -1).max(axis=0, initial=-1)[zs]
+    pairs, at = _level_plan(dom)
     join = cod.join.astype(np.min_scalar_type(cod.n - 1))
-    V = np.full((1, dom.n), cod.bottom, dtype=join.dtype)
-    for k, j in enumerate(irr):
-        parent, v = np.nonzero(cod.leq[V[:, j]])
-        V = V[parent]
-        span = np.flatnonzero(dom.leq[j])
-        V[:, span] = join[V[:, span], v[:, None]]
-        now = level == k
-        if now.any():
-            keep = np.ones(len(V), dtype=bool)
-            for x, y, z in zip(xs[now], ys[now], zs[now]):
-                keep &= join[V[:, x], V[:, y]] == V[:, z]
-            V = V[keep]
-    return HomsetEnumeration(dom, cod, V)
+    # rows a block may expand to: each as wide as dom or a level's pairs
+    width = max(dom.n, int(np.diff(at).max(initial=0)))
+    most = lattice._CHUNK_BYTES // (width * join.itemsize)
+    if limit is not None:
+        most = min(most, limit + 1)
+    head = max(1, most // cod.n)        # a row yields at most cod.n rows
+    stack = [(0, np.full((1, dom.n), cod.bottom, dtype=join.dtype))]
+    done, total = [], 0
+    while stack:
+        k, V = stack.pop()
+        if not len(V):
+            continue
+        if k == len(irr):
+            done.append(V)
+            total += len(V)
+            if limit is not None and total > limit:
+                raise HomsetTooLarge(f"homset too large (|Q| > {limit})")
+            continue
+        j = irr[k]
+        span = dom.leq[j]
+        parent, v = np.nonzero(cod.leq[V[:head, j]])
+        W = V[parent]
+        W[:, span] = join[W[:, span], v[:, None]]
+        if at[k] < at[k + 1]:
+            xs, ys, zs = pairs[:, at[k]:at[k + 1]]
+            W = W[(join[W[:, xs], W[:, ys]] == W[:, zs]).all(axis=1)]
+        stack += [(k, V[head:]), (k + 1, W)]
+    return HomsetEnumeration(
+        dom, cod, done[0] if len(done) == 1 else np.concatenate(done))
+
+
+def _level_plan(dom: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """(pairs, at): the minimal binding pairs as the rows xs, ys, zs of
+    pairs, sorted by the level that checks them, level k's at
+    pairs[:, at[k]:at[k + 1]].  That is the level of the last
+    join-irreducible below their join z, in toposort order, the first at
+    which all three values are final.  Kept in `dom.derived` when dom has
+    binding pairs: a distributive dom, with none, keeps nothing, which
+    keeps a run over many domains from holding two arrays for each.  The
+    up-set of each join-irreducible is its row of dom.leq."""
+    if dom.is_distributive:
+        return np.zeros((3, 0), np.intp), np.zeros(
+            len(dom.join_irreducibles) + 1, np.intp)
+    if "enumerate" not in dom.derived:
+        irr = list(dom.join_irreducibles)
+        pairs = np.stack(dom.minimal_binding_pairs)
+        ranks = np.arange(len(irr))[:, None]
+        level = np.where(dom.leq[irr], ranks, -1).max(
+            axis=0, initial=-1)[pairs[2]]
+        order = np.argsort(level, kind="stable")
+        dom.derived["enumerate"] = (pairs[:, order], np.searchsorted(
+            level[order], np.arange(len(irr) + 1)))
+    return dom.derived["enumerate"]
 
 
 def residual_left(g: LatMap, h: LatMap) -> LatMap:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cd, maps, quantale
 from .cd import CheckResult, first_failing_law, verdict
-from .errors import CapExceeded
+from .errors import CapExceeded, HomsetTooLarge
 from .lattice import (
     GeneratorSpec,
     Lattice,
@@ -90,8 +90,10 @@ class SuiteContext:
         self.facts.pop(L, None)
 
     def homset(self, L: Lattice) -> quantale.HomsetEnumeration:
-        return self._fact(L, "homset", quantale.enumerate_homset, L, L,
-                          self.cap)
+        """L's endo homset, refused past `CENTER_HOMSET_CAP` members, the
+        largest a gate admits: no gate reads a larger one."""
+        return self._fact(L, "homset", lambda: quantale.enumerate_homset(
+            L, L, self.cap, limit=CENTER_HOMSET_CAP))
 
     def axioms(self, L: Lattice) -> CheckResult:
         return self._fact(L, "axioms", quantale.check_involutive_axioms,
@@ -163,8 +165,14 @@ def _gate(cd: bool | None = None, min_n: int = 1, max_n: int | None = None,
     it is False, at most max_n elements, and an endo homset that
     `enumerate_homset` admits under the run's cap and which has at most
     max_q members.  They are tested in that order, and the first that
-    fails gives the skip reason: for a refused homset, the refusal's own
-    message."""
+    fails gives the skip reason: for a homset refused by its estimate,
+    the refusal's own message.  The homset fact stops past
+    `CENTER_HOMSET_CAP` members (`SuiteContext.homset`), so a larger
+    max_q is refused here."""
+    if max_q is not None and max_q > CENTER_HOMSET_CAP:
+        raise ValueError(f"max_q {max_q} exceeds the homset fact's limit "
+                         f"{CENTER_HOMSET_CAP}")
+
     def applies(ctx: SuiteContext, L: Lattice) -> str | None:
         if L.n < min_n:
             return f"needs at least {_WORDS[min_n]} elements"
@@ -175,10 +183,12 @@ def _gate(cd: bool | None = None, min_n: int = 1, max_n: int | None = None,
             return f"carrier too large (n={L.n} > {max_n})"
         if max_q is not None:
             try:
-                Q = ctx.homset(L)
+                too_large = len(ctx.homset(L)) > max_q
+            except HomsetTooLarge:
+                too_large = True
             except CapExceeded as e:
                 return str(e)
-            if len(Q) > max_q:
+            if too_large:
                 return f"homset too large (|Q| > {max_q})"
         return None
     return applies

@@ -10,9 +10,9 @@ import latq
 import oracles
 from latq import lattice, quantale
 from latq.cd import first_failing_law
-from latq.errors import NotALattice, NotContinuous
+from latq.errors import HomsetTooLarge, NotALattice, NotContinuous
 from latq.lattice import Poset, build_lattice
-from latq.suite import PAIR_HOMSET_CAP
+from latq.suite import CENTER_HOMSET_CAP, PAIR_HOMSET_CAP
 
 
 # ------------------------------------------------------------- enumeration
@@ -114,6 +114,64 @@ def test_homset_on_codomains_past_one_byte(zoo, top):
 def test_homset_cap(zoo):
     with pytest.raises(latq.CapExceeded):
         latq.enumerate_homset(zoo["b3"], zoo["b3"], cap=100)
+
+
+def test_one_row_blocks_give_the_one_block_matrix(monkeypatch, corpus):
+    # at a budget of one byte every block is one row, so every call with
+    # two or more members splits at every level; each pair of distinct
+    # built-ins the pair cap admits, against one block per level, and
+    # against the plain-loop oracle on carriers of at most four elements
+    carriers = list(dict.fromkeys(corpus))
+    pairs = list(itertools.product(carriers, repeat=2))
+
+    def matrices(budget):
+        monkeypatch.setattr(lattice, "_CHUNK_BYTES", budget)
+        out = {}
+        for dom, cod in pairs:
+            try:
+                out[dom, cod] = latq.enumerate_homset(
+                    dom, cod, PAIR_HOMSET_CAP).matrix
+            except latq.CapExceeded:
+                pass
+        return out
+
+    whole, split = matrices(1 << 62), matrices(1)
+    assert whole.keys() == split.keys() and len(whole) == 1025
+    for (dom, cod), F in whole.items():
+        assert np.array_equal(split[dom, cod], F), (dom, cod)
+        if dom.n <= 4 and cod.n <= 4:
+            assert F.tolist() == [list(v) for v in oracles.jc_maps(dom, cod)]
+
+
+@pytest.mark.parametrize("name", ["b3", "n5"])
+def test_a_limit_of_the_count_admits_and_one_less_refuses(zoo, name):
+    # b3 is distributive (512 members), n5 is not (its rows are filtered
+    # at the last level, and checked against the plain-loop oracle): a
+    # limit sizes the blocks, and refuses only past the count
+    L = zoo[name]
+    Q = latq.enumerate_homset(L, L)
+    if L.n <= 5:
+        assert Q.matrix.tolist() == [list(v) for v in oracles.jc_maps(L, L)]
+    at = latq.enumerate_homset(L, L, limit=len(Q))
+    assert np.array_equal(at.matrix, Q.matrix)
+    with pytest.raises(HomsetTooLarge) as refused:
+        latq.enumerate_homset(L, L, limit=len(Q) - 1)
+    assert str(refused.value) == f"homset too large (|Q| > {len(Q) - 1})"
+    assert isinstance(refused.value, latq.CapExceeded)
+
+
+def test_the_suites_limit_refuses_d4_0_in_under_a_megabyte(corpus):
+    # d4_0 has 65,536 members, a 6 MB tracemalloc peak in full; stopped
+    # past CENTER_HOMSET_CAP it peaks at about 0.45 MB
+    L = next(M for M in corpus if M.name == "d4_0")
+    tracemalloc.start()
+    try:
+        with pytest.raises(HomsetTooLarge):
+            latq.enumerate_homset(L, L, limit=CENTER_HOMSET_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_homset_membership_and_lattice_closure(zoo):

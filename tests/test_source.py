@@ -1,6 +1,8 @@
 import ast
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -106,3 +108,23 @@ def test_each_catalogued_mutant_applies_to_one_place_and_names_real_tests():
             tree = ast.parse((ROOT / path).read_text())
             assert name in {node.name for node in tree.body
                             if isinstance(node, ast.FunctionDef)}, test
+
+
+def test_a_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
+    # under the project's pytest settings, which turn warnings into errors,
+    # a failing @given test must exit 1 with its report; a warning raised
+    # while hypothesis reports the failure would make it an INTERNALERROR,
+    # exit 3, and end the run
+    test = tmp_path / "test_failing_given.py"
+    test.write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_negative(x):\n"
+        "    assert x < 0\n")
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(test)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "1 failed" in out.stdout

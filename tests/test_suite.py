@@ -9,6 +9,7 @@ import pytest
 import latq
 from latq import cd, cli, docio, lattice, maps, quantale, suite
 from latq.cd import CheckResult, first_failing_law
+from latq.errors import HomsetTooLarge
 from latq.suite import SuiteReport
 
 
@@ -746,14 +747,19 @@ def test_t10_composition_laws_in_blocks_of_rows_and_keys(
 
 def test_each_refused_homset_is_refused_once_per_run(monkeypatch):
     # T6n, T7 and T13 each ask for the endo homset of a carrier that
-    # enumerate_homset refuses; the run keeps the refusal, so each refused
-    # built-in is refused once, and every asking cell skips on its message
-    refusals = []
+    # enumerate_homset refuses by its estimate, and every max_q gate for
+    # one it stops past CENTER_HOMSET_CAP members; the run keeps the
+    # refusal, so each refused built-in is refused once, and every asking
+    # cell skips on the estimate's message or the gate's own
+    refusals, too_large = [], []
     real = quantale.enumerate_homset
 
-    def counted(dom, cod, cap=quantale.DEFAULT_CAP):
+    def counted(dom, cod, cap=quantale.DEFAULT_CAP, limit=None):
         try:
-            return real(dom, cod, cap)
+            return real(dom, cod, cap, limit=limit)
+        except HomsetTooLarge:
+            too_large.append(dom.name)
+            raise
         except latq.CapExceeded:
             refusals.append(dom.name)
             raise
@@ -762,12 +768,45 @@ def test_each_refused_homset_is_refused_once_per_run(monkeypatch):
     report = latq.run_suite(seed=1)
     refused = set(refusals)
     assert len(refusals) == len(refused) == 12
-    asked = {}
+    assert sorted(too_large) == sorted(set(too_large)) == [
+        "d4_0", "d4_1", "r03", "r07", "r12", "r23", "r28", "r32", "r33",
+        "r42"]
+    asked, gated = {}, {}
     for check, row in report.results.items():
         for name, cell in row.items():
             if cell.reason and cell.reason.startswith("homset estimate"):
                 asked[name] = asked.get(name, 0) + 1
+            if cell.reason and cell.reason.startswith("homset too large"):
+                gated[name] = gated.get(name, 0) + 1
     assert set(asked) == refused and min(asked.values()) >= 2
+    assert set(too_large) <= set(gated)
+
+
+def test_the_suite_builds_no_homset_past_the_largest_gate(monkeypatch):
+    # the homset fact stops past CENTER_HOMSET_CAP members, and the axiom
+    # check enumerates only what a PAIR_HOMSET_CAP gate admitted
+    sizes = []
+
+    class Spied(quantale.HomsetEnumeration):
+        def __init__(self, dom, cod, matrix):
+            super().__init__(dom, cod, matrix)
+            sizes.append(len(self))
+
+    monkeypatch.setattr(quantale, "HomsetEnumeration", Spied)
+    assert latq.run_suite(seed=1).ok
+    assert sizes and max(sizes) <= suite.CENTER_HOMSET_CAP
+
+
+def test_a_gate_past_the_homset_limit_is_refused_when_built(corpus):
+    # a limit refusal is the gate's own reason at every max_q up to the
+    # limit, and a gate above the limit is not built
+    L = next(M for M in corpus if M.name == "d4_0")
+    ctx = suite.SuiteContext()
+    for max_q in (suite.PAIR_HOMSET_CAP, suite.CENTER_HOMSET_CAP):
+        assert suite._gate(max_q=max_q)(ctx, L) == \
+            f"homset too large (|Q| > {max_q})"
+    with pytest.raises(ValueError):
+        suite._gate(max_q=suite.CENTER_HOMSET_CAP + 1)
 
 
 def test_each_carrier_is_released_after_its_last_equal_member(
