@@ -38,10 +38,18 @@ class CheckResult:
     expected: bool = True
 
     @property
-    def status(self) -> str:
+    def mark(self) -> str:
+        """The cell's mark in a text report: + pass, v vacuous pass, F
+        fail, . declared skip, ! skip where a cap tripped."""
         if self.reason is not None:
-            return "skip"
-        return "pass" if self.holds else "fail"
+            return "." if self.expected else "!"
+        if not self.holds:
+            return "F"
+        return "v" if self.substantive is False else "+"
+
+    @property
+    def status(self) -> str:
+        return {"+": "pass", "v": "pass", "F": "fail"}.get(self.mark, "skip")
 
     def as_doc(self, timing: bool = False) -> dict:
         doc: dict[str, Any] = {

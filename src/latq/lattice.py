@@ -7,7 +7,7 @@ rely on ``leq[i, j] implies i <= j``; `dual` transposes the matrix and
 breaks it anyway.  The meet side of `maps` and `cd` is the join side run
 on the dual.  A family of elements is folded through a table by one
 function, `_fold`, which `Lattice.sup` and `inf` and the batch kernels
-of `maps` share.
+of `maps` share; `_padded` lists the rows of every index table.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import CycleDetected, IndexOutOfRange, NotALattice, TooLarge
 # `latq verify --corpus` on the 1,024-element chain (0.7 s, T2 about 0.1 s
 # of it).
 MAX_ELEMENTS = 1024
+DEFAULT_CAP = 1 << 20     # rows an enumeration of maps may list
 _CHUNK_BYTES = 1 << 23    # bytes one block of any chunked sweep may take
 
 
@@ -50,6 +51,18 @@ def _fold(table: np.ndarray, A: np.ndarray) -> np.ndarray:
         w = A.shape[-1]
         A = table[A[..., :(w + 1) // 2], A[..., w // 2:]]
     return A[..., 0]
+
+
+def _padded(M: np.ndarray, pad: int) -> np.ndarray:
+    """Row r: the c with M[r, c], ascending, then pad, to a common width
+    of at least one column.  One scatter of np.nonzero(M), which lists
+    each row's columns ascending, row after row."""
+    rows, cols = np.nonzero(M)
+    count = np.bincount(rows, minlength=len(M))
+    table = np.full((len(M), max(1, count.max(initial=0))), pad, np.int16)
+    starts = np.cumsum(count) - count
+    table[rows, np.arange(len(rows)) - starts[rows]] = cols
+    return table
 
 
 def _stable_topo(n: int, covers: np.ndarray) -> list[int]:
@@ -229,18 +242,12 @@ class Lattice:
 
     @cached_property
     def lower_covers(self) -> np.ndarray:
-        """Row x: x itself, then its lower covers, then the bottom as pad
-        up to a common width."""
+        """Row x: the lower covers of x, ascending, then the bottom as pad
+        up to a common width (`_padded`)."""
         lower, upper = self.poset.covers.T
-        order = np.argsort(upper, kind="stable")
-        lower, upper = lower[order], upper[order]
-        counts = np.bincount(upper, minlength=self.n)
-        starts = np.cumsum(counts) - counts
-        table = np.full((self.n, 1 + counts.max(initial=0)), self.bottom,
-                        np.intp)
-        table[:, 0] = np.arange(self.n)
-        table[upper, 1 + np.arange(len(upper)) - starts[upper]] = lower
-        return table
+        M = np.zeros((self.n, self.n), dtype=bool)
+        M[upper, lower] = True
+        return _padded(M, self.bottom)
 
     @cached_property
     def minimal_binding_pairs(self) -> tuple[np.ndarray, ...]:
@@ -269,7 +276,7 @@ class Lattice:
         binds = c[ij] + c[self.meet[ix, iy]] > c[ix] + c[iy]
         ix, iy, ij = ix[binds], iy[binds], ij[binds]
         keep = np.ones(len(ij), dtype=bool)
-        for d in self.lower_covers.T[1:]:
+        for d in self.lower_covers.T:
             keep &= (self.join[d[ix], iy] != ij) & (self.join[ix, d[iy]] != ij)
         keep = np.flatnonzero(keep)
         keep = keep[np.argsort(ij[keep], kind="stable")]
@@ -502,8 +509,11 @@ def all_posets(max_n: int) -> Iterator[Poset]:
     A poset on n points is one on n - 1 points plus a maximal point above
     a down-set.  Classes are their least `leq` bytes over relabellings, in
     order of their least code over relabellings, a digit per pair i <= j:
-    0 incomparable, 1 i < j, 2 j < i, 3 i = j.  Fine for max_n <= 6.
+    0 incomparable, 1 i < j, 2 j < i, 3 i = j.  Refused past 7 points:
+    all_posets(7) takes about 30 s, and 8 would take about 64 times that.
     """
+    if max_n > 7:
+        raise TooLarge(f"posets on {max_n} points exceed the 7-point cap")
     level = [np.eye(0, dtype=bool)]
     for n in range(1, max_n + 1):
         perms = np.array(list(itertools.permutations(range(n))))

@@ -21,10 +21,12 @@ builds from one gather of P per column of Q, so that
 without forming them all.  Order tests need no product: they AND packed
 bit rows (`quantale._pointwise_leq`).
 
-Families are folded through a join or meet table by `lattice._fold`.
-The interior folds over the covers of its domain, not over up-sets: two
-sweeps over the Hasse diagram, a group of elements at a time, read the
-tables `_interior_tables` builds once per carrier; the join transform
+Families are folded through a join or meet table by `lattice._fold`,
+over index tables `lattice._padded` lists.  The interior folds over the
+covers of its domain, not over up-sets: two sweeps over the Hasse
+diagram, a group of elements at a time, read the tables
+`_interior_tables` builds once per carrier from the `lower_covers` of
+the domain and its dual; the join transform
 gathers over the join-irreducibles, through `_raney_tables`.  The special
 maps that take an element are the rows of one table per kind
 (`special_table`), which T1 reads whole.  The sampler draws all its rows
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import lattice
 from .errors import CapExceeded, DomainMismatch, IndexOutOfRange, NotContinuous
-from .lattice import Lattice, _fold, _frozen
+from .lattice import Lattice, _fold, _frozen, _padded
 
 
 @dataclass(frozen=True)
@@ -300,13 +302,13 @@ def _interior_tables(dom: Lattice) -> tuple:
     G lists the elements by height, the length of the longest chain from
     the bottom up to them, lowest first, so that an element's upper
     covers are higher than it and its lower covers lower.  Row k of D
-    holds G[k], its lower covers and the bottom as pad, and row k of U
-    the same on the dual: G[k], its upper covers and the top as pad
-    (`Lattice.lower_covers`).  `groups` holds (a, b, u, d) for each
-    height: G[a:b] are its elements, whose rows need only the first u
-    columns of U and d of D.  `non_j` holds the elements that are not
-    join-irreducible.  The binding-pair
-    step reads `pairs`, (ix, iy, zs, first), with ix and iy as in
+    holds G[k] and then its row of `Lattice.lower_covers`, its lower
+    covers and the bottom as pad; row k of U the same on the dual: G[k],
+    its upper covers and the top as pad.  `groups` holds (a, b, u, d)
+    for each height: G[a:b] are its elements, whose rows need only the
+    first u columns of U and d of D.  `non_j` holds the elements that
+    are not join-irreducible.  The binding-pair step reads `pairs`,
+    (ix, iy, zs, first), with ix and iy as in
     `Lattice.minimal_binding_pairs`, zs their distinct joins and first the
     start of each run of one join; and `hops`, the (at, to) steps that
     meet entries of a run with those further on, halving the runs into
@@ -341,7 +343,8 @@ def _interior_tables(dom: Lattice) -> tuple:
         hops.append((at, at + (1 << b)))
     first = np.array(first, np.intp)
     dom.derived["interior"] = (
-        np.array(G), dom.op.lower_covers[G], dom.lower_covers[G], groups,
+        np.array(G), np.column_stack([G, dom.op.lower_covers[G]]),
+        np.column_stack([G, dom.lower_covers[G]]), groups,
         np.flatnonzero(down != 1), (ix, iy, ij[first], first), hops)
     return dom.derived["interior"]
 
@@ -395,24 +398,14 @@ def _raney_tables(dom: Lattice) -> tuple[np.ndarray, np.ndarray]:
     carrier into `dom.derived`.  Row k of T lists the t with j_k not<= t,
     j_k the k-th of J, padded with the bottom, which each row holds; row x
     of P lists the k with j_k <= x, padded with len(J), R's column of
-    bottoms.  Each takes at most 2 |J| n bytes: 59 KB for both on c20xc20,
-    4 MB on the 1,024-element chain."""
+    bottoms, which P has even when J is empty.  Each takes at most
+    2 |J| n bytes: 59 KB for both on c20xc20, 4 MB on the 1,024-element
+    chain."""
     if "raney" not in dom.derived:
         J = list(dom.join_irreducibles)
-        # column len(J) stays False, so P has a column even when J is empty
-        below = np.zeros((dom.n, len(J) + 1), dtype=bool)
-        below[:, :-1] = dom.leq[J].T
         dom.derived["raney"] = (_padded(~dom.leq[J], dom.bottom),
-                                _padded(below, len(J)))
+                                _padded(dom.leq[J].T, len(J)))
     return dom.derived["raney"]
-
-
-def _padded(M: np.ndarray, pad: int) -> np.ndarray:
-    """Row r: the c with M[r, c], ascending, then pad, to a common width."""
-    count = M.sum(axis=1)
-    width = max(1, count.max(initial=0))
-    table = np.argsort(~M, axis=1, kind="stable")[:, :width].astype(np.int16)
-    return np.where(np.arange(width) < count[:, None], table, np.int16(pad))
 
 
 def _batch_raney_meet(dom: Lattice, cod: Lattice, F: np.ndarray) -> np.ndarray:
@@ -530,8 +523,11 @@ def _batch_big_meet(dom: Lattice, cod: Lattice, M: np.ndarray) -> np.ndarray:
 # -------------------------------------------------------------- sampling
 
 def all_maps_array(dom: Lattice, cod: Lattice) -> np.ndarray:
-    """Every function dom -> cod as a (cod.n ** dom.n, dom.n) array."""
+    """Every function dom -> cod as a (cod.n ** dom.n, dom.n) array,
+    refused up front past `lattice.DEFAULT_CAP` rows."""
     n, m = dom.n, cod.n
+    if m ** n > lattice.DEFAULT_CAP:
+        raise CapExceeded(f"{m ** n} maps exceed the cap {lattice.DEFAULT_CAP}")
     digits = m ** np.arange(n - 1, -1, -1)
     return (np.arange(m ** n)[:, None] // digits % m).astype(np.int32)
 

@@ -55,7 +55,7 @@ from .errors import (
     NotContinuous,
     NotEndoHomset,
 )
-from .lattice import Lattice, Poset, _admit, build_lattice
+from .lattice import DEFAULT_CAP, Lattice, Poset, _admit, build_lattice
 from .maps import (
     LatMap,
     _batch_interior,
@@ -71,8 +71,6 @@ from .maps import (
     right_adjoint,
     special,
 )
-
-DEFAULT_CAP = 1 << 20
 
 
 class HomsetEnumeration:
@@ -161,8 +159,8 @@ def enumerate_homset(dom: Lattice, cod: Lattice, cap: int = DEFAULT_CAP,
     Each is checked at the level of the last join-irreducible below
     x v y, the first level at which all three values are final.  The
     blocks and the join table are of the smallest unsigned type that
-    holds cod's labels (one byte up to 256), and the kept rows become the
-    int32 matrix once, at the end.
+    holds cod's labels (one byte up to 256); the kept blocks are joined
+    once, at the end, into the rows `HomsetEnumeration` widens to int32.
     """
     irr = dom.join_irreducibles
     est = cod.n ** len(irr)
@@ -197,8 +195,7 @@ def enumerate_homset(dom: Lattice, cod: Lattice, cap: int = DEFAULT_CAP,
             xs, ys, zs = pairs[:, at[k]:at[k + 1]]
             W = W[(join[W[:, xs], W[:, ys]] == W[:, zs]).all(axis=1)]
         stack += [(k, V[head:]), (k + 1, W)]
-    return HomsetEnumeration(
-        dom, cod, done[0] if len(done) == 1 else np.concatenate(done))
+    return HomsetEnumeration(dom, cod, np.concatenate(done))
 
 
 def _level_plan(dom: Lattice) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ it holds do not grow with the corpus.
 from __future__ import annotations
 
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -361,16 +362,21 @@ def _t10_laws(ctx: SuiteContext, L: Lattice):
                                  | quantale._pointwise_leq(L, RA, RA)), {
         "f": A[:, None], "g": A[None]}
 
-    S, RA_k, counts = _t10_point_keys(L, A, RA)
+    S, RA_k, ids = _t10_point_keys(L, A, RA)
     keys = maps._padded(S, L.n)    # pad n: a bottom column on each factor
 
     def per_left_factor(D: np.ndarray, law) -> np.ndarray:
         """law(transform(d . g), d . transform(g)) at every point, for each
         row d of D and each g in A, from one table per d over the point
-        keys, d joined over each key's S: a (len(D), len(A)) verdict."""
+        keys, read at each point's key: a (len(D), len(A)) verdict."""
         D = np.pad(D, [(0, 0), (0, 1)], constant_values=L.bottom)
-        bad = ~law(maps._gathered_joins(L.join, D, keys), D[:, RA_k])
-        return (bad.astype(np.float32) @ counts) == 0
+        # a row per key, so each point gathers whole rows
+        good = np.ascontiguousarray(
+            law(maps._gathered_joins(L.join, D, keys), D[:, RA_k]).T)
+        ok = np.ones((len(A), len(D)), dtype=bool)
+        for x in range(L.n):
+            ok &= good[ids[:, x]]
+        return ok.T
 
     # lax composition law: transform(m . g) <= m . transform(g), m monotone
     yield "lax_composition", per_left_factor(
@@ -392,24 +398,20 @@ def _t10_point_keys(L: Lattice, A: np.ndarray, RA: np.ndarray):
     """The distinct keys (S, RA[g, x]) over the points (g, x) of the rows g
     of A, with S = {A[g, t] : x not<= t} the value set of g over
     U_x = {t : x not<= t}: the (K, n) 0/1 rows of S, the (K,) values of
-    RA, and the (K, len(A)) float32 count of each key among g's points.
+    RA, and the (len(A), n) ids of the keys at each point.
 
     Both sides of T10's composition laws at a point depend on its key
     alone: transform(d . g)(x) is the join of d over g(U_x) = S, and
     d(transform(g)(x)) is d at RA[g, x].  So a law holds for (d, g)
-    exactly when the keys where it fails for d have count 0 at g, and a
-    0/1 table over the keys times the counts gives that count; the counts
-    are at most n, which float32 holds exactly.  RA is the kernel's
-    transform of A, so every comparison still runs through it."""
+    exactly when it holds for d at the key of each point of g.  RA is
+    the kernel's transform of A, so every comparison still runs through
+    it."""
     onehot = np.eye(L.n, dtype=np.float32)[A]            # [g, t, v]
     S = ((~L.leq).astype(np.float32) @ onehot > 0).reshape(-1, L.n)
     RA = RA.ravel()
     # the 0/1 rows of S and the values of RA are all below n + 1
     first, (ids,) = maps._rank_rows(L.n + 1, np.column_stack([S, RA]))
-    K = len(first)
-    counts = np.bincount(np.arange(len(ids)) // L.n * K + ids,
-                         minlength=len(A) * K).reshape(len(A), K).T
-    return S[first], RA[first], counts.astype(np.float32)
+    return S[first], RA[first], ids.reshape(len(A), L.n)
 
 
 @_check("T11")
@@ -490,17 +492,11 @@ class SuiteReport:
 
     @property
     def summary(self) -> dict:
-        counts = {"cells": 0, "pass": 0, "fail": 0, "skip": 0,
-                  "unexpected_skip": 0, "vacuous_pass": 0}
-        for row in self.results.values():
-            for cell in row.values():
-                counts["cells"] += 1
-                counts[cell.status] = counts.get(cell.status, 0) + 1
-                if cell.status == "skip" and not cell.expected:
-                    counts["unexpected_skip"] += 1
-                if cell.status == "pass" and cell.substantive is False:
-                    counts["vacuous_pass"] += 1
-        return counts
+        marks = Counter(cell.mark for row in self.results.values()
+                        for cell in row.values())
+        return {"cells": marks.total(), "pass": marks["+"] + marks["v"],
+                "fail": marks["F"], "skip": marks["."] + marks["!"],
+                "unexpected_skip": marks["!"], "vacuous_pass": marks["v"]}
 
     @property
     def ok(self) -> bool:
@@ -522,20 +518,11 @@ class SuiteReport:
 
     def render_text(self) -> str:
         width = max(len(n) for n in self.corpus) if self.corpus else 4
-        cols = [c.rjust(5) for c in self.checks]
-        lines = [" " * width + "".join(cols)]
-        symbol = {"pass": "+", "fail": "F"}
+        lines = [" " * width + "".join(c.rjust(5) for c in self.checks)]
         for name in self.corpus:
-            row = []
-            for check in self.checks:
-                cell = self.results[check][name]
-                if cell.status == "skip":
-                    row.append("." if cell.expected else "!")
-                elif cell.status == "pass" and cell.substantive is False:
-                    row.append("v")
-                else:
-                    row.append(symbol[cell.status])
-            lines.append(name.ljust(width) + "".join(s.rjust(5) for s in row))
+            lines.append(name.ljust(width) + "".join(
+                self.results[check][name].mark.rjust(5)
+                for check in self.checks))
         lines.append("")
         lines.append("legend: + pass, v vacuous pass, F fail, "
                      ". skip (declared), ! skip (cap hit)")
@@ -546,9 +533,9 @@ class SuiteReport:
             f"{s['skip']} skip ({s['unexpected_skip']} unexpected)")
         for check, row in self.results.items():
             for name, cell in row.items():
-                if cell.status == "fail":
+                if cell.mark == "F":
                     lines.append(f"FAIL {check} on {name}: {cell.witness}")
-                elif cell.status == "skip" and not cell.expected:
+                elif cell.mark == "!":
                     lines.append(f"UNEXPECTED SKIP {check} on {name}: {cell.reason}")
         return "\n".join(lines) + "\n"
 

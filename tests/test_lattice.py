@@ -1,6 +1,7 @@
 import hashlib
 import heapq
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -95,6 +96,47 @@ def test_covers_are_a_read_only_edge_array_in_lexicographic_order(
                     z not in (x, y) and leq[x][z] and leq[z][y]
                     for z in range(n))]
         assert covers.tolist() == want, L.name
+
+
+def _padded_by_loops(M, pad):
+    members = [[c for c in range(M.shape[1]) if M[r, c]]
+               for r in range(len(M))]
+    width = max([1] + [len(m) for m in members])
+    return [m + [pad] * (width - len(m)) for m in members]
+
+
+def test_padded_lists_each_rows_members_then_the_pad(corpus):
+    # seeded random masks, each with an all-False row, masks of no rows
+    # and of no columns, at each pad the callers use: bottom, top, len(J)
+    # and n; every table has at least one column
+    rng = np.random.RandomState(0)
+    for L in corpus[::7]:
+        for pad in (L.bottom, L.top, len(L.join_irreducibles), L.n):
+            for shape in ((0, L.n), (1, L.n), (L.n, L.n), (3 * L.n, L.n),
+                          (L.n, 0)):
+                M = rng.rand(*shape) < rng.rand()
+                if shape[0]:
+                    M[rng.randint(shape[0])] = False
+                got = latq.lattice._padded(M, pad)
+                want = _padded_by_loops(M, pad)
+                assert got.dtype == np.int16, L.name
+                assert got.shape == (shape[0], len(want[0]) if want else 1)
+                assert got.tolist() == want, (L.name, pad, shape)
+
+
+def test_lower_covers_list_each_elements_lower_covers_then_the_bottom(
+        corpus, large_corpus):
+    # against the Hasse edges, on the built-ins, verify_large's carriers
+    # and the duals of both
+    carriers = [*corpus, *large_corpus]
+    assert len(carriers) == 86 + 16
+    for L in carriers + [L.op for L in carriers]:
+        lower = [[] for _ in range(L.n)]
+        for i, j in L.poset.covers.tolist():
+            lower[j].append(i)
+        width = max([1] + [len(c) for c in lower])
+        assert L.lower_covers.tolist() == [
+            sorted(c) + [L.bottom] * (width - len(c)) for c in lower], L.name
 
 
 def _toposort_over_strict_order(leq):
@@ -543,6 +585,15 @@ def test_all_posets_counts_match_oeis_small_values():
         b"".join(p.leq.tobytes() for p in latq.all_posets(4))).hexdigest()
     assert digest == \
         "c956fa8589331dc25b43bcd26ca491f03223ec98a520a0f61c187b7cb79de8e3"
+
+
+def test_all_posets_refuses_past_seven_points_at_once():
+    # by its scaling an eighth point takes about half an hour
+    posets = latq.all_posets(8)
+    t0 = time.perf_counter()
+    with pytest.raises(latq.TooLarge, match="8 points"):
+        next(posets)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_downsets_of_every_small_poset_are_distributive():

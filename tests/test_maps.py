@@ -554,6 +554,30 @@ def test_all_maps_and_monotone_arrays(zoo):
         oracles.monotone_maps(b2, b2))
 
 
+def test_map_arrays_refuse_past_the_cap_before_building(monkeypatch, zoo):
+    # c3 has 3 ** 3 maps: a cap of 27 lists them, one of 26 refuses both
+    c3 = zoo["c3"]
+    monkeypatch.setattr(lattice, "DEFAULT_CAP", 27)
+    assert len(maps.all_maps_array(c3, c3)) == 27
+    assert len(maps.monotone_maps_array(c3, c3)) == 10
+    monkeypatch.setattr(lattice, "DEFAULT_CAP", 26)
+    for build in (maps.all_maps_array, maps.monotone_maps_array):
+        with pytest.raises(latq.CapExceeded, match="27 maps exceed"):
+            build(c3, c3)
+    # b3 -> b3 has 8 ** 8 maps, about 1 GB as int64: refused up front
+    monkeypatch.undo()
+    b3 = zoo["b3"]
+    for build in (maps.all_maps_array, maps.monotone_maps_array):
+        tracemalloc.start()
+        try:
+            with pytest.raises(latq.CapExceeded, match="16777216 maps"):
+                build(b3, b3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+
 def test_sample_monotone_maps(zoo):
     L = zoo["m3"]
     rng = np.random.RandomState(0)

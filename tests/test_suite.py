@@ -160,6 +160,42 @@ def test_render_text_symbols_and_detail_lines():
     assert report.summary["vacuous_pass"] == 1
 
 
+def test_summary_and_text_of_a_report_with_every_mark():
+    # one cell of each mark: + pass, v vacuous pass, F fail, . declared
+    # skip, ! unexpected skip; the text and counts are literal
+    report = SuiteReport(
+        corpus=["aa", "bbb"],
+        checks=["T1", "T5", "T7"],
+        results={
+            "T1": {"aa": CheckResult("T1", True),
+                   "bbb": CheckResult("T1", False, witness={"x": 1})},
+            "T5": {"aa": CheckResult("T5", True, substantive=False),
+                   "bbb": CheckResult("T5", False, reason="n > 4")},
+            "T7": {"aa": CheckResult("T7", False, reason="cap hit",
+                                     expected=False),
+                   "bbb": CheckResult("T7", True, substantive=True)},
+        },
+        seed=0,
+    )
+    assert [[c.mark for c in row.values()]
+            for row in report.results.values()] == [
+        ["+", "F"], ["v", "."], ["!", "+"]]
+    assert list(report.summary.items()) == [
+        ("cells", 6), ("pass", 3), ("fail", 1), ("skip", 2),
+        ("unexpected_skip", 1), ("vacuous_pass", 1)]
+    assert report.render_text() == (
+        "      T1   T5   T7\n"
+        "aa     +    v    !\n"
+        "bbb    F    .    +\n"
+        "\n"
+        "legend: + pass, v vacuous pass, F fail, . skip (declared), "
+        "! skip (cap hit)\n"
+        "cells 6: 3 pass (1 vacuous), 1 fail, 2 skip (1 unexpected)\n"
+        "FAIL T1 on bbb: {'x': 1}\n"
+        "UNEXPECTED SKIP T7 on aa: cap hit\n")
+    assert not report.ok
+
+
 def test_render_text_green(mini_report):
     text = mini_report.render_text()
     body = [line for line in text.splitlines()
